@@ -14,9 +14,6 @@
 //   --max-iters <n>       global-placement iteration cap (default: 60);
 //                         lowering this is the canonical "deliberately
 //                         degraded candidate" for gate self-tests
-//   --density-backend <b> density/projection model: "spread" (default) or
-//                         "electrostatic" — the ablation axis recorded in
-//                         the run's config block
 //   --threads <n>         worker threads (default: 1 — deterministic anyway,
 //                         but 1 keeps CI containers honest)
 //   --no-dp               skip detailed placement
@@ -52,7 +49,6 @@
 
 #include "gen/fleet.h"
 #include "io/experience.h"
-#include "projection/backend.h"
 #include "util/log.h"
 #include "util/parallel.h"
 #include "util/parse_num.h"
@@ -64,8 +60,7 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: complx_fleet [--preset gate|smoke] [--out f.json] "
-               "[--label name] [--seed s] [--max-iters n] "
-               "[--density-backend spread|electrostatic] [--threads n] "
+               "[--label name] [--seed s] [--max-iters n] [--threads n] "
                "[--no-dp] [--no-timing] [--quiet] "
                "[--snapshot store.snap [--warm-start] [--save-experience]]\n");
 }
@@ -114,7 +109,6 @@ int main(int argc, char** argv) {
       else if (arg == "--max-iters")
         opts.max_iterations =
             static_cast<int>(parse_int64(arg, next(), 1, 1000000));
-      else if (arg == "--density-backend") opts.density_backend = next();
       else if (arg == "--threads")
         opts.threads =
             static_cast<size_t>(parse_uint64(arg, next(), 0, 65536));
@@ -148,17 +142,6 @@ int main(int argc, char** argv) {
                  "--warm-start/--save-experience require --snapshot\n");
     usage();
     return 1;
-  }
-  {
-    bool known = false;
-    for (const std::string& n : projection_backend_names())
-      known = known || n == opts.density_backend;
-    if (!known) {
-      std::fprintf(stderr, "unknown --density-backend: %s\n",
-                   opts.density_backend.c_str());
-      usage();
-      return 1;
-    }
   }
   if (label.empty()) label = preset_name;
   set_log_level(LogLevel::Warn);

@@ -6,9 +6,6 @@
 // Options:
 //   --out <file.pl>       write the final placement (default: <design>.complx.pl)
 //   --target-density <g>  override the density target (0 < g <= 1)
-//   --density-backend <b> density/projection model: "spread" (default; the
-//                         paper's look-ahead legalization) or
-//                         "electrostatic" (FFT Poisson field)
 //   --simpl               run the SimPL-compatibility configuration
 //   --lse                 use the log-sum-exp interconnect model
 //   --max-iters <n>       global placement iteration cap
@@ -24,7 +21,7 @@
 //                         solve wall time, sparsity-pattern hit rate, CG
 //                         iteration totals)
 //   --svg <file.svg>      render the final placement
-//   --seed-quiet          lower log verbosity
+//   --quiet               lower log verbosity
 //   --snapshot <file>     experience store (io/experience.h): a crash-safe
 //                         binary snapshot of converged placements keyed by
 //                         netlist hash
@@ -87,8 +84,7 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: complx_place <design.aux> [--out f.pl] "
-               "[--target-density g] [--density-backend spread|electrostatic] "
-               "[--simpl] [--lse] [--max-iters n] "
+               "[--target-density g] [--simpl] [--lse] [--max-iters n] "
                "[--time-limit s] [--threads n] [--no-dp] [--orient] "
                "[--trace f.csv] [--stats] [--svg f.svg] [--quiet] "
                "[--snapshot store.snap [--warm-start] [--save-experience]] "
@@ -122,7 +118,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string svg_path;
   std::string snapshot_path;
-  std::string density_backend = "spread";
   double target_density = 0.0;
   bool simpl = false, lse = false, run_dp = true, quiet = false;
   bool orient = false, stats = false;
@@ -147,7 +142,6 @@ int main(int argc, char** argv) {
       if (arg == "--out") out_path = next();
       else if (arg == "--target-density")
         target_density = parse_double(arg, next(), 1e-6, 1.0);
-      else if (arg == "--density-backend") density_backend = next();
       else if (arg == "--simpl") simpl = true;
       else if (arg == "--lse") lse = true;
       else if (arg == "--max-iters")
@@ -191,17 +185,6 @@ int main(int argc, char** argv) {
     usage();
     return 1;
   }
-  {
-    bool known = false;
-    for (const std::string& n : projection_backend_names())
-      known = known || n == density_backend;
-    if (!known) {
-      std::fprintf(stderr, "unknown --density-backend: %s\n",
-                   density_backend.c_str());
-      usage();
-      return 1;
-    }
-  }
   set_log_level(quiet ? LogLevel::Warn : LogLevel::Info);
   set_global_threads(static_cast<size_t>(threads));
 
@@ -217,7 +200,6 @@ int main(int argc, char** argv) {
 
     ComplxConfig cfg = simpl ? ComplxConfig::simpl_mode() : ComplxConfig{};
     cfg.use_lse = lse;
-    cfg.density_backend = density_backend;
     if (max_iters > 0) cfg.max_iterations = max_iters;
     if (time_limit > 0.0) cfg.time_limit_s = time_limit;
     cfg.cancel = &g_interrupted;

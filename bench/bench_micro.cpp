@@ -7,8 +7,8 @@
 #include <algorithm>
 
 #include "core/placer.h"
-#include "density/backend.h"
 #include "density/grid.h"
+#include "density/penalty.h"
 #include "gen/generator.h"
 #include "legal/tetris.h"
 #include "linalg/sparse.h"
@@ -18,8 +18,6 @@
 #include "util/rng.h"
 #include "wl/hpwl.h"
 #include "wl/incremental.h"
-
-#include "aos_baseline.h"
 
 namespace complx {
 namespace {
@@ -177,45 +175,31 @@ void BM_DensityBuild(benchmark::State& state) {
 BENCHMARK(BM_DensityBuild)->Arg(16)->Arg(64)->Arg(256);
 
 // --------------------------------------------------------------------------
-// Density-backend benchmarks: one gradient evaluation per iteration through
-// the DensityBackend interface, spread (bell-smoothed penalty) vs
-// electrostatic (FFT Poisson solve + exact field gradient), plus the cached
-// overflow meter whose per-call grid rebuild was the historical hot-path
-// regression. These back the docs/BENCHMARKS.md density table.
+// Density-penalty benchmarks: one bell-smoothed gradient evaluation per
+// iteration, plus the cached overflow meter whose per-call grid rebuild was
+// the historical hot-path regression. These back the docs/BENCHMARKS.md
+// density table.
 
 void BM_SpreadDensityGrad(benchmark::State& state) {
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const Placement p = nl.snapshot();
-  const auto backend = make_density_backend("spread", nl, {});
+  const DensityPenalty pen(nl, {});
   Vec gx, gy;
   for (auto _ : state)
-    benchmark::DoNotOptimize(backend->value_and_grad(p, gx, gy));
+    benchmark::DoNotOptimize(pen.value_and_grad(p, gx, gy));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_movable()));
 }
 BENCHMARK(BM_SpreadDensityGrad)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ElectrostaticGrad(benchmark::State& state) {
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
-  const Placement p = nl.snapshot();
-  const auto backend = make_density_backend("electrostatic", nl, {});
-  Vec gx, gy;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(backend->value_and_grad(p, gx, gy));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nl.num_movable()));
-}
-BENCHMARK(BM_ElectrostaticGrad)->Arg(2000)->Arg(8000)->Arg(32000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_OverflowRatioCached(benchmark::State& state) {
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const Placement p = nl.snapshot();
-  const auto backend = make_density_backend("spread", nl, {});
-  backend->overflow_ratio(p);  // warm the cached grid
+  const DensityPenalty pen(nl, {});
+  pen.overflow_ratio(p);  // warm the cached grid
   for (auto _ : state)
-    benchmark::DoNotOptimize(backend->overflow_ratio(p));
+    benchmark::DoNotOptimize(pen.overflow_ratio(p));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_movable()));
 }
@@ -385,71 +369,6 @@ void BM_IncrementalVsNaiveMoveEval(benchmark::State& state) {
 BENCHMARK(BM_IncrementalVsNaiveMoveEval)
     ->Arg(0)  // naive
     ->Arg(1);  // cached
-
-// --------------------------------------------------------------------------
-// AoS-vs-SoA layout benchmarks. bench/aos_baseline.h reconstructs the
-// pre-refactor layout (inline names, per-net pin vectors, vector-of-vectors
-// adjacency); the kernels are arithmetic-identical so the pair isolates the
-// data-layout effect that BENCH_scale.json reports at the 1M-cell scale.
-// --------------------------------------------------------------------------
-
-std::vector<double> x_positions(const Netlist& nl) {
-  const Placement p = nl.snapshot();
-  return p.x;
-}
-
-void BM_B2bAssemblyAos(benchmark::State& state) {
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
-  const bench::AosNetlist aos = bench::to_aos(nl);
-  const Placement snap = nl.snapshot();
-  std::vector<PinSpring> springs;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        bench::b2b_assembly_aos(aos, snap.x, snap.y, true, springs));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nl.num_pins()));
-}
-BENCHMARK(BM_B2bAssemblyAos)->Arg(2000)->Arg(8000)->Arg(32000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_B2bAssemblySoa(benchmark::State& state) {
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
-  const NetlistView v = nl.view();
-  const std::vector<double> pos = x_positions(nl);
-  std::vector<PinSpring> springs;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(bench::b2b_assembly_soa(v, pos, springs));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nl.num_pins()));
-}
-BENCHMARK(BM_B2bAssemblySoa)->Arg(2000)->Arg(8000)->Arg(32000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DensityDepositAos(benchmark::State& state) {
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
-  const bench::AosNetlist aos = bench::to_aos(nl);
-  std::vector<double> grid;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        bench::density_deposit_aos(aos, nl.core(), 256, grid));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nl.num_movable()));
-}
-BENCHMARK(BM_DensityDepositAos)->Arg(2000)->Arg(8000)->Arg(32000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DensityDepositSoa(benchmark::State& state) {
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
-  const NetlistView v = nl.view();
-  std::vector<double> grid;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        bench::density_deposit_soa(v, nl.core(), 256, grid));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nl.num_movable()));
-}
-BENCHMARK(BM_DensityDepositSoa)->Arg(2000)->Arg(8000)->Arg(32000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_NetlistFinalize(benchmark::State& state) {
   // Generator + finalize (CSR build, movable indexing, stats). The arena

@@ -31,8 +31,7 @@ NonconvexResult NonconvexPlacer::place() {
   }
 
   const LseWl wirelength(nl_, cfg_.lse_gamma_rows * nl_.row_height());
-  const std::unique_ptr<DensityBackend> density =
-      make_density_backend(cfg_.density_backend, nl_, cfg_.density);
+  const DensityPenalty density(nl_, cfg_.density);
 
   // Pure wirelength warm-up.
   {
@@ -44,7 +43,7 @@ NonconvexResult NonconvexPlacer::place() {
   // λ_d normalization from gradient magnitudes at the warm-up point.
   Vec gx, gy, dgx, dgy;
   wirelength.value_and_grad(p, gx, gy);
-  density->value_and_grad(p, dgx, dgy);
+  density.value_and_grad(p, dgx, dgy);
   double wl_norm = 0.0, d_norm = 0.0;
   for (CellId id : nl_.movable_cells()) {
     wl_norm += std::abs(gx[id]) + std::abs(gy[id]);
@@ -54,21 +53,21 @@ NonconvexResult NonconvexPlacer::place() {
                         ? cfg_.initial_gradient_ratio * wl_norm / d_norm
                         : 1.0;
 
-  const DensityAugmentedWl combined(wirelength, *density, lambda_d);
+  const DensityAugmentedWl combined(wirelength, density, lambda_d);
 
   int round = 1;
   for (; round <= cfg_.max_rounds; ++round) {
     NlcgOptions opts;
     opts.max_iterations = cfg_.nlcg_iterations;
     minimize_smooth_placement(nl_, combined, p, nullptr, opts);
-    result.final_overflow = density->overflow_ratio(p);
+    result.final_overflow = density.overflow_ratio(p);
     if (result.final_overflow < cfg_.stop_overflow) break;
     lambda_d *= 2.0;  // the classic penalty ramp
   }
 
   result.placement = std::move(p);
   result.rounds = std::min(round, cfg_.max_rounds);
-  result.density_clamped_cells = density->stats().clamped_cells;
+  result.density_clamped_cells = density.stats().clamped_cells;
   result.runtime_s = timer.seconds();
   return result;
 }

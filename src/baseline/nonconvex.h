@@ -11,19 +11,14 @@
 // bench_nonconvex measures exactly that trade on common designs.
 #pragma once
 
-#include <string>
-
-#include "density/backend.h"
+#include "density/penalty.h"
 #include "netlist/netlist.h"
 
 namespace complx {
 
 struct NonconvexConfig {
   double lse_gamma_rows = 3.0;  ///< wirelength smoothing (row heights)
-  /// Density model by registry name: "spread" (cosine-bell penalty) or
-  /// "electrostatic" (FFT field energy). Both plug into the same λ_d ramp.
-  std::string density_backend = "spread";
-  DensityBackendOptions density;
+  DensityPenaltyOptions density;  ///< the cosine-bell density penalty
   int max_rounds = 24;
   int nlcg_iterations = 60;  ///< per round
   double stop_overflow = 0.12;
@@ -37,7 +32,7 @@ struct NonconvexResult {
   int rounds = 0;
   double final_overflow = 0.0;
   double runtime_s = 0.0;
-  /// Off-core / non-finite centers the density backend clamped during the
+  /// Off-core / non-finite centers the density penalty clamped during the
   /// run (see DensityStats::clamped_cells).
   size_t density_clamped_cells = 0;
 };

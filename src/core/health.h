@@ -116,10 +116,6 @@ struct HealthStats {
   size_t penalty_blowups = 0;
   size_t lagrangian_blowups = 0;
   size_t cg_breakdowns = 0;
-  /// Off-core / non-finite cell centers the density backend clamped onto
-  /// the core across the run (DensityStats fold-in; each one used to lose
-  /// its deposited area silently).
-  size_t density_clamped_cells = 0;
 
   void count(HealthFault f);
 };

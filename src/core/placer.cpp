@@ -44,6 +44,9 @@ void init_at_center(const Netlist& nl, Placement& p) {
 
 ComplxPlacer::ComplxPlacer(const Netlist& nl, const ComplxConfig& cfg)
     : nl_(nl), cfg_(cfg), criticality_(nl.num_cells(), 1.0) {
+  if (cfg_.density_backend != "spread")
+    throw std::invalid_argument("unknown density backend '" +
+                                cfg_.density_backend + "' (only 'spread')");
   if (cfg_.projection.gamma <= 0.0)
     cfg_.projection.gamma = nl.target_density();
   // Footnote 6 of the paper: the lower bound on pin separation in the
@@ -254,9 +257,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
     for (int i = 0; i < cfg_.initial_iterations; ++i) primal_step(nullptr);
 
   // --- Projection machinery and grid schedule ----------------------------
-  const std::unique_ptr<ProjectionBackend> lal_ptr =
-      make_projection_backend(cfg_.density_backend, nl_, cfg_.projection);
-  ProjectionBackend& lal = *lal_ptr;
+  LookAheadLegalizer lal(nl_, cfg_.projection);
   const size_t finest = lal.bins_x();
   double bins =
       from_experience
@@ -337,7 +338,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
       result.final_lambda = schedule.lambda();
       result.final_overflow = result.trace.back().overflow_ratio;
       result.health = monitor.stats();
-      result.health.density_clamped_cells = lal.density_clamped_cells();
       fold_workspace_stats();
       result.runtime_s = timer.seconds();
       return result;
@@ -594,7 +594,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
   result.iterations = std::min(k, cfg_.max_iterations);
   result.stop = stop;
   result.health = monitor.stats();
-  result.health.density_clamped_cells = lal.density_clamped_cells();
   fold_workspace_stats();
   result.runtime_s = timer.seconds();
   return result;

@@ -84,9 +84,9 @@ struct ComplxConfig {
   // netlist's target density"; set explicitly to override.
   ProjectionOptions projection;
 
-  // Density / projection backend: "spread" is the paper's cut-based
-  // look-ahead legalization, "electrostatic" the FFT Poisson field model
-  // (projection/backend.h registry; complx_place --density-backend).
+  // Kept only so existing callers that copy FleetRunOptions::density_backend
+  // still compile: the projection is always look-ahead legalization, and
+  // the constructor rejects any value other than "spread".
   std::string density_backend = "spread";
 
   ComplxConfig() { projection.gamma = 0.0; }
@@ -221,6 +221,7 @@ class ComplxPlacer {
  public:
   /// The placer reads netlist geometry and target density; it does not
   /// modify the netlist. Call netlist.apply(result.anchors) to commit.
+  /// Throws std::invalid_argument when cfg.density_backend is not "spread".
   ComplxPlacer(const Netlist& nl, const ComplxConfig& cfg);
 
   /// Per-cell criticality multipliers for the penalty term (Formula 13).

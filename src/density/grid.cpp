@@ -30,8 +30,7 @@ DensityGrid::DensityGrid(const Netlist& nl, size_t bins_x, size_t bins_y,
   rebuild_sat(use_, use_sat_);
 }
 
-void DensityGrid::deposit(const Rect& r, double scale,
-                          std::vector<double>& field) {
+void DensityGrid::deposit(const Rect& r, std::vector<double>& field) {
   const Rect clipped = {std::max(r.xl, core_.xl), std::max(r.yl, core_.yl),
                         std::min(r.xh, core_.xh), std::min(r.yh, core_.yh)};
   if (clipped.empty()) return;
@@ -41,7 +40,7 @@ void DensityGrid::deposit(const Rect& r, double scale,
   const size_t j1 = bin_y_of(clipped.yh - 1e-12);
   for (size_t j = j0; j <= j1; ++j)
     for (size_t i = i0; i <= i1; ++i)
-      field[idx(i, j)] += scale * bin_rect(i, j).overlap_area(clipped);
+      field[idx(i, j)] += bin_rect(i, j).overlap_area(clipped);
 }
 
 void DensityGrid::build(const Placement& p) {
@@ -65,20 +64,6 @@ void DensityGrid::build_from_rects(const std::vector<Rect>& movable_rects) {
   parallel_deposit(
       movable_rects.size(),
       [&](size_t k, std::vector<double>& f) { deposit(movable_rects[k], f); },
-      use_);
-  rebuild_sat(use_, use_sat_);
-}
-
-void DensityGrid::build_from_rects(const std::vector<Rect>& movable_rects,
-                                   const std::vector<double>& weights) {
-  if (weights.size() != movable_rects.size())
-    throw std::invalid_argument(
-        "build_from_rects: one weight per rect required");
-  parallel_deposit(
-      movable_rects.size(),
-      [&](size_t k, std::vector<double>& f) {
-        deposit(movable_rects[k], weights[k], f);
-      },
       use_);
   rebuild_sat(use_, use_sat_);
 }

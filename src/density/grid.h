@@ -48,13 +48,6 @@ class DensityGrid {
   /// the macro shredder which substitutes shreds for macros).
   void build_from_rects(const std::vector<Rect>& movable_rects);
 
-  /// Weighted variant: rect k's overlap deposit is scaled by weights[k].
-  /// The electrostatic backend stretches narrow cells to the bin pitch and
-  /// compensates with weight = area / stretched-area, so total deposited
-  /// charge still equals the cell area (ePlace-style density preservation).
-  void build_from_rects(const std::vector<Rect>& movable_rects,
-                        const std::vector<double>& weights);
-
   size_t bins_x() const { return bx_; }
   size_t bins_y() const { return by_; }
   double bin_width() const { return bw_; }
@@ -100,10 +93,7 @@ class DensityGrid {
  private:
   size_t idx(size_t i, size_t j) const { return j * bx_ + i; }
   size_t sat_idx(size_t i, size_t j) const { return j * (bx_ + 1) + i; }
-  void deposit(const Rect& r, std::vector<double>& field) {
-    deposit(r, 1.0, field);
-  }
-  void deposit(const Rect& r, double scale, std::vector<double>& field);
+  void deposit(const Rect& r, std::vector<double>& field);
   /// Deposits items [0, n) into `field` via per-block partial grids merged
   /// in block order — deterministic at any thread count (see
   /// docs/PARALLELISM.md). `dep(k, f)` adds item k's area into grid f.

@@ -1,9 +1,11 @@
 #include "gen/fleet.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "core/placer.h"
 #include "density/metric.h"
@@ -138,16 +140,43 @@ namespace {
 
 /// printf-style formatting into an ostream: keeps the exact %.17g record
 /// layout the gate scripts parse while composing through AtomicFileWriter.
+/// The buffer is sized from a measuring pass, so long lines are never cut.
 #if defined(__GNUC__)
 __attribute__((format(printf, 2, 3)))
 #endif
 void jf(std::ostream& os, const char* fmt, ...) {
-  char buf[512];
   va_list ap;
   va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_list measure;
+  va_copy(measure, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, measure);
+  va_end(measure);
+  std::string buf(static_cast<size_t>(std::max(n, 0)) + 1, '\0');
+  std::vsnprintf(buf.data(), buf.size(), fmt, ap);
   va_end(ap);
+  buf.pop_back();  // the terminating NUL
   os << buf;
+}
+
+/// `s` as the body of a JSON string literal: quote, backslash and control
+/// characters escaped, every other byte (including UTF-8) passed through.
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (c < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof esc, "\\u%04x", static_cast<unsigned>(c));
+      out += esc;
+    } else {
+      out += ch;
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -162,8 +191,8 @@ void write_fleet_run_json(const std::string& path, const std::string& label,
   jf(f, "{\n");
   jf(f, "  \"schema_version\": 1,\n");
   jf(f, "  \"kind\": \"peko_fleet_run\",\n");
-  jf(f, "  \"label\": \"%s\",\n", label.c_str());
-  jf(f, "  \"preset\": \"%s\",\n", preset.c_str());
+  jf(f, "  \"label\": \"%s\",\n", json_escape(label).c_str());
+  jf(f, "  \"preset\": \"%s\",\n", json_escape(preset).c_str());
   jf(f,
      "  \"config\": {\"max_iterations\": %d, \"threads\": %zu, "
      "\"detailed\": %s, \"warm_start\": %s, \"save_experience\": %s, "
@@ -171,7 +200,7 @@ void write_fleet_run_json(const std::string& path, const std::string& label,
      opts.max_iterations, opts.threads, opts.detailed ? "true" : "false",
      opts.warm_start ? "true" : "false",
      opts.save_experience ? "true" : "false",
-     opts.density_backend.c_str());
+     json_escape(opts.density_backend).c_str());
   jf(f, "  \"designs\": [\n");
   for (size_t k = 0; k < records.size(); ++k) {
     const FleetRecord& r = records[k];
@@ -181,7 +210,8 @@ void write_fleet_run_json(const std::string& path, const std::string& label,
        "\"utilization\": %.17g, \"optimum_hpwl\": %.17g, \"hpwl\": %.17g, "
        "\"ratio\": %.17g, \"overflow_percent\": %.17g, \"legal\": %s, "
        "\"iterations\": %d, \"warm_started\": %s, \"wall_s\": %.6g}%s\n",
-       r.name.c_str(), static_cast<unsigned long long>(r.seed), r.cells,
+       json_escape(r.name).c_str(), static_cast<unsigned long long>(r.seed),
+       r.cells,
        r.movable, r.nets, r.macros, r.utilization, r.optimum_hpwl, r.hpwl,
        r.ratio, r.overflow_percent, r.legal ? "true" : "false", r.iterations,
        r.warm_started ? "true" : "false", r.wall_s,

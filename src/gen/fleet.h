@@ -45,8 +45,8 @@ struct FleetRunOptions {
   size_t threads = 1;       ///< worker threads (0 = inherit process setting)
   bool detailed = true;     ///< run detailed placement after legalization
   bool record_timing = true;  ///< false => wall_s = 0 (deterministic record)
-  /// Density / projection backend by registry name ("spread",
-  /// "electrostatic") — the spreading-ablation axis of docs/BENCHMARKS.md.
+  /// Recorded in the run's config block; the placer accepts only "spread"
+  /// (see ComplxConfig::density_backend).
   std::string density_backend = "spread";
 
   /// Experience store (io/experience.h): when non-null, each design probes

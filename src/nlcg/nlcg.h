@@ -9,7 +9,7 @@
 
 #include <functional>
 
-#include "density/backend.h"
+#include "density/penalty.h"
 #include "linalg/vec.h"
 #include "netlist/netlist.h"
 #include "qp/solver.h"
@@ -44,14 +44,13 @@ NlcgResult minimize_smooth_placement(const Netlist& nl, const SmoothWl& wl,
                                      Placement& p, const AnchorSet* anchors,
                                      const NlcgOptions& opts);
 
-/// Smooth wirelength augmented with λ_d × a density model — the nonconvex
-/// baseline's objective F = Φ_smooth + λ_d·D, generic over any registered
-/// DensityBackend (cosine-bell penalty or FFT field energy). λ_d is held by
+/// Smooth wirelength augmented with λ_d × the cosine-bell density penalty —
+/// the nonconvex baseline's objective F = Φ_smooth + λ_d·D. λ_d is held by
 /// reference so the caller's outer ramp is seen without rebuilding the
 /// adapter.
 class DensityAugmentedWl : public SmoothWl {
  public:
-  DensityAugmentedWl(const SmoothWl& wl, const DensityBackend& density,
+  DensityAugmentedWl(const SmoothWl& wl, const DensityPenalty& density,
                      const double& lambda_d)
       : wl_(wl), density_(density), lambda_(lambda_d) {}
 
@@ -68,7 +67,7 @@ class DensityAugmentedWl : public SmoothWl {
 
  private:
   const SmoothWl& wl_;
-  const DensityBackend& density_;
+  const DensityPenalty& density_;
   const double& lambda_;
   mutable Vec dgx_, dgy_;  ///< gradient scratch (reused across evaluations)
 };

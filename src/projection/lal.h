@@ -14,10 +14,48 @@
 
 #include "density/grid.h"
 #include "netlist/netlist.h"
-#include "projection/backend.h"
+#include "projection/alignment.h"
 #include "projection/mote.h"
+#include "projection/shredder.h"
+#include "projection/spreader.h"
 
 namespace complx {
+
+struct ProjectionOptions {
+  double gamma = 1.0;  ///< target utilization (ISPD 2006: 0.5 / 0.8 / 0.9)
+  size_t bins_x = 0;   ///< 0 = derive from design size
+  size_t bins_y = 0;
+  SpreaderOptions spreader;  ///< gamma is overwritten from this struct
+  ShredderOptions shredder;  ///< gamma is overwritten from this struct
+  DensityOptions density;    ///< grid query mode (prefix sums on/off)
+  bool enforce_regions = true;
+  /// Alignment groups enforced by the projection (after density spreading
+  /// and region snapping).
+  std::vector<AlignmentGroup> alignments;
+};
+
+/// Wall-clock split of one project() call. The placer accumulates these
+/// into SolverStats; `complx_place --stats` prints the totals.
+struct ProjectionTimers {
+  double grid_build_s = 0.0;    ///< mote materialization + density deposit
+  double region_find_s = 0.0;   ///< region search + mote→region ownership
+  double spread_s = 0.0;        ///< per-region spreading
+  double readback_s = 0.0;      ///< anchors, region/alignment snap, Π
+};
+
+struct ProjectionResult {
+  Placement anchors;        ///< the C-feasible(-ish) projection P_C(x, y)
+  double displacement_l1 = 0.0;  ///< Π: Σ_movable |x−x°| + |y−y°|
+  size_t num_regions = 0;        ///< spreading regions processed
+  /// Density overflow of the INPUT placement: Σ bin overflow above γ,
+  /// divided by total movable area. The classic SimPL stopping metric.
+  double input_overflow_ratio = 0.0;
+  /// Shred clouds after spreading (only filled when export_shreds=true);
+  /// used by the Figure 2 reproduction.
+  std::vector<Mote> shreds;
+  std::vector<Point> shred_origins;
+  ProjectionTimers timers;  ///< phase split of this call
+};
 
 /// Sentinel owner index for motes outside every spreading region.
 inline constexpr size_t kNoSpreadRegion = static_cast<size_t>(-1);
@@ -33,7 +71,9 @@ inline constexpr size_t kNoSpreadRegion = static_cast<size_t>(-1);
 std::vector<size_t> assign_motes_to_regions(const std::vector<Rect>& regions,
                                             const std::vector<Mote>& motes);
 
-class LookAheadLegalizer : public ProjectionBackend {
+/// The projection caches its fixed-blockage grid and is NOT thread-safe
+/// across concurrent calls on one instance.
+class LookAheadLegalizer {
  public:
   LookAheadLegalizer(const Netlist& nl, const ProjectionOptions& opts);
 
@@ -41,29 +81,27 @@ class LookAheadLegalizer : public ProjectionBackend {
   /// bins of ~3 row heights, capped for tractability).
   static size_t auto_bins(const Netlist& nl);
 
-  const char* name() const override { return "spread"; }
-
   /// Computes P_C at `p`. `p` itself is not modified.
   ProjectionResult project(const Placement& p,
-                           bool export_shreds = false) const override;
+                           bool export_shreds = false) const;
 
   /// Adjusts the grid resolution (the ComPLx driver coarsens/refines the
   /// grid over iterations as a runtime/accuracy trade-off, Section 6).
-  void set_grid(size_t bins_x, size_t bins_y) override;
+  void set_grid(size_t bins_x, size_t bins_y);
 
   /// Per-cell AREA inflation factors (SimPLR-style routability): standard
   /// cells are spread as if `factor×` larger, creating routing whitespace.
   /// Pass an empty vector to clear. Macros are unaffected.
-  void set_inflation(Vec area_factors) override;
-  size_t bins_x() const override { return opts_.bins_x; }
-  size_t bins_y() const override { return opts_.bins_y; }
+  void set_inflation(Vec area_factors);
+  size_t bins_x() const { return opts_.bins_x; }
+  size_t bins_y() const { return opts_.bins_y; }
 
-  const ProjectionOptions& options() const override { return opts_; }
+  const ProjectionOptions& options() const { return opts_; }
 
   /// Drops the cached capacity field so the next project() rebuilds the
   /// fixed-cell blockage scan from scratch (benchmark/test hook; callers
   /// normally rely on set_grid/set_inflation invalidation).
-  void invalidate_grid_cache() override;
+  void invalidate_grid_cache();
 
  private:
   /// The DensityGrid whose capacity field (fixed-cell blockage) matches the

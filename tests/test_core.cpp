@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 #include "core/placer.h"
 #include "helpers.h"
@@ -126,6 +127,20 @@ TEST(ComplxPlacer, CriticalityVectorValidated) {
   EXPECT_THROW(placer.set_cell_criticality(Vec(3, 1.0)),
                std::invalid_argument);
   placer.set_cell_criticality(Vec(nl.num_cells(), 1.0));  // ok
+}
+
+TEST(ComplxPlacer, RejectsUnknownBackendName) {
+  // Look-ahead legalization is the only projection; the config field only
+  // survives for callers that still copy it, and anything but "spread" is
+  // refused up front rather than silently placed with LAL.
+  Netlist nl = complx::testing::small_circuit(83, 200);
+  ComplxConfig cfg = fast_config();
+  cfg.density_backend = "poisson";
+  EXPECT_THROW(ComplxPlacer(nl, cfg), std::invalid_argument);
+  cfg.density_backend = "";
+  EXPECT_THROW(ComplxPlacer(nl, cfg), std::invalid_argument);
+  cfg.density_backend = "spread";
+  EXPECT_NO_THROW(ComplxPlacer(nl, cfg));
 }
 
 TEST(ComplxPlacer, PostProjectionHookRuns) {

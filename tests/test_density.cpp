@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -329,8 +330,44 @@ TEST(DensityGrid, NonFiniteCoordinateClampsToValidBin) {
 }
 
 // ---------------------------------------------------------------------------
-// DensityPenalty hot-path regressions (the "spread" DensityBackend)
+// DensityPenalty: gradient contract and hot-path regressions
 // ---------------------------------------------------------------------------
+
+TEST(DensityPenalty, GradientAgreesWithFiniteDifference) {
+  // The bell penalty's gradient treats the per-cell normalization as
+  // locally constant, so per-component agreement is approximate; require
+  // strong directional agreement (cosine similarity) instead.
+  Netlist nl = complx::testing::small_circuit(31, 80);
+  Placement p = nl.snapshot();
+  DensityPenaltyOptions opts;
+  opts.bins = 12;
+  const DensityPenalty pen(nl, opts);
+
+  Vec gx, gy;
+  const double base = pen.value_and_grad(p, gx, gy);
+  ASSERT_GT(base, 0.0);
+
+  const double h = 0.05;
+  Vec tx, ty;
+  double dot = 0.0, na = 0.0, nb = 0.0;
+  for (size_t k = 0; k < nl.movable_cells().size() && k < 40; ++k) {
+    const CellId id = nl.movable_cells()[k];
+    const double save = p.x[id];
+    p.x[id] = save + h;
+    const double fp_ = pen.value_and_grad(p, tx, ty);
+    p.x[id] = save - h;
+    const double fm = pen.value_and_grad(p, tx, ty);
+    p.x[id] = save;
+    const double fd = (fp_ - fm) / (2.0 * h);
+    dot += fd * gx[id];
+    na += fd * fd;
+    nb += gx[id] * gx[id];
+  }
+  ASSERT_GT(na, 0.0);
+  ASSERT_GT(nb, 0.0);
+  EXPECT_GT(dot / std::sqrt(na * nb), 0.90)
+      << "penalty gradient no longer points along the finite difference";
+}
 
 TEST(DensityPenalty, OverflowRatioReusesCachedGrid) {
   // overflow_ratio used to construct a fresh DensityGrid — including the

@@ -389,37 +389,6 @@ TEST(GoldenDeterminism, FleetRecordThreadInvariant) {
   }
 }
 
-// --- electrostatic density backend ------------------------------------------
-// The FFT Poisson path (charge deposit, DCT transforms, field readback,
-// diffusion sweeps) must obey the same contract as the spread path: the full
-// placer run is bitwise identical at 1, 2, and 8 threads.
-TEST(GoldenDeterminism, ElectrostaticBackendThreadInvariant) {
-  const Netlist nl = testing::small_circuit(29, 900);
-  ComplxConfig base;
-  base.max_iterations = 15;
-  base.density_backend = "electrostatic";
-  ThreadGuard guard;
-
-  std::vector<PlaceResult> results;
-  for (const size_t threads : {1u, 2u, 8u}) {
-    ComplxConfig cfg = base;
-    cfg.threads = threads;
-    results.push_back(ComplxPlacer(nl, cfg).place());
-  }
-  for (size_t k = 1; k < results.size(); ++k) {
-    EXPECT_EQ(results[0].iterations, results[k].iterations) << "run " << k;
-    EXPECT_EQ(results[0].final_lambda, results[k].final_lambda)
-        << "run " << k;
-    EXPECT_EQ(results[0].final_overflow, results[k].final_overflow)
-        << "run " << k;
-    testing::expect_placements_bitwise_equal(results[0].lower_bound,
-                                             results[k].lower_bound);
-    testing::expect_placements_bitwise_equal(results[0].anchors,
-                                             results[k].anchors);
-    expect_traces_identical(results[0].trace, results[k].trace);
-  }
-}
-
 TEST(GoldenDeterminism, MacroDesignWithRoutability) {
   // Movable macros exercise the shredder/density rect path; routability
   // exercises the parallel RUDY build feeding inflation back into P_C.
