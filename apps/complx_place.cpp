@@ -9,8 +9,9 @@
 //   --simpl               run the SimPL-compatibility configuration
 //   --lse                 use the log-sum-exp interconnect model
 //   --max-iters <n>       global placement iteration cap
-//   --time-limit <s>      wall-clock budget for global placement in seconds;
-//                         on expiry the best-so-far checkpoint is used
+//   --time-limit <s>      wall-clock budget for global placement in seconds
+//                         (the whole V-cycle on the multilevel path); on
+//                         expiry the best-so-far checkpoint is used
 //   --threads <n>         worker threads for the parallel kernels (default:
 //                         hardware concurrency; 1 = fully serial; results
 //                         are bitwise identical for any value)
@@ -19,7 +20,8 @@
 //   --trace <file.csv>    dump the per-iteration L/Phi/Pi trace
 //   --stats               print the QP workspace breakdown (assembly vs
 //                         solve wall time, sparsity-pattern hit rate, CG
-//                         iteration totals)
+//                         iteration totals) and the projection phase times
+//                         (grid build, region find, spread, readback)
 //   --svg <file.svg>      render the final placement
 //   --quiet               lower log verbosity
 //   --snapshot <file>     experience store (io/experience.h): a crash-safe
@@ -36,9 +38,12 @@
 //                         cells whose centers lie inside the window,
 //                         holding every other cell bitwise fixed; reads the
 //                         incoming .pl positions as the baseline, skips
-//                         legalization/DP, writes the updated placement
+//                         legalization/DP, writes the updated placement;
+//                         cannot be combined with --warm-start or
+//                         --save-experience
 //
-// Exit-code contract (see README "Failure modes & exit codes"):
+// Exit-code contract, the same for flat, multilevel and ECO runs (see README
+// "Failure modes & exit codes"):
 //   0    success — including time-limited runs that returned the best-so-far
 //        checkpoint instead of a converged placement
 //   1    usage error (bad flags / missing arguments)
@@ -55,9 +60,10 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bookshelf/reader.h"
 #include "bookshelf/writer.h"
@@ -106,6 +112,20 @@ void handle_sigint(int) {
   std::signal(SIGINT, SIG_DFL);
 }
 
+/// Parses --eco-window's "xl,yl,xh,yh": four strict numbers, xl <= xh and
+/// yl <= yh. Throws ParseError naming `flag` otherwise.
+Rect parse_window(const std::string& flag, const std::string& text) {
+  std::vector<double> v;
+  for (size_t start = 0, end = 0; end != std::string::npos; start = end + 1) {
+    end = text.find(',', start);
+    v.push_back(parse_double(flag, text.substr(start, end - start)));
+  }
+  if (v.size() != 4 || v[2] < v[0] || v[3] < v[1])
+    throw ParseError(flag + ": expected xl,yl,xh,yh with xl <= xh and "
+                            "yl <= yh, got \"" + text + "\"");
+  return {v[0], v[1], v[2], v[3]};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,7 +142,7 @@ int main(int argc, char** argv) {
   bool simpl = false, lse = false, run_dp = true, quiet = false;
   bool orient = false, stats = false;
   bool warm_start = false, save_experience = false;
-  std::string eco_window_arg;
+  std::optional<Rect> eco_window;
   int64_t ml_threshold = 1000000;
   int max_iters = 0;
   int threads = 0;
@@ -161,7 +181,7 @@ int main(int argc, char** argv) {
       else if (arg == "--save-experience") save_experience = true;
       else if (arg == "--ml-threshold")
         ml_threshold = parse_int64(arg, next(), 0, int64_t{1} << 40);
-      else if (arg == "--eco-window") eco_window_arg = next();
+      else if (arg == "--eco-window") eco_window = parse_window(arg, next());
       else if (arg[0] == '-') {
         std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
         usage();
@@ -185,8 +205,16 @@ int main(int argc, char** argv) {
     usage();
     return 1;
   }
+  if (eco_window && (warm_start || save_experience)) {
+    std::fprintf(stderr, "--eco-window cannot be combined with --warm-start "
+                         "or --save-experience\n");
+    usage();
+    return 1;
+  }
   set_log_level(quiet ? LogLevel::Warn : LogLevel::Info);
   set_global_threads(static_cast<size_t>(threads));
+  // Before the read: a ^C at any point still writes a placement, exit 130.
+  std::signal(SIGINT, handle_sigint);
 
   try {
     Timer total;
@@ -203,7 +231,6 @@ int main(int argc, char** argv) {
     if (max_iters > 0) cfg.max_iterations = max_iters;
     if (time_limit > 0.0) cfg.time_limit_s = time_limit;
     cfg.cancel = &g_interrupted;
-    std::signal(SIGINT, handle_sigint);
 
     // Experience store: corruption on load is NOT fatal — open() quarantines
     // the damaged file and degrades to a cold start; main() reports it as
@@ -222,54 +249,23 @@ int main(int argc, char** argv) {
       if (warm_start) cfg.experience = experience.get();
     }
 
-    if (!eco_window_arg.empty()) {
-      Rect window;
-      if (std::sscanf(eco_window_arg.c_str(), "%lf,%lf,%lf,%lf", &window.xl,
-                      &window.yl, &window.xh, &window.yh) != 4 ||
-          window.xh < window.xl || window.yh < window.yl) {
-        std::fprintf(stderr, "bad --eco-window (want xl,yl,xh,yh): %s\n",
-                     eco_window_arg.c_str());
-        return 1;
+    // ECO or place_auto (flat or V-cycle); the rest sees only gp.
+    PlaceResult gp;
+    if (eco_window) {
+      EcoResult eco = eco_replace(nl, {.window = *eco_window, .config = cfg});
+      std::printf("eco: %zu dirty / %zu frozen movables%s\n", eco.dirty_cells,
+                  eco.frozen_cells, eco.full_solve ? " (full solve)" : "");
+      gp = std::move(eco.place);
+    } else {
+      AutoPlaceOptions aopts;
+      aopts.multilevel_threshold = static_cast<size_t>(ml_threshold);
+      MultilevelResult ml = place_auto(nl, cfg, aopts);
+      if (!ml.level_sizes.empty()) {
+        std::printf("multilevel: %zu level(s),", ml.level_sizes.size() - 1);
+        for (const size_t cells : ml.level_sizes) std::printf(" %zu", cells);
+        std::printf(" cells, %.1fs\n", ml.place.runtime_s);
       }
-      EcoOptions eopts;
-      eopts.window = window;
-      eopts.config = cfg;
-      const EcoResult eco = eco_replace(nl, eopts);
-      const Placement after = nl.snapshot();
-      std::printf("eco: %zu dirty / %zu frozen movables%s, %d iterations "
-                  "(%s), HPWL %.6g, %.1fs total\n",
-                  eco.dirty_cells, eco.frozen_cells,
-                  eco.full_solve ? " (full solve)" : "", eco.place.iterations,
-                  to_string(eco.place.stop), hpwl(nl, after),
-                  total.seconds());
-      if (eco.place.failed) {
-        std::fprintf(stderr, "error: %s\n", eco.place.failure.c_str());
-        return 3;
-      }
-      if (out_path.empty()) {
-        out_path = aux_path;
-        const size_t dot = out_path.find_last_of('.');
-        if (dot != std::string::npos) out_path.resize(dot);
-        out_path += ".complx.pl";
-      }
-      write_pl(nl, after, out_path);
-      std::printf("placement written to %s\n", out_path.c_str());
-      return 0;
-    }
-
-    AutoPlaceOptions aopts;
-    aopts.multilevel_threshold = static_cast<size_t>(ml_threshold);
-    AutoPlaceResult auto_result = place_auto(nl, cfg, aopts);
-    PlaceResult gp = std::move(auto_result.place);
-    if (auto_result.used_multilevel) {
-      // The V-cycle has no single solver trace; surface its shape instead
-      // and let the shared reporting below run on the final anchors.
-      gp.anchors = auto_result.anchors;
-      gp.lower_bound = auto_result.anchors;
-      std::printf("multilevel: %d level(s),", auto_result.levels);
-      for (const size_t cells : auto_result.level_sizes)
-        std::printf(" %zu", cells);
-      std::printf(" cells, %.1fs\n", auto_result.runtime_s);
+      gp = std::move(ml.place);
     }
     if (gp.warm_started)
       std::printf("warm start: resumed from experience store %s\n",
@@ -286,20 +282,18 @@ int main(int argc, char** argv) {
     if (stats) {
       const SolverStats& s = gp.solver;
       const size_t assemblies = s.pattern_hits + s.pattern_misses;
+      auto ratio = [](size_t num, size_t den) {
+        return den == 0 ? 0.0
+                        : static_cast<double>(num) / static_cast<double>(den);
+      };
       std::printf("qp workspace: assembly %.3fs, solve %.3fs, "
                   "pattern hits %zu/%zu (%.1f%% hit rate)\n",
                   s.assembly_s, s.solve_s, s.pattern_hits, assemblies,
-                  assemblies == 0
-                      ? 0.0
-                      : 100.0 * static_cast<double>(s.pattern_hits) /
-                            static_cast<double>(assemblies));
+                  100.0 * ratio(s.pattern_hits, assemblies));
       std::printf("cg: %zu iterations total (%.1f per solve), "
                   "worst residual %.3g\n",
                   s.total_cg_iterations,
-                  s.solves == 0 ? 0.0
-                                : static_cast<double>(s.total_cg_iterations) /
-                                      static_cast<double>(s.solves),
-                  s.worst_residual);
+                  ratio(s.total_cg_iterations, s.solves), s.worst_residual);
       std::printf("projection: %zu calls, grid build %.3fs, region find "
                   "%.3fs, spread %.3fs, readback %.3fs\n",
                   s.projections, s.proj_grid_build_s, s.proj_region_find_s,
@@ -318,33 +312,40 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", gp.failure.c_str());
     if (!trace_path.empty()) write_trace_csv(trace_path, gp.trace);
 
-    Placement p = gp.anchors;
-    const LegalizeResult legal = TetrisLegalizer(nl).legalize(p);
-    if (legal.failed) {
-      std::fprintf(stderr, "legalization failed for %zu cells\n",
-                   legal.failed);
-      return 2;
+    Placement p;
+    if (eco_window) {
+      // ECO keeps frozen cells bitwise: no legalization, DP or density.
+      p = nl.snapshot();
+      std::printf("final: HPWL %.6g, %.1fs total\n", hpwl(nl, p),
+                  total.seconds());
+    } else {
+      p = gp.anchors;
+      const LegalizeResult legal = TetrisLegalizer(nl).legalize(p);
+      if (legal.failed) {
+        std::fprintf(stderr, "legalization failed for %zu cells\n",
+                     legal.failed);
+        return 2;
+      }
+      // After ^C the user wants the checkpoint on disk, not minutes of DP.
+      if (gp.stop == StopReason::Cancelled) run_dp = orient = false;
+      if (run_dp) {
+        const DetailedResult dp = DetailedPlacer(nl).refine(p);
+        std::printf("detailed placement: %.4g -> %.4g\n", dp.initial_hpwl,
+                    dp.final_hpwl);
+      }
+      if (orient) {
+        const OrientationResult orient_res = optimize_orientation(nl, p);
+        std::printf("orientation: %zu cells flipped, HPWL %.4g -> %.4g\n",
+                    orient_res.flipped, orient_res.initial_hpwl,
+                    orient_res.final_hpwl);
+      }
+      const DensityMetric metric = evaluate_scaled_hpwl(nl, p);
+      std::printf("final: HPWL %.6g, scaled HPWL %.6g (overflow %.2f%%), "
+                  "legal: %s, %.1fs total\n",
+                  metric.hpwl, metric.scaled_hpwl, metric.overflow_percent,
+                  TetrisLegalizer::is_legal(nl, p) ? "yes" : "NO",
+                  total.seconds());
     }
-    // After ^C the user wants the checkpoint on disk, not minutes of DP.
-    if (gp.stop == StopReason::Cancelled) run_dp = orient = false;
-    if (run_dp) {
-      const DetailedResult dp = DetailedPlacer(nl).refine(p);
-      std::printf("detailed placement: %.4g -> %.4g\n", dp.initial_hpwl,
-                  dp.final_hpwl);
-    }
-    if (orient) {
-      const OrientationResult orient_res = optimize_orientation(nl, p);
-      std::printf("orientation: %zu cells flipped, HPWL %.4g -> %.4g\n",
-                  orient_res.flipped, orient_res.initial_hpwl,
-                  orient_res.final_hpwl);
-    }
-
-    const DensityMetric metric = evaluate_scaled_hpwl(nl, p);
-    std::printf("final: HPWL %.6g, scaled HPWL %.6g (overflow %.2f%%), "
-                "legal: %s, %.1fs total\n",
-                metric.hpwl, metric.scaled_hpwl, metric.overflow_percent,
-                TetrisLegalizer::is_legal(nl, p) ? "yes" : "NO",
-                total.seconds());
 
     if (out_path.empty()) {
       out_path = aux_path;
@@ -359,18 +360,12 @@ int main(int argc, char** argv) {
       std::printf("svg written to %s\n", svg_path.c_str());
     }
     // Record the best usable global placement (the anchors a warm start
-    // resumes from) — converged, plateaued, or iteration-capped with its
-    // best-so-far checkpoint. A save failure marks the store degraded,
-    // never aborts.
-    if (experience && save_experience && !gp.failed &&
-        (gp.stop == StopReason::Converged ||
-         gp.stop == StopReason::Plateau ||
-         gp.stop == StopReason::MaxIterations)) {
-      if (experience->record(nl, gp.anchors, weighted_hpwl(nl, gp.anchors),
-                             gp.iterations))
-        std::printf("experience saved to %s (%zu record(s))\n",
-                    snapshot_path.c_str(), experience->size());
-    }
+    // resumes from). A save failure marks the store degraded, never aborts.
+    if (experience && save_experience && recordable(gp) &&
+        experience->record(nl, gp.anchors, weighted_hpwl(nl, gp.anchors),
+                           gp.iterations))
+      std::printf("experience saved to %s (%zu record(s))\n",
+                  snapshot_path.c_str(), experience->size());
 
     // Exit-code contract: the best-so-far placement has been written by the
     // time these non-zero codes are returned. Degraded store (4) ranks

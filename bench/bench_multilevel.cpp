@@ -42,15 +42,15 @@ int main() {
     MultilevelConfig mcfg;
     mcfg.coarsest_cells = 2000;
     const MultilevelResult ml = MultilevelPlacer(nl, mcfg).place();
-    Placement pm = ml.anchors;
+    Placement pm = ml.place.anchors;
     TetrisLegalizer(nl).legalize(pm);
     DetailedPlacer(nl).refine(pm);
     const double ml_t = tm.seconds();
 
-    std::printf("%-10s %8zu | %12.0f %8.1f | %12.0f %8.1f %7d   "
+    std::printf("%-10s %8zu | %12.0f %8.1f | %12.0f %8.1f %7zu   "
                 "(ML HPWL %+5.2f%%)\n",
                 prm.name.c_str(), nl.num_cells(), hpwl(nl, pf), flat_t,
-                hpwl(nl, pm), ml_t, ml.levels,
+                hpwl(nl, pm), ml_t, ml.level_sizes.size() - 1,
                 100.0 * (hpwl(nl, pm) - hpwl(nl, pf)) / hpwl(nl, pf));
   }
   return 0;

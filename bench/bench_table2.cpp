@@ -56,7 +56,7 @@ int main() {
       MultilevelConfig mcfg;
       mcfg.coarsest_cells = 2000;
       MultilevelPlacer placer(nl, mcfg);
-      Placement p = placer.place().anchors;
+      Placement p = placer.place().place.anchors;
       TetrisLegalizer(nl).legalize(p);
       DetailedPlacer(nl).refine(p);
       ml_m = evaluate_scaled_hpwl(nl, p);

@@ -42,7 +42,10 @@ EcoResult eco_replace(Netlist& nl, const EcoOptions& opts) {
   result.dirty_cells = dirty.size();
   result.frozen_cells = outside.size();
 
-  if (dirty.empty()) return result;  // nothing to re-solve, nothing touched
+  if (dirty.empty()) {  // nothing to re-solve, nothing touched
+    result.place.lower_bound = result.place.anchors = current;
+    return result;
+  }
 
   if (outside.empty()) {
     // The window covers every movable cell: this IS a full solve. Run the

@@ -43,7 +43,9 @@ struct EcoOptions {
 };
 
 struct EcoResult {
-  PlaceResult place;        ///< underlying solver result (empty if no dirty cells)
+  /// Underlying solver result. With no dirty cells nothing is solved: 0
+  /// iterations, and both placements are the netlist's unchanged one.
+  PlaceResult place;
   size_t dirty_cells = 0;   ///< movable cells inside the window
   size_t frozen_cells = 0;  ///< movable cells temporarily fixed
   bool full_solve = false;  ///< window covered every movable → plain place()

@@ -1,5 +1,7 @@
 #include "core/health.h"
 
+#include <algorithm>
+
 namespace complx {
 
 const char* to_string(StopReason r) {
@@ -43,6 +45,38 @@ void HealthStats::count(HealthFault f) {
     case HealthFault::LagrangianBlowup: ++lagrangian_blowups; break;
     case HealthFault::CgBreakdown: ++cg_breakdowns; break;
   }
+}
+
+SolverStats& SolverStats::operator+=(const SolverStats& o) {
+  solves += o.solves;
+  nonconverged += o.nonconverged;
+  breakdowns += o.breakdowns;
+  total_cg_iterations += o.total_cg_iterations;
+  worst_residual = std::max(worst_residual, o.worst_residual);
+  pattern_hits += o.pattern_hits;
+  pattern_misses += o.pattern_misses;
+  assembly_s += o.assembly_s;
+  solve_s += o.solve_s;
+  projections += o.projections;
+  proj_grid_build_s += o.proj_grid_build_s;
+  proj_region_find_s += o.proj_region_find_s;
+  proj_spread_s += o.proj_spread_s;
+  proj_readback_s += o.proj_readback_s;
+  return *this;
+}
+
+HealthStats& HealthStats::operator+=(const HealthStats& o) {
+  checks += o.checks;
+  faults += o.faults;
+  nonfinite_iterate += o.nonfinite_iterate;
+  nonfinite_anchors += o.nonfinite_anchors;
+  nonfinite_lambda += o.nonfinite_lambda;
+  nonfinite_stats += o.nonfinite_stats;
+  objective_blowups += o.objective_blowups;
+  penalty_blowups += o.penalty_blowups;
+  lagrangian_blowups += o.lagrangian_blowups;
+  cg_breakdowns += o.cg_breakdowns;
+  return *this;
 }
 
 bool HealthMonitor::placement_finite(const Netlist& nl, const Placement& p) {

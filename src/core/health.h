@@ -102,6 +102,10 @@ struct SolverStats {
     total_cg_iterations += r.iterations;
     if (r.residual_norm > worst_residual) worst_residual = r.residual_norm;
   }
+
+  /// Folds another run's statistics in (sums; worst_residual takes the max)
+  /// — the multilevel V-cycle reports one SolverStats for all its levels.
+  SolverStats& operator+=(const SolverStats& o);
 };
 
 /// Event counters kept by the watchdog (exposed on PlaceResult).
@@ -118,6 +122,7 @@ struct HealthStats {
   size_t cg_breakdowns = 0;
 
   void count(HealthFault f);
+  HealthStats& operator+=(const HealthStats& o);
 };
 
 /// Divergence thresholds. The ratios are deliberately loose: the watchdog

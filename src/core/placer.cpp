@@ -162,6 +162,12 @@ PlaceResult ComplxPlacer::place_from(const Placement& initial) {
   return result;
 }
 
+bool recordable(const PlaceResult& r) {
+  return !r.failed && (r.stop == StopReason::Converged ||
+                       r.stop == StopReason::Plateau ||
+                       r.stop == StopReason::MaxIterations);
+}
+
 PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
   if (cfg_.threads > 0) set_global_threads(cfg_.threads);
 

@@ -217,6 +217,13 @@ struct PlaceResult {
   std::string failure;  ///< structured failure description (empty when ok)
 };
 
+/// True when `r`'s anchors are worth recording in an experience store:
+/// converged and plateaued exits are the ideal, and iteration-capped runs
+/// still carry their best-so-far checkpoint (on hard designs that never
+/// meet the overflow criterion they are the only experience a rerun could
+/// resume). Failed, cancelled and timed-out runs are never recorded.
+bool recordable(const PlaceResult& r);
+
 class ComplxPlacer {
  public:
   /// The placer reads netlist geometry and target density; it does not

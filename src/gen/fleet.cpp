@@ -82,15 +82,8 @@ FleetRecord run_fleet_design(const PekoParams& params,
   const PlaceResult gp = ComplxPlacer(nl, cfg).place();
 
   // Record the best usable GLOBAL placement (the anchors a warm start
-  // resumes from), before legalization/DP bake in row snapping. Converged
-  // and plateaued exits are the ideal; iteration-capped runs still carry
-  // their best-so-far checkpoint, and on hard designs that never meet the
-  // overflow criterion they are the only experience a rerun could resume.
-  // Failed, cancelled or timed-out runs are never recorded.
-  if (opts.experience && opts.save_experience && !gp.failed &&
-      (gp.stop == StopReason::Converged ||
-       gp.stop == StopReason::Plateau ||
-       gp.stop == StopReason::MaxIterations))
+  // resumes from), before legalization/DP bake in row snapping.
+  if (opts.experience && opts.save_experience && recordable(gp))
     opts.experience->record(nl, gp.anchors, weighted_hpwl(nl, gp.anchors),
                             gp.iterations);
 

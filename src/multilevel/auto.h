@@ -15,19 +15,6 @@
 
 namespace complx {
 
-struct AutoPlaceResult {
-  /// Final anchors (hand to the legalizer), whichever path produced them.
-  Placement anchors;
-  bool used_multilevel = false;
-  int levels = 0;  ///< coarsening levels (0 for the flat path)
-  /// Flat-path solver result (trace, stop reason, λ). Default-constructed
-  /// on the multilevel path — the V-cycle's per-level runs have no single
-  /// PlaceResult; use `anchors` and `level_sizes`.
-  PlaceResult place;
-  std::vector<size_t> level_sizes;  ///< cells per level (multilevel only)
-  double runtime_s = 0.0;
-};
-
 struct AutoPlaceOptions {
   /// Movable-cell count at which the multilevel path takes over. 0 forces
   /// multilevel for every design; SIZE_MAX (or anything above the design
@@ -39,8 +26,9 @@ struct AutoPlaceOptions {
 };
 
 /// Places `nl` with flat ComPLx when nl.num_movable() < multilevel_threshold
-/// and with the coarsening V-cycle otherwise.
-AutoPlaceResult place_auto(const Netlist& nl, const ComplxConfig& cfg,
-                           const AutoPlaceOptions& opts = {});
+/// (level_sizes empty) and with the coarsening V-cycle otherwise. Either way
+/// `.place` is the full PlaceResult contract (see MultilevelResult).
+MultilevelResult place_auto(const Netlist& nl, const ComplxConfig& cfg,
+                            const AutoPlaceOptions& opts = {});
 
 }  // namespace complx

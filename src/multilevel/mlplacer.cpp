@@ -1,6 +1,7 @@
 #include "multilevel/mlplacer.h"
 
-#include <memory>
+#include <algorithm>
+#include <limits>
 
 #include "util/timer.h"
 
@@ -13,6 +14,13 @@ MultilevelPlacer::MultilevelPlacer(const Netlist& nl,
 MultilevelResult MultilevelPlacer::place() {
   Timer timer;
   MultilevelResult result;
+  PlaceResult& out = result.place;
+
+  // Room for every level's rows, reserved before anything large: appending
+  // them then never allocates, which keeps the heap and peak RSS compact.
+  out.trace.reserve(static_cast<size_t>(std::max(
+      0, cfg_.coarse.max_iterations + 1 +
+             cfg_.max_levels * (cfg_.refine_iterations + 1))));
 
   // ---- V-cycle down: build the hierarchy ----------------------------------
   // levels[0] is the original netlist; each entry owns its coarse netlist.
@@ -30,33 +38,55 @@ MultilevelResult MultilevelPlacer::place() {
     levels.push_back(std::move(next));
     current = &levels.back().netlist;
   }
-  result.levels = static_cast<int>(levels.size());
 
-  // ---- coarsest placement: full ComPLx run --------------------------------
-  ComplxConfig coarse_cfg = cfg_.coarse;
-  Placement placement = [&] {
-    ComplxPlacer placer(*current, coarse_cfg);
-    return placer.place().anchors;
-  }();
+  // ---- V-cycle up: one ComPLx run per level -------------------------------
+  // A full run at the coarsest level; above it the interpolated placement is
+  // already spread, and a short warm-started run re-legalizes density at the
+  // level's granularity. Each run gets what is left of the shared deadline
+  // (exhausted = the smallest positive limit; 0 means none). A time-limit,
+  // cancelled or diverged level is carried down without re-solving.
+  for (size_t l = levels.size() + 1; l-- > 0;) {
+    const Netlist& level = l == 0 ? nl_ : levels[l - 1].netlist;
+    const bool refine = l < levels.size();
+    const Placement seed =
+        refine ? interpolate(level, levels[l].fine_to_coarse, out.anchors)
+               : Placement{};
+    if (refine && (out.stop == StopReason::TimeLimit ||
+                   out.stop == StopReason::Cancelled ||
+                   out.stop == StopReason::Diverged)) {
+      out.anchors = seed;
+      out.lower_bound =
+          interpolate(level, levels[l].fine_to_coarse, out.lower_bound);
+      continue;
+    }
+    // Stale now: freed before this level allocates its own.
+    out.anchors = {};
+    out.lower_bound = {};
+    ComplxConfig c = cfg_.coarse;
+    if (refine) {
+      levels.pop_back();  // the coarser netlist is stale too
+      c.max_iterations = cfg_.refine_iterations;
+      c.min_iterations = std::min(4, cfg_.refine_iterations);
+    }
+    if (c.time_limit_s > 0.0)
+      c.time_limit_s = std::max(c.time_limit_s - timer.seconds(),
+                                std::numeric_limits<double>::min());
+    const double start_s = timer.seconds();
+    ComplxPlacer placer(level, c);
+    PlaceResult r = refine ? placer.place_from(seed) : placer.place();
 
-  // ---- V-cycle up: interpolate + short warm refinement ---------------------
-  for (size_t l = levels.size(); l-- > 0;) {
-    const Netlist& fine = l == 0 ? nl_ : levels[l - 1].netlist;
-    Placement seeded =
-        interpolate(fine, levels[l].fine_to_coarse, placement);
-
-    // Warm-started refinement: the interpolated placement is already
-    // globally spread; a short run re-legalizes density at this level's
-    // granularity and recovers detail.
-    ComplxConfig refine_cfg = cfg_.coarse;
-    refine_cfg.max_iterations = cfg_.refine_iterations;
-    refine_cfg.min_iterations = std::min(4, cfg_.refine_iterations);
-    ComplxPlacer placer(fine, refine_cfg);
-    placement = placer.place_from(seeded).anchors;
+    // Counters sum, rows append on the V-cycle clock, the end state is r's.
+    for (IterationStats& st : r.trace) st.elapsed_s += start_s;
+    out.trace.insert(out.trace.end(), r.trace.begin(), r.trace.end());
+    r.trace = std::move(out.trace);
+    r.solver += out.solver;
+    r.health += out.health;
+    r.iterations += out.iterations;
+    r.recovered += out.recovered;
+    out = std::move(r);
   }
 
-  result.anchors = std::move(placement);
-  result.runtime_s = timer.seconds();
+  out.runtime_s = timer.seconds();
   return result;
 }
 

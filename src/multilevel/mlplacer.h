@@ -23,11 +23,14 @@ struct MultilevelConfig {
   ClusterOptions clustering;
 };
 
+/// The V-cycle as one PlaceResult (DESIGN.md §4.10): counters summed over
+/// the levels, their traces concatenated coarsest first, the end state of the
+/// last level that ran. The levels share one deadline.
 struct MultilevelResult {
-  Placement anchors;      ///< final fine-level anchors
-  int levels = 0;         ///< coarsening levels actually used
-  double runtime_s = 0.0;
-  std::vector<size_t> level_sizes;  ///< cells per level, fine -> coarse
+  PlaceResult place;
+  /// Cells per level, fine -> coarse (levels used = size() - 1). Empty
+  /// when place_auto took the flat path.
+  std::vector<size_t> level_sizes;
 };
 
 class MultilevelPlacer {

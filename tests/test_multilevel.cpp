@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+
 #include "helpers.h"
 #include "legal/tetris.h"
 #include "multilevel/auto.h"
@@ -77,11 +80,10 @@ TEST(Multilevel, PlacesLegalizably) {
   cfg.coarsest_cells = 1000;
   MultilevelPlacer placer(nl, cfg);
   const MultilevelResult res = placer.place();
-  EXPECT_GE(res.levels, 1);
   ASSERT_GE(res.level_sizes.size(), 2u);
   EXPECT_LT(res.level_sizes.back(), res.level_sizes.front());
 
-  Placement p = res.anchors;
+  Placement p = res.place.anchors;
   const LegalizeResult legal = TetrisLegalizer(nl).legalize(p);
   EXPECT_EQ(legal.failed, 0u);
   EXPECT_TRUE(TetrisLegalizer::is_legal(nl, p));
@@ -98,7 +100,57 @@ TEST(Multilevel, QualityWithinReasonOfFlat) {
 
   // Multilevel trades some quality for coarse-level speed; it must stay in
   // the same league.
-  EXPECT_LT(hpwl(nl, ml.anchors), 1.35 * hpwl(nl, flat.anchors));
+  EXPECT_LT(hpwl(nl, ml.place.anchors), 1.35 * hpwl(nl, flat.anchors));
+}
+
+// Rows with iteration == 0 each start one level's run.
+size_t levels_placed(const PlaceResult& r) {
+  size_t n = 0;
+  for (const IterationStats& st : r.trace) n += st.iteration == 0;
+  return n;
+}
+
+TEST(Multilevel, ReportsEveryLevelInOnePlaceResult) {
+  Netlist nl = complx::testing::small_circuit(417, 4000);
+  MultilevelConfig cfg;
+  cfg.coarsest_cells = 1000;
+  const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
+  ASSERT_GE(res.level_sizes.size(), 2u);
+  EXPECT_GT(res.place.solver.solves, 0u);
+  EXPECT_GT(res.place.iterations, 0);
+  EXPECT_EQ(levels_placed(res.place), res.level_sizes.size());
+  for (size_t i = 1; i < res.place.trace.size(); ++i)
+    EXPECT_LE(res.place.trace[i - 1].elapsed_s, res.place.trace[i].elapsed_s)
+        << i;
+  EXPECT_EQ(res.place.anchors.x.size(), nl.num_cells());
+}
+
+TEST(Multilevel, CancelStopsTheCycleWithFiniteFineAnchors) {
+  Netlist nl = complx::testing::small_circuit(418, 4000);
+  const std::atomic<bool> cancel{true};
+  MultilevelConfig cfg;
+  cfg.coarsest_cells = 1000;
+  cfg.coarse.cancel = &cancel;
+  const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
+  ASSERT_GE(res.level_sizes.size(), 2u);
+  EXPECT_EQ(res.place.stop, StopReason::Cancelled);
+  EXPECT_EQ(levels_placed(res.place), 1u);  // finer levels not re-solved
+  ASSERT_EQ(res.place.anchors.x.size(), nl.num_cells());
+  ASSERT_EQ(res.place.lower_bound.x.size(), nl.num_cells());
+  for (CellId id : nl.movable_cells()) {
+    EXPECT_TRUE(std::isfinite(res.place.anchors.x[id])) << id;
+    EXPECT_TRUE(std::isfinite(res.place.anchors.y[id])) << id;
+  }
+}
+
+TEST(Multilevel, SharedDeadlineStopsTheCycle) {
+  Netlist nl = complx::testing::small_circuit(419, 4000);
+  MultilevelConfig cfg;
+  cfg.coarsest_cells = 1000;
+  cfg.coarse.time_limit_s = 1e-9;
+  const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
+  EXPECT_EQ(res.place.stop, StopReason::TimeLimit);
+  EXPECT_EQ(res.place.anchors.x.size(), nl.num_cells());
 }
 
 TEST(Multilevel, SmallDesignSkipsCoarsening) {
@@ -106,8 +158,8 @@ TEST(Multilevel, SmallDesignSkipsCoarsening) {
   MultilevelConfig cfg;
   cfg.coarsest_cells = 2500;  // already below threshold
   const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
-  EXPECT_EQ(res.levels, 0);
-  EXPECT_GT(hpwl(nl, res.anchors), 0.0);
+  EXPECT_EQ(res.level_sizes.size(), 1u);
+  EXPECT_GT(hpwl(nl, res.place.anchors), 0.0);
 }
 
 TEST(PlaceAuto, SmallDesignTakesFlatPath) {
@@ -115,18 +167,17 @@ TEST(PlaceAuto, SmallDesignTakesFlatPath) {
   ComplxConfig cfg;
   cfg.max_iterations = 15;
   AutoPlaceOptions opts;  // default threshold is far above 500 movables
-  const AutoPlaceResult r = place_auto(nl, cfg, opts);
-  EXPECT_FALSE(r.used_multilevel);
-  EXPECT_EQ(r.levels, 0);
+  const MultilevelResult r = place_auto(nl, cfg, opts);
+  EXPECT_TRUE(r.level_sizes.empty());
   EXPECT_GT(r.place.iterations, 0);
-  EXPECT_GT(hpwl(nl, r.anchors), 0.0);
+  EXPECT_GT(hpwl(nl, r.place.anchors), 0.0);
 }
 
 TEST(PlaceAuto, FlatPathIsBitwiseThePlainPlacer) {
   Netlist nl = complx::testing::small_circuit(415, 400);
   ComplxConfig cfg;
   cfg.max_iterations = 12;
-  const AutoPlaceResult a = place_auto(nl, cfg, {});
+  const PlaceResult a = place_auto(nl, cfg, {}).place;
   const PlaceResult b = ComplxPlacer(nl, cfg).place();
   ASSERT_EQ(a.anchors.x.size(), b.anchors.x.size());
   for (size_t i = 0; i < a.anchors.x.size(); ++i) {
@@ -142,12 +193,10 @@ TEST(PlaceAuto, ThresholdZeroForcesMultilevel) {
   AutoPlaceOptions opts;
   opts.multilevel_threshold = 0;
   opts.multilevel.coarsest_cells = 800;
-  const AutoPlaceResult r = place_auto(nl, cfg, opts);
-  EXPECT_TRUE(r.used_multilevel);
-  EXPECT_GE(r.levels, 1);
+  const MultilevelResult r = place_auto(nl, cfg, opts);
   ASSERT_GE(r.level_sizes.size(), 2u);
   EXPECT_GT(r.level_sizes.front(), r.level_sizes.back());
-  EXPECT_GT(hpwl(nl, r.anchors), 0.0);
+  EXPECT_GT(hpwl(nl, r.place.anchors), 0.0);
 }
 
 }  // namespace
