@@ -19,9 +19,9 @@
 //   --orient              run cell-orientation optimization after DP
 //   --trace <file.csv>    dump the per-iteration L/Phi/Pi trace
 //   --stats               print the QP workspace breakdown (assembly vs
-//                         solve wall time, sparsity-pattern hit rate, CG
-//                         iteration totals) and the projection phase times
-//                         (grid build, region find, spread, readback)
+//                         solve wall time, CG iteration totals), the
+//                         projection phase times (grid build, region find,
+//                         spread, readback) and the process's peak RSS
 //   --svg <file.svg>      render the final placement
 //   --quiet               lower log verbosity
 //   --snapshot <file>     experience store (io/experience.h): a crash-safe
@@ -64,6 +64,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bookshelf/reader.h"
 #include "bookshelf/writer.h"
@@ -281,19 +283,15 @@ int main(int argc, char** argv) {
                 gp.solver.breakdowns, gp.recovered, gp.health.faults);
     if (stats) {
       const SolverStats& s = gp.solver;
-      const size_t assemblies = s.pattern_hits + s.pattern_misses;
-      auto ratio = [](size_t num, size_t den) {
-        return den == 0 ? 0.0
-                        : static_cast<double>(num) / static_cast<double>(den);
-      };
-      std::printf("qp workspace: assembly %.3fs, solve %.3fs, "
-                  "pattern hits %zu/%zu (%.1f%% hit rate)\n",
-                  s.assembly_s, s.solve_s, s.pattern_hits, assemblies,
-                  100.0 * ratio(s.pattern_hits, assemblies));
+      std::printf("qp workspace: assembly %.3fs, solve %.3fs\n",
+                  s.assembly_s, s.solve_s);
       std::printf("cg: %zu iterations total (%.1f per solve), "
                   "worst residual %.3g\n",
                   s.total_cg_iterations,
-                  ratio(s.total_cg_iterations, s.solves), s.worst_residual);
+                  s.solves == 0 ? 0.0
+                                : static_cast<double>(s.total_cg_iterations) /
+                                      static_cast<double>(s.solves),
+                  s.worst_residual);
       std::printf("projection: %zu calls, grid build %.3fs, region find "
                   "%.3fs, spread %.3fs, readback %.3fs\n",
                   s.projections, s.proj_grid_build_s, s.proj_region_find_s,
@@ -358,6 +356,15 @@ int main(int argc, char** argv) {
     if (!svg_path.empty()) {
       write_placement_svg(nl, p, svg_path);
       std::printf("svg written to %s\n", svg_path.c_str());
+    }
+    if (stats) {
+      // Linux reports ru_maxrss in KiB: the process's high-water mark so
+      // far, which after the write covers global placement, legalization
+      // and detailed placement.
+      rusage usage{};
+      getrusage(RUSAGE_SELF, &usage);
+      std::printf("memory: peak RSS %.1f MB\n",
+                  static_cast<double>(usage.ru_maxrss) / 1024.0);
     }
     // Record the best usable global placement (the anchors a warm start
     // resumes from). A save failure marks the store degraded, never aborts.

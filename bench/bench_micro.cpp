@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/placer.h"
 #include "density/grid.h"
@@ -65,10 +66,8 @@ BENCHMARK(BM_QpSolve)->Arg(2000)->Arg(8000)->Arg(32000)
 
 void BM_QpSolveWorkspace(benchmark::State& state) {
   // Same per-iteration work as BM_QpSolve, but through the placer's
-  // iteration-persistent workspace: triplet/CSR/PCG/spring buffers survive
-  // across iterations and the CSR sort/merge is skipped whenever the B2B
-  // topology repeats (the iterate converges toward the quadratic fixed
-  // point, so steady state is mostly pattern hits — reported as hit_rate).
+  // iteration-persistent workspace: stamp/CSR/PCG/spring buffers survive
+  // across iterations.
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const VarMap vars(nl);
   Placement p = nl.snapshot();
@@ -76,7 +75,6 @@ void BM_QpSolveWorkspace(benchmark::State& state) {
   opts.b2b.min_separation = nl.average_movable_width();
   QpWorkspace ws;
   for (auto _ : state) solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
-  state.counters["hit_rate"] = ws.stats.hit_rate();
   state.counters["assembly_s"] = ws.stats.assembly_s;
   state.counters["solve_s"] = ws.stats.solve_s;
   state.SetItemsProcessed(state.iterations() *
@@ -85,85 +83,42 @@ void BM_QpSolveWorkspace(benchmark::State& state) {
 BENCHMARK(BM_QpSolveWorkspace)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_QpSolveStableTopology(benchmark::State& state) {
-  // Steady-state regime of the primal-dual loop: the linearization point is
-  // frozen and only the anchor pseudonets (λ) change — diagonal + RHS, never
-  // the sparsity pattern. Arg 1 selects the workspace path, which turns
-  // every iteration after the first into a pattern hit; Arg 0 re-derives the
-  // whole system each time. Strong anchors keep PCG short (warm start ==
-  // near-solution), so assembly dominates — the regime the cache targets.
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
-  const VarMap vars(nl);
-  const Placement start = nl.snapshot();
-  AnchorSet anchors(nl.num_cells());
-  for (CellId id : nl.movable_cells()) {
-    anchors.target_x[id] = start.x[id];
-    anchors.target_y[id] = start.y[id];
-    anchors.weight_x[id] = 1.0;
-    anchors.weight_y[id] = 1.0;
-  }
-  QpOptions opts;
-  opts.b2b.min_separation = nl.average_movable_width();
-  const bool use_workspace = state.range(1) != 0;
-  QpWorkspace ws;
-  Placement p = start;
-  for (auto _ : state) {
-    p = start;  // same linearization point every iteration (both variants)
-    solve_qp_iteration(nl, vars, p, &anchors, opts,
-                       use_workspace ? &ws : nullptr);
-  }
-  if (use_workspace) state.counters["hit_rate"] = ws.stats.hit_rate();
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nl.num_movable()));
-}
-BENCHMARK(BM_QpSolveStableTopology)
-    ->Args({2000, 0})->Args({2000, 1})
-    ->Args({8000, 0})->Args({8000, 1})
-    ->Args({32000, 0})->Args({32000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-/// Placement-shaped triplets (~8 nnz per variable: chain + random springs +
-/// anchor diagonal); same seed => same pattern, so the cached path hits.
-TripletList assembly_triplets(size_t n) {
+void BM_CsrAssembly(benchmark::State& state) {
+  // Per-axis system build of the primal step on warm buffers: stamp a
+  // placement-shaped system (chain + random springs + anchor diagonal,
+  // ~8 nnz per variable) and build its CSR matrix.
+  const size_t n = static_cast<size_t>(state.range(0));
+  struct Spring {
+    size_t i, j;
+    double w;
+  };
   Rng rng(99);
-  TripletList t(n);
-  t.reserve(8 * n);
+  std::vector<Spring> springs;
   for (size_t i = 0; i + 1 < n; ++i)
-    t.add_spring(i, i + 1, rng.uniform(0.5, 2.0));
+    springs.push_back({i, i + 1, rng.uniform(0.5, 2.0)});
   for (size_t k = 0; k < 2 * n; ++k) {
     const size_t i = rng.uniform_index(n), j = rng.uniform_index(n);
-    if (i != j) t.add_spring(i, j, rng.uniform(0.1, 1.0));
+    if (i != j) springs.push_back({i, j, rng.uniform(0.1, 1.0)});
   }
-  for (size_t i = 0; i < n; ++i) t.add_diag(i, rng.uniform(0.01, 0.5));
-  return t;
-}
+  Vec anchor(n);
+  for (double& a : anchor) a = rng.uniform(0.01, 0.5);
 
-void BM_CsrAssemblyFresh(benchmark::State& state) {
-  // Full build every time: counting pass, per-row stable sort, merge.
-  // invalidate() keeps buffer capacity, so this isolates the structural
-  // work the pattern cache elides (not allocator noise).
-  const TripletList t = assembly_triplets(static_cast<size_t>(state.range(0)));
-  CsrAssembler a;
+  TripletList t(n);
+  CsrMatrix m;
+  CsrBuildScratch scratch;
   for (auto _ : state) {
-    a.invalidate();
-    benchmark::DoNotOptimize(a.assemble(t));
+    t.clear();
+    for (const Spring& s : springs) t.add_spring(s.i, s.j, s.w);
+    for (size_t i = 0; i < n; ++i) t.add_diag(i, anchor[i]);
+    build_csr(t, m, scratch);
+    benchmark::DoNotOptimize(m.val().data());
+    benchmark::ClobberMemory();
   }
+  state.counters["nnz"] = static_cast<double>(m.nnz());
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(t.entries()));
+                          static_cast<int64_t>(springs.size()));
 }
-BENCHMARK(BM_CsrAssemblyFresh)->Arg(2000)->Arg(8000)->Arg(32000);
-
-void BM_CsrAssemblyCached(benchmark::State& state) {
-  // Pattern hit every iteration: in-place revalue replaying the recorded
-  // accumulation schedule — bitwise identical to the fresh build above.
-  const TripletList t = assembly_triplets(static_cast<size_t>(state.range(0)));
-  CsrAssembler a;
-  a.assemble(t);  // prime the pattern cache
-  for (auto _ : state) benchmark::DoNotOptimize(a.assemble(t));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(t.entries()));
-}
-BENCHMARK(BM_CsrAssemblyCached)->Arg(2000)->Arg(8000)->Arg(32000);
+BENCHMARK(BM_CsrAssembly)->Arg(2000)->Arg(8000)->Arg(32000);
 
 void BM_DensityBuild(benchmark::State& state) {
   const Netlist nl = make_circuit(8000);

@@ -53,8 +53,6 @@ SolverStats& SolverStats::operator+=(const SolverStats& o) {
   breakdowns += o.breakdowns;
   total_cg_iterations += o.total_cg_iterations;
   worst_residual = std::max(worst_residual, o.worst_residual);
-  pattern_hits += o.pattern_hits;
-  pattern_misses += o.pattern_misses;
   assembly_s += o.assembly_s;
   solve_s += o.solve_s;
   projections += o.projections;

@@ -76,9 +76,12 @@ struct SolverStats {
   double worst_residual = 0.0;    ///< max final ||b - Ax|| over all solves
 
   // QP-workspace instrumentation (copied from QpWorkspaceStats by the
-  // driver; all zero when the workspace is disabled). The assembly/solve
-  // split shows where each primal step's wall time went; the hit counters
-  // show how often the B2B sparsity pattern survived relinearization.
+  // driver). The assembly/solve split shows where each primal step's wall
+  // time went.
+  //
+  // pattern_hits/pattern_misses counted the retired CSR sparsity-pattern
+  // cache. Nothing writes them any more; they stay, always zero, only
+  // because the end-to-end benchmark harness still reads them.
   size_t pattern_hits = 0;
   size_t pattern_misses = 0;
   double assembly_s = 0.0;  ///< net model + stamping + CSR assembly

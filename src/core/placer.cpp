@@ -210,14 +210,11 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
   QpOptions qp_opts = cfg_.qp;
   bool inject_breakdown = false;  // armed per-iteration by the fault hooks
 
-  // Iteration-persistent QP workspace: triplet/CSR buffers with sparsity-
-  // pattern reuse, PCG scratch, spring lists. Bitwise-neutral (the golden
-  // determinism suite compares it against fresh assembly); qp.reuse_workspace
-  // turns it off for ablation.
+  // Iteration-persistent QP workspace: stamp/CSR buffers, PCG scratch,
+  // spring lists. Bitwise-neutral (test_qp compares it against fresh
+  // assembly).
   QpWorkspace qp_ws;
   auto fold_workspace_stats = [&] {
-    result.solver.pattern_hits = qp_ws.stats.pattern_hits;
-    result.solver.pattern_misses = qp_ws.stats.pattern_misses;
     result.solver.assembly_s = qp_ws.stats.assembly_s;
     result.solver.solve_s = qp_ws.stats.solve_s;
   };
@@ -245,9 +242,8 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
     }
     QpOptions opts = qp_opts;
     opts.cg.inject_breakdown = inject_breakdown;
-    const QpIterationResult qr = solve_qp_iteration(
-        nl_, vars, p, anchors, opts,
-        qp_opts.reuse_workspace ? &qp_ws : nullptr);
+    const QpIterationResult qr =
+        solve_qp_iteration(nl_, vars, p, anchors, opts, &qp_ws);
     result.solver.add(qr.cg_x);
     result.solver.add(qr.cg_y);
     if (!qr.fully_converged())

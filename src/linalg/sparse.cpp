@@ -9,137 +9,112 @@
 
 namespace complx {
 
+namespace {
+
+using Slot = CsrBuildScratch::Slot;
+
+uint32_t col_of(const Slot& s) { return static_cast<uint32_t>(s.key >> 32); }
+
+}  // namespace
+
+TripletList::TripletList(size_t n) : n_(n) {
+  if (n > std::numeric_limits<uint32_t>::max())
+    throw std::invalid_argument("matrix dimension exceeds 32-bit indices");
+  diag_.resize(n);
+  has_diag_.resize(n);
+}
+
+void TripletList::clear() {
+  std::fill(has_diag_.begin(), has_diag_.end(), uint8_t{0});
+  edges_.clear();
+}
+
 CsrMatrix CsrMatrix::from_triplets(const TripletList& t) {
   CsrMatrix m;
-  CsrAssembler::build(t, m, nullptr, nullptr, nullptr);
+  CsrBuildScratch scratch;
+  build_csr(t, m, scratch);
   return m;
 }
 
-void CsrAssembler::build(const TripletList& t, CsrMatrix& m,
-                         std::vector<size_t>* raw_ptr_out,
-                         std::vector<size_t>* add_src_out,
-                         std::vector<size_t>* add_dst_out) {
-  const size_t n = t.dim();
-  const auto& rows = t.rows();
-  const auto& cols = t.cols();
-  const auto& vals = t.vals();
-  const size_t nnz_raw = rows.size();
+void build_csr(const TripletList& t, CsrMatrix& m, CsrBuildScratch& scratch) {
+  const size_t n = t.n_;
+  std::vector<size_t>& start = scratch.start;
+  std::vector<size_t>& fill = scratch.fill;
+  std::vector<Slot>& slots = scratch.slots;
 
-  std::vector<size_t> local_raw_ptr, local_slots;
-  std::vector<size_t>& raw_ptr = raw_ptr_out ? *raw_ptr_out : local_raw_ptr;
-  // Sorted slot order doubles as the revalue schedule's source indices:
-  // slots[raw_ptr[i]..raw_ptr[i+1]) are row i's triplet indices.
-  std::vector<size_t>& slots = add_src_out ? *add_src_out : local_slots;
+  const std::vector<TripletList::Edge>& edges = t.edges_;
+  if (edges.size() > std::numeric_limits<uint32_t>::max())
+    throw std::length_error("too many springs for 32-bit slot keys");
 
-  // Counting pass.
-  raw_ptr.assign(n + 1, 0);
-  for (size_t r : rows) {
-    if (r >= n) throw std::out_of_range("triplet row out of range");
-    ++raw_ptr[r + 1];
+  // Counting pass: each spring owns one slot in the row of either end.
+  start.assign(n + 1, 0);
+  for (const TripletList::Edge& e : edges) {
+    ++start[e.i + 1];
+    ++start[e.j + 1];
   }
-  for (size_t i = 0; i < n; ++i) raw_ptr[i + 1] += raw_ptr[i];
+  for (size_t i = 0; i < n; ++i) start[i + 1] += start[i];
 
-  // Scatter pass: row i's triplet indices, in arrival order.
-  std::vector<size_t> cursor(raw_ptr.begin(), raw_ptr.end() - 1);
-  slots.resize(nnz_raw);
-  for (size_t k = 0; k < nnz_raw; ++k) {
-    if (cols[k] >= n) throw std::out_of_range("triplet col out of range");
-    slots[cursor[rows[k]]++] = k;
+  // Scatter pass (serial): every row receives its slots in arrival order.
+  fill.assign(start.begin(), start.end() - 1);
+  slots.resize(start[n]);
+  for (size_t k = 0; k < edges.size(); ++k) {
+    const TripletList::Edge& e = edges[k];
+    slots[fill[e.i]++] = {uint64_t{e.j} << 32 | k, -e.w};
+    slots[fill[e.j]++] = {uint64_t{e.i} << 32 | k, -e.w};
   }
 
-  // Pass A (row-parallel): stable-sort each row's slots by column — ties
-  // keep arrival order, which pins the duplicate-accumulation order — and
-  // count the merged entries.
-  std::vector<size_t> merged(n, 0);
+  // Row pass A (row-parallel): sort each row by column and merge duplicate
+  // columns in place — the first contribution is an assignment, the rest
+  // are added in arrival order. Keys are unique within a row (a spring has
+  // one slot per row), so std::sort keeps equal columns in arrival order
+  // and needs no temporary buffer. fill[i] becomes the merged length.
   parallel_for(n, [&](size_t row_begin, size_t row_end) {
     for (size_t i = row_begin; i < row_end; ++i) {
-      const auto begin = slots.begin() + static_cast<ptrdiff_t>(raw_ptr[i]);
-      const auto end = slots.begin() + static_cast<ptrdiff_t>(raw_ptr[i + 1]);
-      std::stable_sort(begin, end,
-                       [&](size_t a, size_t b) { return cols[a] < cols[b]; });
-      size_t count = 0;
-      size_t prev = n;  // every valid column is < n
-      for (auto it = begin; it != end; ++it) {
-        if (cols[*it] != prev) {
-          prev = cols[*it];
-          ++count;
-        }
+      Slot* row = slots.data() + start[i];
+      const size_t len = start[i + 1] - start[i];
+      std::sort(row, row + len,
+                [](const Slot& a, const Slot& b) { return a.key < b.key; });
+      size_t out = 0;
+      for (size_t k = 0; k < len; ++k) {
+        if (out > 0 && col_of(row[out - 1]) == col_of(row[k]))
+          row[out - 1].val += row[k].val;
+        else
+          row[out++] = row[k];
       }
-      merged[i] = count;
+      fill[i] = out;
     }
   });
 
-  m.row_ptr_.assign(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) m.row_ptr_[i + 1] = m.row_ptr_[i] + merged[i];
+  m.row_ptr_.resize(n + 1);
+  m.row_ptr_[0] = 0;
+  for (size_t i = 0; i < n; ++i)
+    m.row_ptr_[i + 1] = m.row_ptr_[i] + fill[i] + t.has_diag_[i];
   m.col_.resize(m.row_ptr_[n]);
   m.val_.resize(m.row_ptr_[n]);
-  if (add_dst_out) add_dst_out->resize(nnz_raw);
 
-  // Pass B (row-parallel): write merged columns, accumulate values in
-  // sorted-slot order (first contribution per entry is an assignment), and
-  // optionally record where each addition landed.
+  // Row pass B (row-parallel): copy the merged off-diagonals and insert the
+  // diagonal at its column.
   parallel_for(n, [&](size_t row_begin, size_t row_end) {
     for (size_t i = row_begin; i < row_end; ++i) {
+      const Slot* row = slots.data() + start[i];
+      const size_t len = fill[i];
       size_t out = m.row_ptr_[i];
-      size_t prev = n;
-      bool first = true;
-      for (size_t s = raw_ptr[i]; s < raw_ptr[i + 1]; ++s) {
-        const size_t k = slots[s];
-        const size_t c = cols[k];
-        if (first || c != prev) {
-          if (!first) ++out;
-          m.col_[out] = c;
-          m.val_[out] = vals[k];
-          first = false;
-          prev = c;
-        } else {
-          m.val_[out] += vals[k];
-        }
-        if (add_dst_out) (*add_dst_out)[s] = out;
+      size_t k = 0;
+      for (; k < len && col_of(row[k]) < i; ++k, ++out) {
+        m.col_[out] = col_of(row[k]);
+        m.val_[out] = row[k].val;
+      }
+      if (t.has_diag_[i]) {
+        m.col_[out] = i;
+        m.val_[out] = t.diag_[i];
+        ++out;
+      }
+      for (; k < len; ++k, ++out) {
+        m.col_[out] = col_of(row[k]);
+        m.val_[out] = row[k].val;
       }
     }
   });
-}
-
-bool CsrAssembler::assemble(const TripletList& t) {
-  if (valid_ && t.dim() == n_ && t.rows() == rows_ && t.cols() == cols_) {
-    ++hits_;
-    revalue(t);
-    return true;
-  }
-  ++misses_;
-  valid_ = false;  // a throwing build must not leave a half-valid cache
-  build(t, m_, &raw_ptr_, &add_src_, &add_dst_);
-  n_ = t.dim();
-  rows_ = t.rows();
-  cols_ = t.cols();
-  valid_ = true;
-  return false;
-}
-
-void CsrAssembler::revalue(const TripletList& t) {
-  const auto& vals = t.vals();
-  parallel_for(n_, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      size_t prev = std::numeric_limits<size_t>::max();
-      for (size_t s = raw_ptr_[i]; s < raw_ptr_[i + 1]; ++s) {
-        const size_t dst = add_dst_[s];
-        const double v = vals[add_src_[s]];
-        if (dst != prev) {
-          m_.val_[dst] = v;  // replay: first contribution is an assignment
-          prev = dst;
-        } else {
-          m_.val_[dst] += v;
-        }
-      }
-    }
-  });
-}
-
-void CsrAssembler::invalidate() {
-  valid_ = false;
-  rows_.clear();
-  cols_.clear();
 }
 
 void CsrMatrix::multiply(const Vec& x, Vec& y) const {

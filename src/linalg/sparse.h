@@ -1,80 +1,94 @@
 // Sparse symmetric-positive-definite matrix support for quadratic placement.
 //
-// The placer assembles the connectivity Laplacian plus anchor diagonal as
-// triplets (duplicates allowed, summed on conversion), then converts to CSR
+// The placer stamps the connectivity Laplacian plus anchor diagonal into a
+// TripletList (duplicates allowed, summed on conversion), then builds CSR
 // once per placement iteration for the CG solve. Only the operations the
-// placer needs are implemented: assembly, SpMV, diagonal extraction.
+// placer needs are implemented: stamping, CSR build, SpMV, diagonal
+// extraction.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "linalg/vec.h"
 
 namespace complx {
 
-/// Triplet (coordinate-format) accumulator for symmetric matrices.
+class CsrMatrix;
+struct CsrBuildScratch;
+
+/// Stamp store for symmetric Laplacian-plus-diagonal matrices.
 ///
-/// Callers add each off-diagonal pair once via add_symmetric(); diagonal
-/// contributions via add_diag(). Duplicate entries are summed when the CSR
-/// matrix is built, so net-model code can emit one triplet per net edge
-/// without pre-merging.
+/// Diagonal contributions accumulate into a dense per-row diagonal (the
+/// first contribution to a row is an assignment, so a lone -0.0 survives);
+/// each spring is kept as one compact (i, j, w) edge. Duplicates are summed
+/// in arrival order, so net-model code can stamp one spring per net edge
+/// without pre-merging. Indices are range-checked when stamped.
 class TripletList {
  public:
-  explicit TripletList(size_t n) : n_(n) {}
+  /// Throws std::invalid_argument when n does not fit the 32-bit edge
+  /// indices.
+  explicit TripletList(size_t n);
 
   size_t dim() const { return n_; }
-  size_t entries() const { return rows_.size(); }
 
-  void reserve(size_t nnz) {
-    rows_.reserve(nnz);
-    cols_.reserve(nnz);
-    vals_.reserve(nnz);
-  }
+  /// Reserves room for `springs` add_spring() calls.
+  void reserve(size_t springs) { edges_.reserve(springs); }
 
   /// A[i][i] += v
   void add_diag(size_t i, double v) {
-    rows_.push_back(i);
-    cols_.push_back(i);
-    vals_.push_back(v);
+    if (i >= n_) throw std::out_of_range("stamp index out of range");
+    stamp_diag(i, v);
   }
 
   /// Adds the 2x2 stamp of a spring between i and j with weight w:
-  /// A[i][i]+=w, A[j][j]+=w, A[i][j]-=w, A[j][i]-=w.
+  /// A[i][i]+=w, A[j][j]+=w, A[i][j]-=w, A[j][i]-=w. A spring needs two
+  /// distinct endpoints (std::invalid_argument otherwise).
   void add_spring(size_t i, size_t j, double w) {
-    add_diag(i, w);
-    add_diag(j, w);
-    rows_.push_back(i);
-    cols_.push_back(j);
-    vals_.push_back(-w);
-    rows_.push_back(j);
-    cols_.push_back(i);
-    vals_.push_back(-w);
+    if (i >= n_ || j >= n_) throw std::out_of_range("stamp index out of range");
+    if (i == j) throw std::invalid_argument("spring endpoints coincide");
+    stamp_diag(i, w);
+    stamp_diag(j, w);
+    edges_.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), w});
   }
 
-  const std::vector<size_t>& rows() const { return rows_; }
-  const std::vector<size_t>& cols() const { return cols_; }
-  const std::vector<double>& vals() const { return vals_; }
-
-  void clear() {
-    rows_.clear();
-    cols_.clear();
-    vals_.clear();
-  }
+  /// Empties the store, keeping every buffer's capacity.
+  void clear();
 
  private:
+  friend void build_csr(const TripletList& t, CsrMatrix& m,
+                        CsrBuildScratch& scratch);
+
+  struct Edge {
+    uint32_t i, j;
+    double w;
+  };
+
+  void stamp_diag(size_t i, double v) {
+    if (has_diag_[i]) {
+      diag_[i] += v;
+    } else {
+      diag_[i] = v;
+      has_diag_[i] = 1;
+    }
+  }
+
   size_t n_;
-  std::vector<size_t> rows_, cols_;
-  std::vector<double> vals_;
+  std::vector<double> diag_;       ///< valid where has_diag_ is set
+  std::vector<uint8_t> has_diag_;  ///< row has a diagonal contribution
+  std::vector<Edge> edges_;        ///< springs in arrival order
 };
 
-/// Compressed-sparse-row matrix (square). Built from a TripletList with
-/// duplicate merging; immutable afterwards.
+/// Compressed-sparse-row matrix (square), built from a TripletList by
+/// build_csr(); immutable afterwards.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Builds CSR from triplets, summing duplicates. O(nnz + n).
+  /// Builds CSR from a stamp store, summing duplicates. O(nnz + n) plus the
+  /// per-row column sort.
   static CsrMatrix from_triplets(const TripletList& t);
 
   size_t dim() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
@@ -102,71 +116,34 @@ class CsrMatrix {
   double at(size_t i, size_t j) const;
 
  private:
-  friend class CsrAssembler;
+  friend void build_csr(const TripletList& t, CsrMatrix& m,
+                        CsrBuildScratch& scratch);
 
   std::vector<size_t> row_ptr_;
   std::vector<size_t> col_;
   std::vector<double> val_;
 };
 
-/// Iteration-persistent CSR assembly with sparsity-pattern reuse.
-///
-/// The placer's primal step converts a freshly stamped TripletList to CSR
-/// every iteration. Between B2B relinearizations the bounding-pin topology
-/// is frequently unchanged: the triplet (row, col) sequence is then
-/// identical and only the values differ (spring weights, anchor diagonal —
-/// the λ update never changes the pattern). This assembler caches the
-/// merged structure of the last full build together with its accumulation
-/// schedule; when the incoming pattern matches, the counting/sort/merge
-/// passes are skipped and val_ is revalued in place by replaying the *same
-/// additions in the same order* as a fresh build — cached and uncached
-/// paths are bitwise identical.
-///
-/// Both the full build and the revalue pass are row-parallel via
-/// util/parallel (each row's output is owned by exactly one chunk), so the
-/// result is also bitwise independent of the thread count.
-class CsrAssembler {
- public:
-  /// Assembles `t` into the internally owned matrix, reusing the cached
-  /// sparsity pattern when `t` matches the previous call. Returns true on
-  /// a pattern hit (in-place revalue), false on a full rebuild.
-  bool assemble(const TripletList& t);
-
-  /// The assembled matrix; valid until the next assemble()/invalidate().
-  const CsrMatrix& matrix() const { return m_; }
-
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
-  /// Drops the cached pattern: the next assemble() is a full rebuild
-  /// (buffers keep their capacity). Counters are preserved.
-  void invalidate();
-
- private:
-  friend class CsrMatrix;  // from_triplets reuses build() without a cache
-
-  /// One-shot CSR build (count → scatter → per-row stable sort + merge).
-  /// When the schedule pointers are non-null, also records the
-  /// triplet→CSR accumulation schedule used by revalue(): the j-th
-  /// addition of row i (j in [raw_ptr[i], raw_ptr[i+1])) reads triplet
-  /// add_src[j] and lands in val_[add_dst[j]], first-of-slot additions
-  /// being assignments.
-  static void build(const TripletList& t, CsrMatrix& m,
-                    std::vector<size_t>* raw_ptr,
-                    std::vector<size_t>* add_src,
-                    std::vector<size_t>* add_dst);
-
-  void revalue(const TripletList& t);
-
-  CsrMatrix m_;
-  bool valid_ = false;
-  size_t n_ = 0;
-  std::vector<size_t> rows_, cols_;  ///< cached triplet pattern
-  std::vector<size_t> raw_ptr_;      ///< additions per row (size n_+1)
-  std::vector<size_t> add_src_;      ///< triplet index per addition
-  std::vector<size_t> add_dst_;      ///< val_ index per addition
-  size_t hits_ = 0;
-  size_t misses_ = 0;
+/// Buffers of build_csr(), kept by the caller so that repeated builds stop
+/// allocating once the buffers have grown. The contents are build_csr's
+/// business.
+struct CsrBuildScratch {
+  struct Slot {
+    uint64_t key;  ///< column << 32 | arrival index of the spring
+    double val;
+  };
+  std::vector<size_t> start;  ///< off-diagonal slot offsets per row (n+1)
+  std::vector<size_t> fill;   ///< scatter cursors, then merged row lengths
+  std::vector<Slot> slots;    ///< off-diagonal slots, grouped by row
 };
+
+/// Builds `t` into `m`, reusing the capacity of `m` and `scratch`.
+///
+/// Every entry is the sum of its contributions in arrival order, the first
+/// one assigned: the diagonal comes from the dense stamp, each off-diagonal
+/// (i, j) from the springs between i and j in the order they were stamped.
+/// Rows are sorted and merged row-parallel, each row by exactly one chunk,
+/// so the result is bitwise independent of the thread count.
+void build_csr(const TripletList& t, CsrMatrix& m, CsrBuildScratch& scratch);
 
 }  // namespace complx

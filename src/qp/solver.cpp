@@ -57,10 +57,10 @@ QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
   SystemBuilder& builder_y = ws ? *ws->y.builder : *local_y;
 
   // The two axis systems are independent given the frozen linearization
-  // point, so their assembly (net model + anchor pseudonets into triplets)
-  // runs concurrently. The CG solves stay sequential on the caller so each
-  // solve gets the full pool for its SpMV/reduction parallelism — this is
-  // also where the pattern-cached CSR conversion parallelizes over rows.
+  // point, so their assembly (net model + anchor pseudonets into the stamp
+  // stores) runs concurrently. The CG solves stay sequential on the caller
+  // so each solve gets the full pool for its SpMV/reduction parallelism —
+  // this is also where the CSR build parallelizes over rows.
   auto assemble = [&](SystemBuilder& builder, QpWorkspace::AxisState* st,
                       Axis axis) {
     switch (opts.model) {
@@ -109,12 +109,8 @@ QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
     if (ws) {
       QpWorkspace::AxisState& st = axis == Axis::X ? ws->x : ws->y;
       Timer csr_timer;
-      const bool hit = builder.assemble(st.solve);
+      builder.assemble(st.solve);
       ws->stats.assembly_s += csr_timer.seconds();
-      if (hit)
-        ++ws->stats.pattern_hits;
-      else
-        ++ws->stats.pattern_misses;
       Timer solve_timer;
       cg = builder.solve(p, opts.cg, st.solve);
       ws->stats.solve_s += solve_timer.seconds();

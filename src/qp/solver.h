@@ -32,11 +32,6 @@ struct QpOptions {
   /// Clamp solved coordinates into the core area (cells cannot leave the
   /// placement region).
   bool clamp_to_core = true;
-  /// Pass the placer's iteration-persistent QpWorkspace into every primal
-  /// step (pattern-cached CSR assembly, allocation-free PCG, spring-buffer
-  /// reuse). Results are bitwise identical either way; off forces fresh
-  /// assembly every call (ablation / determinism cross-check).
-  bool reuse_workspace = true;
 };
 
 struct QpIterationResult {
@@ -48,30 +43,19 @@ struct QpIterationResult {
 
 /// Instrumentation of the workspace path, accumulated across iterations.
 struct QpWorkspaceStats {
-  size_t iterations = 0;      ///< solve_qp_iteration calls with a workspace
-  size_t pattern_hits = 0;    ///< axis assemblies that reused the pattern
-  size_t pattern_misses = 0;  ///< axis assemblies that rebuilt the structure
-  double assembly_s = 0.0;    ///< net model + stamping + CSR assembly
-  double solve_s = 0.0;       ///< PCG wall time
-
-  double hit_rate() const {
-    const size_t total = pattern_hits + pattern_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(pattern_hits) /
-                            static_cast<double>(total);
-  }
+  size_t iterations = 0;    ///< solve_qp_iteration calls with a workspace
+  double assembly_s = 0.0;  ///< net model + stamping + CSR build
+  double solve_s = 0.0;     ///< PCG wall time
 };
 
 /// Iteration-persistent state for solve_qp_iteration.
 ///
 /// Lifecycle: the placer owns one QpWorkspace for the whole run and passes
 /// it to every primal step. First use allocates and binds the per-axis
-/// builders; subsequent iterations reuse every buffer (triplets, CSR
-/// structure + accumulation schedule, PCG scratch, spring lists, the frozen
-/// linearization-point copy). The sparsity-pattern cache self-invalidates
-/// by construction — assemble() compares the incoming triplet pattern
-/// against the cached one, so a B2B topology change (bound pins moved,
-/// net dropped, anchors toggled) is a cache miss, never a wrong reuse.
+/// builders; subsequent iterations reuse every buffer (stamp store, CSR
+/// matrix and build scratch, PCG scratch, spring lists, the frozen
+/// linearization-point copy). Nothing numeric is cached: every iteration
+/// restamps and rebuilds its systems.
 struct QpWorkspace {
   struct AxisState {
     std::optional<SystemBuilder> builder;  ///< bound on first iteration
@@ -83,14 +67,6 @@ struct QpWorkspace {
   AxisState x, y;
   Placement point;  ///< frozen linearization-point buffer
   QpWorkspaceStats stats;
-
-  /// Force-drops both axes' cached sparsity patterns: the next iteration
-  /// performs a full CSR rebuild (buffers keep their capacity). The result
-  /// of that rebuild is bitwise identical to the cached path.
-  void invalidate_pattern() {
-    x.solve.assembler.invalidate();
-    y.solve.assembler.invalidate();
-  }
 };
 
 /// Solves min Φ_Q(x, y) (+ anchor penalties) linearized at `p`, writing the

@@ -26,7 +26,7 @@ SystemBuilder::SystemBuilder(const Netlist& nl, const VarMap& vars, Axis axis,
 
 void SystemBuilder::reset(const Placement& linearization_point) {
   point_ = &linearization_point;
-  trip_.clear();  // vector::clear keeps capacity
+  trip_.clear();  // keeps capacity
   rhs_.assign(vars_.num_vars(), 0.0);
 }
 
@@ -95,7 +95,7 @@ CgResult SystemBuilder::solve(Placement& p, const CgOptions& opts,
                               SolveWorkspace& ws) const {
   // Precondition: assemble(ws) ran after the last stamping call — the
   // split exists so the caller can time assembly and solve separately.
-  const CsrMatrix& A = ws.assembler.matrix();
+  const CsrMatrix& A = ws.A;
   Vec& coords = axis_ == Axis::X ? p.x : p.y;
 
   ws.x.resize(vars_.num_vars());

@@ -34,12 +34,12 @@ struct VarMap {
 };
 
 /// Per-axis persistent numeric state for the workspace solve path: the CSR
-/// assembler (pattern cache), the PCG scratch vectors, and the movable-
+/// matrix with its build scratch, the PCG scratch vectors, and the movable-
 /// coordinate gather buffer. Owned by QpWorkspace and reused every
-/// iteration; only the sparsity pattern is cached — all values are restamped
-/// each call.
+/// iteration; the matrix is rebuilt from the fresh stamps each call.
 struct SolveWorkspace {
-  CsrAssembler assembler;
+  CsrMatrix A;
+  CsrBuildScratch csr;
   CgWorkspace cg;
   Vec x;  ///< warm-start / solution buffer (movable variables)
 };
@@ -56,7 +56,7 @@ class SystemBuilder {
                 Placement&& linearization_point) = delete;
 
   /// Rewinds to an empty system at a new linearization point, keeping the
-  /// capacity of the triplet and RHS buffers (allocation-free once warm).
+  /// capacity of the stamp and RHS buffers (allocation-free once warm).
   void reset(const Placement& linearization_point);
   void reset(Placement&& linearization_point) = delete;
 
@@ -70,10 +70,10 @@ class SystemBuilder {
   CgResult solve(Placement& p, const CgOptions& opts = {}) const;
 
   /// Workspace path, split so callers can time assembly and solve
-  /// separately: assemble() finalizes the CSR matrix through the pattern
-  /// cache (true = cached pattern reused), solve() then runs PCG out of the
-  /// workspace buffers. Bitwise identical to the one-shot solve() above.
-  bool assemble(SolveWorkspace& ws) const { return ws.assembler.assemble(trip_); }
+  /// separately: assemble() builds the CSR matrix into the workspace,
+  /// solve() then runs PCG out of the workspace buffers. Bitwise identical
+  /// to the one-shot solve() above.
+  void assemble(SolveWorkspace& ws) const { build_csr(trip_, ws.A, ws.csr); }
   CgResult solve(Placement& p, const CgOptions& opts, SolveWorkspace& ws) const;
 
   /// Exposed for tests: the assembled matrix and RHS.

@@ -94,7 +94,7 @@ void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
 
   // Per-block spring buffers built in parallel, concatenated in block
   // order: the output is the exact spring sequence of the serial loop, so
-  // everything downstream (triplets, CSR, CG) is bitwise unchanged.
+  // everything downstream (stamps, CSR, CG) is bitwise unchanged.
   std::vector<std::vector<PinSpring>> blocks(part.parts);
   parallel_for(
       num_nets,

@@ -142,48 +142,30 @@ TEST(GoldenDeterminism, StaticTimingThreadInvariant) {
 }
 
 // --- QP workspace ----------------------------------------------------------
-// Full-run proof of the pattern-cache contract: a placement computed with
-// the iteration-persistent QP workspace (cached CSR revalue, reused PCG
-// scratch) is bitwise identical to one computed with fresh assembly every
-// iteration, at any thread count. Topology changes between iterations are
-// exercised naturally — every relinearization that moves a bounding pin is
-// a forced cache invalidation, and the run must sail through it.
-TEST(GoldenDeterminism, QpWorkspaceCacheBitwiseInvariant) {
+// Full-run proof that the iteration-persistent QP workspace (CSR matrix,
+// build scratch and PCG scratch reused every iteration) leaves nothing
+// behind between iterations that depends on the thread count: the run is
+// bitwise identical at 1 and 8 threads, through every B2B topology change.
+TEST(GoldenDeterminism, QpWorkspaceThreadCountBitwiseInvariant) {
   const Netlist nl = testing::small_circuit(17, 1500);
   ComplxConfig base;
   base.max_iterations = 25;
   ThreadGuard guard;
 
-  struct Variant {
-    bool reuse;
-    int threads;
-  };
-  const Variant variants[] = {{true, 1}, {true, 8}, {false, 1}, {false, 8}};
   std::vector<PlaceResult> results;
-  for (const Variant& v : variants) {
+  for (const int threads : {1, 8}) {
     ComplxConfig cfg = base;
-    cfg.qp.reuse_workspace = v.reuse;
-    cfg.threads = v.threads;
+    cfg.threads = threads;
     results.push_back(ComplxPlacer(nl, cfg).place());
   }
 
-  for (size_t k = 1; k < results.size(); ++k) {
-    EXPECT_EQ(results[0].iterations, results[k].iterations) << "variant " << k;
-    EXPECT_EQ(results[0].final_lambda, results[k].final_lambda)
-        << "variant " << k;
-    testing::expect_placements_bitwise_equal(results[0].lower_bound,
-                                             results[k].lower_bound);
-    testing::expect_placements_bitwise_equal(results[0].anchors,
-                                             results[k].anchors);
-    expect_traces_identical(results[0].trace, results[k].trace);
-  }
-
-  // The flag actually routes: workspace runs exercised the pattern cache,
-  // fresh-assembly runs never touched it.
-  EXPECT_GT(results[0].solver.pattern_hits + results[0].solver.pattern_misses,
-            0u);
-  EXPECT_EQ(results[2].solver.pattern_hits, 0u);
-  EXPECT_EQ(results[2].solver.pattern_misses, 0u);
+  EXPECT_EQ(results[0].iterations, results[1].iterations);
+  EXPECT_EQ(results[0].final_lambda, results[1].final_lambda);
+  testing::expect_placements_bitwise_equal(results[0].lower_bound,
+                                           results[1].lower_bound);
+  testing::expect_placements_bitwise_equal(results[0].anchors,
+                                           results[1].anchors);
+  expect_traces_identical(results[0].trace, results[1].trace);
 }
 
 // --- projection path -------------------------------------------------------

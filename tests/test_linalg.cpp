@@ -5,12 +5,18 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <utility>
+#include <vector>
 
+#include "helpers.h"
 #include "linalg/cg.h"
 #include "linalg/sparse.h"
+#include "qp/system_builder.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "wl/b2b.h"
 
 // Global operator new/delete replacement for the steady-state
 // allocation-freedom test below. The counter only ticks while armed, so the
@@ -130,11 +136,21 @@ TEST(Csr, SymmetryOfSpringAssembly) {
 
 TEST(Csr, OutOfRangeThrows) {
   TripletList t(2);
-  t.add_diag(0, 1.0);
-  t.add_spring(0, 1, 1.0);
-  TripletList bad(2);
-  bad.add_diag(5, 1.0);
-  EXPECT_THROW(CsrMatrix::from_triplets(bad), std::out_of_range);
+  EXPECT_THROW(t.add_diag(5, 1.0), std::out_of_range);
+  EXPECT_THROW(t.add_spring(0, 2, 1.0), std::out_of_range);
+  EXPECT_THROW(t.add_spring(7, 1, 1.0), std::out_of_range);
+  // A rejected stamp leaves nothing behind.
+  EXPECT_EQ(CsrMatrix::from_triplets(t).nnz(), 0u);
+}
+
+TEST(Csr, SpringWithCoincidentEndsThrows) {
+  TripletList t(3);
+  EXPECT_THROW(t.add_spring(1, 1, 1.0), std::invalid_argument);
+  EXPECT_EQ(CsrMatrix::from_triplets(t).nnz(), 0u);
+}
+
+TEST(Csr, DimensionBeyond32BitIndicesThrows) {
+  EXPECT_THROW(TripletList(size_t{1} << 33), std::invalid_argument);
 }
 
 TEST(Csr, DimensionMismatchThrows) {
@@ -345,7 +361,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CgRandomSpd,
                                            RandomSpdCase{500, 4},
                                            RandomSpdCase{1000, 5}));
 
-// --------------------------------------------------- pattern-cached CSR ----
+// ------------------------------------------------------------ CSR build ----
 
 uint64_t dbits(double v) { return std::bit_cast<uint64_t>(v); }
 
@@ -357,94 +373,199 @@ void expect_bitwise_equal(const CsrMatrix& a, const CsrMatrix& b) {
     ASSERT_EQ(dbits(a.val()[i]), dbits(b.val()[i])) << "val[" << i << "]";
 }
 
-/// Random SPD system; the same seed always produces the same sparsity
-/// pattern, while `weight_scale` varies only the values — exactly the
-/// anchors-and-weights-changed, topology-unchanged shape of the placer's
-/// per-iteration systems.
-TripletList random_system(size_t n, uint64_t seed,
-                          double weight_scale = 1.0) {
+/// Random SPD system: a chain, random extra springs and a full anchor
+/// diagonal.
+TripletList random_system(size_t n, uint64_t seed) {
   Rng rng(seed);
   TripletList t(n);
   for (size_t i = 0; i + 1 < n; ++i)
-    t.add_spring(i, i + 1, weight_scale * rng.uniform(0.5, 2.0));
+    t.add_spring(i, i + 1, rng.uniform(0.5, 2.0));
   for (size_t k = 0; k < 3 * n; ++k) {
     const size_t i = rng.uniform_index(n), j = rng.uniform_index(n);
-    if (i != j) t.add_spring(i, j, weight_scale * rng.uniform(0.1, 1.0));
+    if (i != j) t.add_spring(i, j, rng.uniform(0.1, 1.0));
   }
-  for (size_t i = 0; i < n; ++i)
-    t.add_diag(i, weight_scale * rng.uniform(0.01, 0.5));
+  for (size_t i = 0; i < n; ++i) t.add_diag(i, rng.uniform(0.01, 0.5));
   return t;
 }
 
-TEST(CsrAssembler, CachedRevalueIsBitwiseIdenticalToFreshBuild) {
-  CsrAssembler a;
-  const TripletList t1 = random_system(300, 21, 1.0);
-  EXPECT_FALSE(a.assemble(t1));  // first call: full build
-  EXPECT_EQ(a.misses(), 1u);
-  EXPECT_EQ(a.hits(), 0u);
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(t1));
+/// One stamping call: add_spring(i, j, w), or add_diag(i, w) when i == j.
+struct Stamp {
+  size_t i, j;
+  double w;
+};
 
-  // Same pattern, different values: must hit and revalue in place to the
-  // exact bits a fresh build would produce.
-  const TripletList t2 = random_system(300, 21, 1.7);
-  EXPECT_TRUE(a.assemble(t2));
-  EXPECT_EQ(a.hits(), 1u);
-  EXPECT_EQ(a.misses(), 1u);
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(t2));
+void stamp_all(const std::vector<Stamp>& stamps, TripletList& t) {
+  for (const Stamp& s : stamps) {
+    if (s.i == s.j)
+      t.add_diag(s.i, s.w);
+    else
+      t.add_spring(s.i, s.j, s.w);
+  }
 }
 
-TEST(CsrAssembler, TopologyChangeForcesRebuild) {
-  CsrAssembler a;
-  a.assemble(random_system(100, 22));
-  TripletList changed = random_system(100, 22);
-  changed.add_spring(0, 99, 1.0);  // one new edge: different pattern
-  EXPECT_FALSE(a.assemble(changed));
-  EXPECT_EQ(a.misses(), 2u);
-  EXPECT_EQ(a.hits(), 0u);
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(changed));
-  // The changed pattern is now the cached one.
-  EXPECT_TRUE(a.assemble(changed));
+/// Naive reference build: every contribution lands in a (row, col)-ordered
+/// map in arrival order, the first contribution to an entry assigned and
+/// the rest added.
+struct ReferenceCsr {
+  std::vector<size_t> row_ptr, col;
+  std::vector<double> val;
+};
+
+ReferenceCsr reference_build(size_t n, const std::vector<Stamp>& stamps) {
+  std::map<std::pair<size_t, size_t>, double> entries;
+  auto add = [&](size_t r, size_t c, double v) {
+    const auto [it, inserted] = entries.try_emplace({r, c}, v);
+    if (!inserted) it->second += v;
+  };
+  for (const Stamp& s : stamps) {
+    add(s.i, s.i, s.w);
+    if (s.i == s.j) continue;
+    add(s.j, s.j, s.w);
+    add(s.i, s.j, -s.w);
+    add(s.j, s.i, -s.w);
+  }
+  ReferenceCsr ref;
+  ref.row_ptr.assign(n + 1, 0);
+  for (const auto& [key, v] : entries) {
+    ++ref.row_ptr[key.first + 1];
+    ref.col.push_back(key.second);
+    ref.val.push_back(v);
+  }
+  for (size_t i = 0; i < n; ++i) ref.row_ptr[i + 1] += ref.row_ptr[i];
+  return ref;
 }
 
-TEST(CsrAssembler, InvalidateDropsPatternButKeepsCounters) {
-  CsrAssembler a;
-  const TripletList t = random_system(80, 23);
-  a.assemble(t);
-  ASSERT_TRUE(a.assemble(t));
-  a.invalidate();
-  EXPECT_FALSE(a.assemble(t));  // identical input, but the cache is gone
-  EXPECT_EQ(a.hits(), 1u);
-  EXPECT_EQ(a.misses(), 2u);
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(t));
+/// Stamps with every ordering hazard of the build: repeated (i, j) and
+/// (j, i) springs, -0.0 first contributions, rows never stamped, and one
+/// star row whose 600 neighbours arrive shuffled.
+std::vector<Stamp> hazard_stamps(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  // Row 0 is the star's centre (neighbours 10-609), rows 3-8 take only the
+  // signed-zero stamps, rows 1, 2, 9 and [live, n) take none.
+  const size_t live = n - 50;
+  std::vector<Stamp> stamps;
+  stamps.push_back({3, 3, -0.0});   // row 3's diagonal stays -0.0 ...
+  stamps.push_back({4, 4, -0.0});   // ... row 4's is -0.0 + 1.5
+  stamps.push_back({4, 4, 1.5});
+  stamps.push_back({5, 6, 0.0});    // off-diagonal -0.0, diagonal +0.0
+  stamps.push_back({7, 8, -0.0});   // off-diagonal +0.0, diagonal -0.0
+  for (size_t k = 0; k < 4 * live; ++k) {
+    // Small index pairs repeat often, in both orientations.
+    const size_t span = k % 2 == 0 ? 40 : live;
+    const size_t i = 10 + rng.uniform_index(span - 10);
+    const size_t j = 10 + rng.uniform_index(span - 10);
+    stamps.push_back({i, j, rng.uniform(-1.0, 2.0)});
+  }
+  std::vector<size_t> star;
+  for (size_t k = 0; k < 600; ++k) star.push_back(10 + k);
+  for (size_t k = star.size(); k > 1; --k)
+    std::swap(star[k - 1], star[rng.uniform_index(k)]);
+  for (size_t k = 0; k < star.size(); ++k) {
+    const size_t nb = star[k];
+    stamps.push_back(k % 3 == 0 ? Stamp{nb, 0, rng.uniform(0.1, 1.0)}
+                                : Stamp{0, nb, rng.uniform(0.1, 1.0)});
+    if (k % 7 == 0) stamps.push_back({0, nb, rng.uniform(0.1, 1.0)});
+  }
+  return stamps;
 }
 
-TEST(CsrAssembler, SignedZeroSurvivesRevalue) {
-  // The first contribution to each CSR slot must be an assignment, not a
-  // += onto a zeroed buffer: zero-and-accumulate would turn a -0.0 triplet
-  // into +0.0 on the cached path only, breaking bitwise equality.
+TEST(CsrBuild, MatchesNaiveReferenceBitwise) {
+  const size_t prev = global_threads();
+  for (const size_t threads : {1, 8}) {
+    set_global_threads(threads);
+    for (const uint64_t seed : {31u, 32u, 33u}) {
+      const size_t n = 1200;
+      const std::vector<Stamp> stamps = hazard_stamps(n, seed);
+      TripletList t(n);
+      stamp_all(stamps, t);
+      const CsrMatrix A = CsrMatrix::from_triplets(t);
+      const ReferenceCsr ref = reference_build(n, stamps);
+      ASSERT_EQ(A.row_ptr(), ref.row_ptr) << "seed " << seed;
+      ASSERT_EQ(A.col(), ref.col) << "seed " << seed;
+      ASSERT_EQ(A.val().size(), ref.val.size());
+      for (size_t k = 0; k < ref.val.size(); ++k)
+        ASSERT_EQ(dbits(A.val()[k]), dbits(ref.val[k]))
+            << "val[" << k << "], seed " << seed << ", " << threads
+            << " threads";
+      ASSERT_GT(A.row_ptr()[1] - A.row_ptr()[0], 500u);  // the star row
+      EXPECT_EQ(A.row_ptr()[n] - A.row_ptr()[n - 50], 0u);
+      EXPECT_EQ(dbits(A.at(3, 3)), dbits(-0.0));
+      EXPECT_EQ(dbits(A.at(5, 6)), dbits(-0.0));
+    }
+  }
+  set_global_threads(prev);
+}
+
+TEST(CsrBuild, SignedZeroSurvivesReuse) {
+  // The first contribution to each entry must be an assignment, not a +=
+  // onto zero, which would turn a lone -0.0 into +0.0 — also after clear()
+  // on a store and a matrix that held values before.
   TripletList t(2);
+  t.add_diag(0, 2.0);
+  t.add_spring(0, 1, 0.5);
+  CsrMatrix A;
+  CsrBuildScratch scratch;
+  build_csr(t, A, scratch);
+  t.clear();
   t.add_diag(0, -0.0);
   t.add_diag(1, 1.0);
-  CsrAssembler a;
-  a.assemble(t);
-  ASSERT_TRUE(a.assemble(t));
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(t));
-  EXPECT_EQ(dbits(a.matrix().at(0, 0)), dbits(-0.0));
+  build_csr(t, A, scratch);
+  expect_bitwise_equal(A, CsrMatrix::from_triplets(t));
+  EXPECT_EQ(A.nnz(), 2u);
+  EXPECT_EQ(dbits(A.at(0, 0)), dbits(-0.0));
 }
 
-TEST(CsrAssembler, ResultIndependentOfThreadCount) {
+TEST(CsrBuild, ResultIndependentOfThreadCount) {
   const size_t prev = global_threads();
   const TripletList t = random_system(400, 24);
   set_global_threads(1);
-  CsrAssembler serial;
-  serial.assemble(t);
-  serial.assemble(t);  // build, then revalue — both paths serial
-  const CsrMatrix reference = serial.matrix();
+  const CsrMatrix reference = CsrMatrix::from_triplets(t);
   set_global_threads(8);
-  CsrAssembler threaded;
-  threaded.assemble(t);
-  threaded.assemble(t);
-  expect_bitwise_equal(threaded.matrix(), reference);
+  CsrMatrix threaded;
+  CsrBuildScratch scratch;
+  build_csr(t, threaded, scratch);
+  build_csr(t, threaded, scratch);  // a rebuild on grown buffers as well
+  expect_bitwise_equal(threaded, reference);
+  set_global_threads(prev);
+}
+
+TEST(CsrBuild, SteadyStateAssemblyIsAllocationFree) {
+  // Single-threaded so the serial fast path of parallel_for is exercised;
+  // the multi-thread backend type-erases its body.
+  const size_t prev = global_threads();
+  set_global_threads(1);
+  const Netlist nl = testing::small_circuit(27, 1500);
+  const VarMap vars(nl);
+  const Placement point = nl.snapshot();
+  const std::vector<PinSpring> springs =
+      build_b2b(nl, point, Axis::X, B2bOptions{});
+  SystemBuilder builder(nl, vars, Axis::X, point);
+  SolveWorkspace ws;
+  auto stamp_and_assemble = [&] {
+    builder.reset(point);
+    builder.add_pin_springs(springs);
+    for (CellId id : nl.movable_cells())
+      builder.add_anchor(id, point.x[id], 0.25);
+    builder.assemble(ws);
+  };
+  stamp_and_assemble();  // warm-up: grows every buffer
+  alloc_counter::arm();
+  stamp_and_assemble();
+  EXPECT_EQ(alloc_counter::drain(), 0u)
+      << "a rebuild on grown buffers must not touch the heap";
+  expect_bitwise_equal(ws.A, builder.build_matrix());
+
+  // A long row (a 600-neighbour star) is also sorted on the caller's
+  // buffers.
+  const size_t n = 800;
+  TripletList star(n);
+  stamp_all(hazard_stamps(n, 34), star);
+  CsrMatrix A;
+  CsrBuildScratch scratch;
+  build_csr(star, A, scratch);
+  alloc_counter::arm();
+  build_csr(star, A, scratch);
+  EXPECT_EQ(alloc_counter::drain(), 0u);
   set_global_threads(prev);
 }
 
