@@ -5,8 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
 #include <vector>
 
+#include "bookshelf/reader.h"
+#include "bookshelf/writer.h"
 #include "core/placer.h"
 #include "density/grid.h"
 #include "density/penalty.h"
@@ -343,6 +347,28 @@ void BM_NetlistFinalize(benchmark::State& state) {
 }
 BENCHMARK(BM_NetlistFinalize)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond);
+
+void BM_BookshelfRead(benchmark::State& state) {
+  // read_bookshelf of a 20k-cell generated design, written once to a
+  // temporary directory. The "MB" rate counter is MB/s over all six files.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "complx_bench_bookshelf";
+  fs::create_directories(dir);
+  write_bookshelf(make_circuit(20000), dir.string(), "read");
+  double bytes = 0.0;
+  for (const char* ext : {".aux", ".nodes", ".nets", ".wts", ".pl", ".scl"})
+    bytes += static_cast<double>(
+        fs::file_size(dir / (std::string("read") + ext)));
+  const std::string aux = (dir / "read.aux").string();
+  for (auto _ : state) {
+    const BookshelfDesign d = read_bookshelf(aux);
+    benchmark::DoNotOptimize(d.netlist.num_pins());
+  }
+  state.counters["MB"] = benchmark::Counter(
+      bytes / 1e6, benchmark::Counter::kIsIterationInvariantRate);
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_BookshelfRead)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // Thread-scaling benchmarks (Arg = thread count) on a 100k-cell design.

@@ -277,10 +277,11 @@ class Netlist {
   std::vector<NetId> cell_net_ids_;
   std::vector<uint32_t> cell_pin_off_;
   std::vector<PinId> cell_pin_ids_;
-  // Lazy name index: cell ids sorted by (name, id); rebuilt on demand after
-  // construction-time lookups (the Bookshelf reader resolves .nets pins by
-  // name before finalize()). ~4 bytes/cell vs ~60+ for the historical
-  // unordered_map<string, CellId>. Single-threaded like all construction.
+  // Lazy name index: cell ids sorted by (name, id); built on the first
+  // find_cell() after an add_cell() (complx_eval resolves .pl names this
+  // way; the Bookshelf reader keeps its own index over its .nodes buffer).
+  // ~4 bytes/cell vs ~60+ for the historical unordered_map<string, CellId>.
+  // Single-threaded like all construction.
   mutable std::vector<CellId> name_order_;
   mutable bool name_index_dirty_ = true;
   Rect core_;

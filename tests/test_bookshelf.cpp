@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "bookshelf/reader.h"
 #include "bookshelf/writer.h"
+#include "gen/generator.h"
+#include "gen/peko.h"
 #include "helpers.h"
 #include "wl/hpwl.h"
 
@@ -338,6 +343,410 @@ TEST_F(BookshelfRoundTrip, MalformedNumberThrows) {
   std::ofstream(base + ".aux")
       << "RowBasedPlacement : m.nodes m.nets m.wts m.pl m.scl\n";
   EXPECT_THROW(read_bookshelf(base + ".aux"), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Tokenizer, strict numbers and declared counts.
+
+// Every field the reader produces, compared as bit patterns (-0.0 and +0.0
+// differ): cells, names, nets, pins, rows and the core.
+void expect_netlists_bitwise_equal(const Netlist& a, const Netlist& b) {
+  ASSERT_EQ(a.num_cells(), b.num_cells());
+  ASSERT_EQ(a.num_nets(), b.num_nets());
+  ASSERT_EQ(a.num_pins(), b.num_pins());
+  size_t bad = 0;
+  for (CellId i = 0; i < a.num_cells() && bad < 10; ++i) {
+    const Cell& x = a.cell(i);
+    const Cell& y = b.cell(i);
+    if (a.cell_name(i) != b.cell_name(i) || bits(x.width) != bits(y.width) ||
+        bits(x.height) != bits(y.height) || bits(x.x) != bits(y.x) ||
+        bits(x.y) != bits(y.y) || x.kind != y.kind || x.region != y.region ||
+        x.flipped_x != y.flipped_x) {
+      ++bad;
+      ADD_FAILURE() << "cell " << i << " '" << a.cell_name(i) << "'";
+    }
+  }
+  for (NetId e = 0; e < a.num_nets() && bad < 10; ++e) {
+    if (a.net_name(e) != b.net_name(e) ||
+        bits(a.net(e).weight) != bits(b.net(e).weight) ||
+        a.net(e).first_pin != b.net(e).first_pin ||
+        a.net(e).num_pins != b.net(e).num_pins) {
+      ++bad;
+      ADD_FAILURE() << "net " << e << " '" << a.net_name(e) << "'";
+    }
+  }
+  for (PinId k = 0; k < a.num_pins() && bad < 10; ++k) {
+    const Pin p = a.pin(k);
+    const Pin q = b.pin(k);
+    if (p.cell != q.cell || bits(p.dx) != bits(q.dx) ||
+        bits(p.dy) != bits(q.dy)) {
+      ++bad;
+      ADD_FAILURE() << "pin " << k;
+    }
+  }
+  ASSERT_EQ(a.rows().size(), b.rows().size());
+  for (size_t r = 0; r < a.rows().size(); ++r) {
+    const Row& x = a.rows()[r];
+    const Row& y = b.rows()[r];
+    EXPECT_TRUE(bits(x.y) == bits(y.y) && bits(x.height) == bits(y.height) &&
+                bits(x.xl) == bits(y.xl) && bits(x.xh) == bits(y.xh) &&
+                bits(x.site_width) == bits(y.site_width))
+        << "row " << r;
+  }
+  EXPECT_EQ(bits(a.core().xl), bits(b.core().xl));
+  EXPECT_EQ(bits(a.core().yl), bits(b.core().yl));
+  EXPECT_EQ(bits(a.core().xh), bits(b.core().xh));
+  EXPECT_EQ(bits(a.core().yh), bits(b.core().yh));
+}
+
+// One write -> read cycle reproduces every field bitwise. The one expected
+// change is the .pl lower-left corner, which the writer derives from the
+// cell center: x' = (x + w/2) - w/2 in double arithmetic.
+void expect_round_trip_bitwise(const Netlist& original, const Netlist& read) {
+  Netlist expected = original;
+  for (CellId i = 0; i < expected.num_cells(); ++i) {
+    Cell& c = expected.cell(i);
+    c.x = c.cx() - c.width / 2.0;
+    c.y = c.cy() - c.height / 2.0;
+  }
+  expect_netlists_bitwise_equal(expected, read);
+}
+
+TEST_F(BookshelfRoundTrip, GeneratedCircuitRoundTripIsBitwise) {
+  GenParams p;
+  p.seed = 21;
+  p.num_cells = 2000;
+  p.num_movable_macros = 2;
+  p.num_fixed_macros = 2;
+  const Netlist original = generate_circuit(p);
+  write_bookshelf(original, dir(), "gc");
+  expect_round_trip_bitwise(original,
+                            read_bookshelf(dir() + "/gc.aux").netlist);
+}
+
+TEST_F(BookshelfRoundTrip, PekoWithFixedMacrosRoundTripIsBitwise) {
+  PekoParams p;
+  p.seed = 4;
+  p.num_cells = 1024;
+  p.utilization = 0.5;
+  p.num_fixed_macros = 4;
+  const PekoDesign design = generate_peko(p);
+  ASSERT_GT(design.macros_placed, 0u);
+  write_bookshelf(design.netlist, dir(), "pk");
+  expect_round_trip_bitwise(design.netlist,
+                            read_bookshelf(dir() + "/pk.aux").netlist);
+}
+
+class BookshelfText : public BookshelfRoundTrip {
+ protected:
+  // Writes design `name` from inline file texts; returns its .aux path.
+  std::string write(const std::string& name, const std::string& nodes,
+                    const std::string& nets, const std::string& pl,
+                    const std::string& scl, const std::string& wts = "") {
+    const std::string base = dir() + "/" + name;
+    std::ofstream(base + ".nodes", std::ios::binary) << nodes;
+    std::ofstream(base + ".nets", std::ios::binary) << nets;
+    std::ofstream(base + ".wts", std::ios::binary) << wts;
+    std::ofstream(base + ".pl", std::ios::binary) << pl;
+    std::ofstream(base + ".scl", std::ios::binary) << scl;
+    std::ofstream(base + ".aux")
+        << "RowBasedPlacement : " << name << ".nodes " << name << ".nets "
+        << name << ".wts " << name << ".pl " << name << ".scl\n";
+    return base + ".aux";
+  }
+};
+
+const char* const kNodes =
+    "UCLA nodes 1.0\nNumNodes : 3\nNumTerminals : 1\n"
+    "a 4 12\nb 6 12\np 1 1 terminal\n";
+const char* const kNets =
+    "UCLA nets 1.0\nNumNets : 2\nNumPins : 5\n"
+    "NetDegree : 2 n0\na I : 0.5 -0.25\nb O : 0 0\n"
+    "NetDegree : 3 n1\na I : 1 1\nb I : -1 0\np O : 0 0\n";
+const char* const kPl =
+    "UCLA pl 1.0\na 5 0 : N\nb 10.5 12 : FN\np 0 0 : N /FIXED\n";
+const char* const kScl =
+    "UCLA scl 1.0\nNumRows : 2\n"
+    "CoreRow Horizontal\n Coordinate : 0\n Height : 12\n Sitewidth : 1\n"
+    " SubrowOrigin : 0 NumSites : 50\nEnd\n"
+    "CoreRow Horizontal\n Coordinate : 12\n Height : 12\n Sitewidth : 1\n"
+    " SubrowOrigin : 0 NumSites : 50\nEnd\n";
+const char* const kWts = "UCLA wts 1.0\nn0 2\nn1 0.5\n";
+
+TEST_F(BookshelfText, ReferenceDesignParses) {
+  const Netlist nl =
+      read_bookshelf(write("ref", kNodes, kNets, kPl, kScl, kWts)).netlist;
+  ASSERT_EQ(nl.num_cells(), 3u);
+  ASSERT_EQ(nl.num_nets(), 2u);
+  EXPECT_EQ(nl.cell_name(2), "p");
+  EXPECT_EQ(nl.cell(2).kind, CellKind::Fixed);
+  EXPECT_TRUE(nl.cell(1).flipped_x);
+  EXPECT_EQ(bits(nl.cell(1).x), bits(10.5));
+  EXPECT_EQ(bits(nl.pin(0).dy), bits(-0.25));
+  EXPECT_EQ(bits(nl.net(0).weight), bits(2.0));
+  EXPECT_EQ(bits(nl.net(1).weight), bits(0.5));
+  ASSERT_EQ(nl.rows().size(), 2u);
+  EXPECT_EQ(bits(nl.core().yh), bits(24.0));
+}
+
+std::string with_crlf(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '\n') out += '\r';
+    out += c;
+  }
+  return out;
+}
+
+TEST_F(BookshelfText, CrlfLineEndingsReadLikeLf) {
+  const Netlist lf =
+      read_bookshelf(write("lf", kNodes, kNets, kPl, kScl, kWts)).netlist;
+  const Netlist crlf =
+      read_bookshelf(write("crlf", with_crlf(kNodes), with_crlf(kNets),
+                           with_crlf(kPl), with_crlf(kScl), with_crlf(kWts)))
+          .netlist;
+  EXPECT_EQ(crlf.cell_name(2), "p");  // no '\r' glued to the name
+  expect_netlists_bitwise_equal(lf, crlf);
+}
+
+TEST_F(BookshelfText, LastLineWithoutNewlineIsRead) {
+  auto chop = [](std::string s) {
+    s.pop_back();  // every fixture text ends in '\n'
+    return s;
+  };
+  const Netlist lf =
+      read_bookshelf(write("lf", kNodes, kNets, kPl, kScl, kWts)).netlist;
+  const Netlist cut =
+      read_bookshelf(write("cut", chop(kNodes), chop(kNets), chop(kPl),
+                           chop(kScl), chop(kWts)))
+          .netlist;
+  expect_netlists_bitwise_equal(lf, cut);
+}
+
+TEST_F(BookshelfText, CommentEndsTheLineMidway) {
+  const std::string nodes =
+      "NumNodes : 3 # three\na 4 12 # terminal\nb 6 12\n"
+      "p 1 1 terminal#comment glued on\n";
+  const std::string nets =
+      "NumNets : 2 # header\nNumPins : 5\n"
+      "NetDegree : 2 n0 # net name ends before this\n"
+      "a I : 0.5 -0.25 # 99\nb O : 0 0\n"
+      "NetDegree : 3 n1\na I : 1 1\nb I : -1 0#\np O : 0 0\n";
+  const std::string pl =
+      "a 5 0 : N # /FIXED\nb 10.5 12 : FN\np 0 0 : N /FIXED\n";
+  const Netlist ref =
+      read_bookshelf(write("ref", kNodes, kNets, kPl, kScl, kWts)).netlist;
+  const Netlist nl =
+      read_bookshelf(write("cm", nodes, nets, pl, kScl, kWts)).netlist;
+  EXPECT_EQ(nl.net_name(0), "n0");
+  EXPECT_EQ(nl.cell(0).kind, CellKind::Movable);
+  expect_netlists_bitwise_equal(ref, nl);
+}
+
+TEST_F(BookshelfText, MixedTabsAndSpacesSeparateTokens) {
+  const std::string nodes =
+      "NumNodes\t:\t3\n\tNumTerminals :\t 1\na\t4 \t12\n  b  6\t\t12  \n"
+      "\t p\t1 1\tterminal\t\n";
+  const std::string nets =
+      "NumNets : 2\nNumPins\t: 5\nNetDegree\t:\t2\tn0\n\ta\tI\t:\t0.5\t-0.25\n"
+      " b O : 0 0 \nNetDegree : 3  n1\n\ta I :  1\t1\n\tb I : -1\t 0\n"
+      "\tp O : 0 0\n";
+  const std::string pl =
+      "a\t5\t0\t:\tN\nb 10.5\t12 :\tFN\n\tp 0 0 : N\t/FIXED\n";
+  const Netlist ref =
+      read_bookshelf(write("ref", kNodes, kNets, kPl, kScl, kWts)).netlist;
+  const Netlist nl =
+      read_bookshelf(write("tab", nodes, nets, pl, kScl, kWts)).netlist;
+  expect_netlists_bitwise_equal(ref, nl);
+}
+
+TEST_F(BookshelfText, LinesLongerThanAReadBlockAreWhole) {
+  // The reader fetches files in 32 KiB blocks; a 300k-character name spans
+  // several of them and must still come back as one token.
+  const std::string big(300000, 'q');
+  const std::string nodes = "NumNodes : 2\na 4 12\n" + big + " 6 12\n";
+  const std::string nets =
+      "NumNets : 1\nNetDegree : 2 n0\na I : 0 0\n" + big + " O : 1 2\n";
+  const std::string pl = "a 1 0 : N\n" + big + " 7 12 : FN\n";
+  const Netlist nl =
+      read_bookshelf(write("long", nodes, nets, pl, kScl)).netlist;
+  ASSERT_EQ(nl.num_cells(), 2u);
+  EXPECT_EQ(nl.cell_name(1), big);
+  EXPECT_EQ(bits(nl.cell(1).x), bits(7.0));
+  EXPECT_TRUE(nl.cell(1).flipped_x);
+  ASSERT_EQ(nl.num_pins(), 2u);
+  EXPECT_EQ(nl.pin(1).cell, 1u);
+  EXPECT_EQ(bits(nl.pin(1).dy), bits(2.0));
+}
+
+TEST_F(BookshelfText, EmptyPlAndSclGiveOriginCellsAndBoundingBoxCore) {
+  const Netlist nl =
+      read_bookshelf(write("empty", kNodes, kNets, "", "", kWts)).netlist;
+  ASSERT_EQ(nl.num_cells(), 3u);
+  for (const Cell& c : nl.cells()) {
+    EXPECT_EQ(bits(c.x), bits(0.0));
+    EXPECT_EQ(bits(c.y), bits(0.0));
+    EXPECT_FALSE(c.flipped_x);
+  }
+  // No /FIXED markers: only the terminal is fixed; no rows, no macros.
+  EXPECT_EQ(nl.num_movable(), 2u);
+  EXPECT_EQ(bits(nl.core().xh), bits(6.0));
+  EXPECT_EQ(bits(nl.core().yh), bits(12.0));
+  // Netlist::finalize synthesizes rows over the core when .scl has none.
+  ASSERT_EQ(nl.rows().size(), 1u);
+  EXPECT_EQ(bits(nl.rows()[0].xh), bits(6.0));
+}
+
+TEST_F(BookshelfText, OnePinNetIsDroppedButCounted) {
+  // NumNets/NumPins count the 1-pin net; the netlist does not keep it.
+  const std::string nets =
+      "NumNets : 3\nNumPins : 6\nNetDegree : 1 solo\na I : 0 0\n"
+      "NetDegree : 2 n0\na I : 0.5 -0.25\nb O : 0 0\n"
+      "NetDegree : 3 n1\na I : 1 1\nb I : -1 0\np O : 0 0\n";
+  const Netlist ref =
+      read_bookshelf(write("ref", kNodes, kNets, kPl, kScl, kWts)).netlist;
+  const Netlist nl =
+      read_bookshelf(write("one", kNodes, nets, kPl, kScl, kWts)).netlist;
+  EXPECT_EQ(nl.num_nets(), 2u);
+  expect_netlists_bitwise_equal(ref, nl);
+}
+
+TEST_F(BookshelfText, NumNetsMismatchThrows) {
+  // Cut at a net boundary: every remaining block is complete, so only the
+  // declared count can tell.
+  const std::string nets =
+      "NumNets : 2\nNumPins : 5\nNetDegree : 2 n0\na I : 0.5 -0.25\n"
+      "b O : 0 0\n";
+  const std::string msg = THROWN_MESSAGE(
+      read_bookshelf(write("nn", kNodes, nets, kPl, kScl, kWts)));
+  EXPECT_NE(msg.find("nn.nets:5: NumNets=2 but 1 nets parsed"),
+            std::string::npos)
+      << msg;
+}
+
+TEST_F(BookshelfText, NumPinsMismatchThrows) {
+  const std::string nets =
+      "NumNets : 2\nNumPins : 6\nNetDegree : 2 n0\na I : 0.5 -0.25\n"
+      "b O : 0 0\nNetDegree : 3 n1\na I : 1 1\nb I : -1 0\np O : 0 0\n";
+  const std::string msg = THROWN_MESSAGE(
+      read_bookshelf(write("np", kNodes, nets, kPl, kScl, kWts)));
+  EXPECT_NE(msg.find("np.nets:9: NumPins=6 but 5 pins parsed"),
+            std::string::npos)
+      << msg;
+}
+
+// Each case replaces one line of the reference design. A number must be
+// the whole token (one leading '+' allowed) and finite.
+struct BadNumber {
+  const char* ext;     ///< file the bad line goes into
+  const char* from;    ///< reference line text to replace
+  const char* to;      ///< replacement
+  const char* expect;  ///< "<ext>:<line>: expected ..., got '...'"
+};
+
+TEST_F(BookshelfText, NumbersMustBeWholeFiniteTokens) {
+  const BadNumber cases[] = {
+      {".nodes", "a 4 12", "a 4abc 12",
+       ".nodes:4: expected number, got '4abc'"},
+      {".nodes", "b 6 12", "b 6 12.5.1",
+       ".nodes:5: expected number, got '12.5.1'"},
+      {".nodes", "a 4 12", "a inf 12", ".nodes:4: expected number, got 'inf'"},
+      {".nodes", "NumNodes : 3", "NumNodes : 3x",
+       ".nodes:2: expected integer, got '3x'"},
+      {".nodes", "NumNodes : 3", "NumNodes :",
+       ".nodes:2: expected integer, got ''"},
+      {".nets", "NetDegree : 2 n0", "NetDegree : 2.5 n0",
+       ".nets:4: expected integer, got '2.5'"},
+      {".nets", "NumPins : 5", "NumPins : +-5",
+       ".nets:3: expected integer, got '+-5'"},
+      {".nets", "b O : 0 0", "b O : 0 0x1",
+       ".nets:6: expected number, got '0x1'"},
+      {".nets", "a I : 1 1", "a I : nan 1",
+       ".nets:8: expected number, got 'nan'"},
+      {".pl", "a 5 0 : N", "a 5um 0 : N", ".pl:2: expected number, got '5um'"},
+      {".pl", "b 10.5 12 : FN", "b 10.5 -inf : FN",
+       ".pl:3: expected number, got '-inf'"},
+      {".wts", "n1 0.5", "n1 1e999", ".wts:3: expected number, got '1e999'"},
+      {".wts", "n0 2", "n0 NaN", ".wts:2: expected number, got 'NaN'"},
+      {".scl", " Height : 12", " Height : 12,0",
+       ".scl:5: expected number, got '12,0'"},
+  };
+  for (const BadNumber& c : cases) {
+    std::string files[] = {kNodes, kNets, kPl, kScl, kWts};
+    const std::string exts[] = {".nodes", ".nets", ".pl", ".scl", ".wts"};
+    for (int f = 0; f < 5; ++f) {
+      if (exts[f] != c.ext) continue;
+      const size_t at = files[f].find(c.from);
+      ASSERT_NE(at, std::string::npos) << c.from;
+      files[f].replace(at, std::string(c.from).size(), c.to);
+    }
+    const std::string msg = THROWN_MESSAGE(read_bookshelf(
+        write("bad", files[0], files[1], files[2], files[3], files[4])));
+    EXPECT_NE(msg.find(std::string("bad") + c.expect), std::string::npos)
+        << c.to << " -> " << msg;
+  }
+}
+
+TEST_F(BookshelfText, LeadingPlusIsAccepted) {
+  const std::string nodes =
+      "NumNodes : +3\na +4 12\nb 6 +12\np 1 1 terminal\n";
+  const std::string pl = "a +5 +0 : N\nb 10.5 12 : FN\np 0 0 : N /FIXED\n";
+  const Netlist ref =
+      read_bookshelf(write("ref", kNodes, kNets, kPl, kScl, kWts)).netlist;
+  const Netlist nl =
+      read_bookshelf(write("plus", nodes, kNets, pl, kScl, kWts)).netlist;
+  expect_netlists_bitwise_equal(ref, nl);
+}
+
+// ---------------------------------------------------------------------------
+// Truncation ladder (ctest label `chaos`, run under ASan/UBSan in CI): a
+// small valid design's .nodes and .nets cut at every byte offset. Each read
+// must throw std::runtime_error or parse — never crash, read out of bounds
+// or throw anything else. Thanks to the declared counts, a read that parses
+// still has every cell, net and pin — unless the .nets cut falls before the
+// first NetDegree, where a file that declares nothing reads as net-free.
+
+TEST(BookshelfTruncation, EveryPrefixThrowsOrParsesWhole) {
+  // Per-process directory: ctest runs this test both alone (label chaos)
+  // and inside the full test_bookshelf binary, possibly at the same time.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("complx_bookshelf_ladder_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  GenParams p;
+  p.seed = 5;
+  p.num_cells = 16;
+  p.num_pads = 4;
+  const Netlist original = generate_circuit(p);
+  const std::string base = (dir / "t").string();
+  for (const char* ext : {".nodes", ".nets"}) {
+    write_bookshelf(original, dir.string(), "t");
+    const std::string full = slurp(base + ext);
+    size_t parsed = 0;
+    for (size_t cut = 0; cut <= full.size(); ++cut) {
+      std::ofstream(base + ext, std::ios::binary | std::ios::trunc)
+          << full.substr(0, cut);
+      const bool no_nets = std::string(ext) == ".nets" &&
+                           full.substr(0, cut).find("NetDegree") ==
+                               std::string::npos;
+      try {
+        const Netlist nl = read_bookshelf(base + ".aux").netlist;
+        ++parsed;
+        EXPECT_EQ(nl.num_cells(), original.num_cells()) << ext << " " << cut;
+        EXPECT_EQ(nl.num_nets(), no_nets ? 0 : original.num_nets())
+            << ext << " " << cut;
+        EXPECT_EQ(nl.num_pins(), no_nets ? 0 : original.num_pins())
+            << ext << " " << cut;
+      } catch (const std::runtime_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << ext << " cut at " << cut << ": " << e.what();
+      }
+    }
+    // The full file and cuts inside the trailing newline/last number parse.
+    EXPECT_GE(parsed, 1u) << ext;
+    EXPECT_LT(parsed, full.size() / 4) << ext;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

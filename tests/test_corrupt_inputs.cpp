@@ -89,7 +89,8 @@ TEST(CorruptCorpus, BookshelfFamiliesThrowDefinedErrors) {
   const char* families[] = {
       "bookshelf_missing_nodes", "bookshelf_empty_aux",
       "bookshelf_bad_number",    "bookshelf_dangling_pin",
-      "bookshelf_bad_pl",
+      "bookshelf_bad_pl",        "bookshelf_trailing_junk",
+      "bookshelf_nonfinite",
   };
   for (const char* fam : families) {
     const std::string aux = corpus(std::string(fam) + "/d.aux");
