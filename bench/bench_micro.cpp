@@ -48,50 +48,77 @@ BENCHMARK(BM_Hpwl)->Arg(2000)->Arg(8000)->Arg(32000);
 void BM_B2bBuild(benchmark::State& state) {
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const Placement p = nl.snapshot();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(build_b2b(nl, p, Axis::X, {}));
+  std::vector<PinSpring> springs;
+  for (auto _ : state) {
+    build_b2b(nl, p, Axis::X, {}, springs);
+    benchmark::DoNotOptimize(springs.data());
+  }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_pins()));
 }
 BENCHMARK(BM_B2bBuild)->Arg(2000)->Arg(8000)->Arg(32000);
 
 void BM_QpSolve(benchmark::State& state) {
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
-  const VarMap vars(nl);
-  Placement p = nl.snapshot();
-  QpOptions opts;
-  opts.b2b.min_separation = nl.average_movable_width();
-  for (auto _ : state) solve_qp_iteration(nl, vars, p, nullptr, opts);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nl.num_movable()));
-}
-BENCHMARK(BM_QpSolve)->Arg(2000)->Arg(8000)->Arg(32000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_QpSolveWorkspace(benchmark::State& state) {
-  // Same per-iteration work as BM_QpSolve, but through the placer's
-  // iteration-persistent workspace: stamp/CSR/PCG/spring buffers survive
-  // across iterations.
+  // One primal step (B2B, stamping, CSR build, PCG on both axes) through
+  // the placer's iteration-persistent workspace.
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const VarMap vars(nl);
   Placement p = nl.snapshot();
   QpOptions opts;
   opts.b2b.min_separation = nl.average_movable_width();
   QpWorkspace ws;
-  for (auto _ : state) solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
+  for (auto _ : state) solve_qp_iteration(nl, vars, p, nullptr, opts, ws);
   state.counters["assembly_s"] = ws.stats.assembly_s;
   state.counters["solve_s"] = ws.stats.solve_s;
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_movable()));
 }
-BENCHMARK(BM_QpSolveWorkspace)->Arg(2000)->Arg(8000)->Arg(32000)
+BENCHMARK(BM_QpSolve)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond);
+
+/// The x-axis B2B system of a generated design at its initial placement:
+/// the matrix and right-hand side of a real primal step.
+CsrMatrix placement_system(const Netlist& nl, Vec* rhs = nullptr) {
+  const VarMap vars(nl);
+  const Placement snap = nl.snapshot();
+  SystemBuilder builder(nl, vars, Axis::X, snap);
+  std::vector<PinSpring> springs;
+  build_b2b(nl, snap, Axis::X, {}, springs);
+  builder.add_pin_springs(springs);
+  if (rhs) *rhs = builder.rhs();
+  return builder.build_matrix();
+}
+
+void BM_Pcg(benchmark::State& state) {
+  // 50 PCG iterations on warm buffers (the tolerance is never met), so the
+  // time per call is the loop's cost alone: SpMV and the vector passes.
+  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
+  Vec rhs;
+  const CsrMatrix A = placement_system(nl, &rhs);
+  CgOptions opts;
+  opts.rel_tolerance = 1e-30;
+  opts.max_iterations = 50;
+  CgWorkspace ws;
+  Vec x;
+  for (auto _ : state) {
+    x.assign(A.dim(), 0.0);
+    benchmark::DoNotOptimize(solve_pcg(A, rhs, x, opts, ws));
+  }
+  state.counters["nnz"] = static_cast<double>(A.nnz());
+  state.SetItemsProcessed(state.iterations() * 50 *
+                          static_cast<int64_t>(A.nnz()));
+}
+BENCHMARK(BM_Pcg)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_CsrAssembly(benchmark::State& state) {
   // Per-axis system build of the primal step on warm buffers: stamp a
-  // placement-shaped system (chain + random springs + anchor diagonal,
-  // ~8 nnz per variable) and build its CSR matrix.
+  // system and build its CSR matrix. Range 0 is the variable count. Range
+  // 1 picks the shape: 0 is a flat placement (chain, 2n random springs and
+  // an anchor diagonal, ~8 nnz per variable); 1 is a coarse multilevel
+  // level (20 springs per variable, each to one of the next 8 variables,
+  // so most springs repeat an earlier pair and rows are long).
   const size_t n = static_cast<size_t>(state.range(0));
+  const bool coarse = state.range(1) == 1;
   struct Spring {
     size_t i, j;
     double w;
@@ -100,14 +127,16 @@ void BM_CsrAssembly(benchmark::State& state) {
   std::vector<Spring> springs;
   for (size_t i = 0; i + 1 < n; ++i)
     springs.push_back({i, i + 1, rng.uniform(0.5, 2.0)});
-  for (size_t k = 0; k < 2 * n; ++k) {
-    const size_t i = rng.uniform_index(n), j = rng.uniform_index(n);
+  for (size_t k = 0; k < (coarse ? 19 : 2) * n; ++k) {
+    const size_t i = rng.uniform_index(n);
+    const size_t j = coarse ? (i + 1 + rng.uniform_index(8)) % n
+                            : rng.uniform_index(n);
     if (i != j) springs.push_back({i, j, rng.uniform(0.1, 1.0)});
   }
   Vec anchor(n);
   for (double& a : anchor) a = rng.uniform(0.01, 0.5);
 
-  TripletList t(n);
+  StampStore t(n);
   CsrMatrix m;
   CsrBuildScratch scratch;
   for (auto _ : state) {
@@ -122,7 +151,12 @@ void BM_CsrAssembly(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(springs.size()));
 }
-BENCHMARK(BM_CsrAssembly)->Arg(2000)->Arg(8000)->Arg(32000);
+BENCHMARK(BM_CsrAssembly)
+    ->Args({2000, 0})
+    ->Args({8000, 0})
+    ->Args({32000, 0})
+    ->Args({2000, 1})
+    ->Args({6000, 1});
 
 void BM_DensityBuild(benchmark::State& state) {
   const Netlist nl = make_circuit(8000);
@@ -384,13 +418,7 @@ const Netlist& big_circuit() {
 
 void BM_SpMVThreads(benchmark::State& state) {
   const Netlist& nl = big_circuit();
-  static const CsrMatrix A = [&] {
-    const VarMap vars(nl);
-    const Placement snap = nl.snapshot();
-    SystemBuilder builder(nl, vars, Axis::X, snap);
-    builder.add_pin_springs(build_b2b(nl, snap, Axis::X, {}));
-    return builder.build_matrix();
-  }();
+  static const CsrMatrix A = placement_system(nl);
   set_global_threads(static_cast<size_t>(state.range(0)));
   Vec x(A.dim(), 1.0), y;
   for (auto _ : state) {
@@ -431,8 +459,11 @@ void BM_B2bBuildThreads(benchmark::State& state) {
   const Netlist& nl = big_circuit();
   const Placement p = nl.snapshot();
   set_global_threads(static_cast<size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(build_b2b(nl, p, Axis::X, {}));
+  std::vector<PinSpring> springs;
+  for (auto _ : state) {
+    build_b2b(nl, p, Axis::X, {}, springs);
+    benchmark::DoNotOptimize(springs.data());
+  }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_pins()));
   set_global_threads(0);

@@ -103,9 +103,11 @@ FastPlaceResult FastPlaceStylePlacer::place() {
     }
   }
   const VarMap vars(nl_);
+  QpWorkspace qp_ws;
 
   // Initial wirelength-only iterations.
-  for (int i = 0; i < 3; ++i) solve_qp_iteration(nl_, vars, p, nullptr, cfg_.qp);
+  for (int i = 0; i < 3; ++i)
+    solve_qp_iteration(nl_, vars, p, nullptr, cfg_.qp, qp_ws);
 
   const double gamma = nl_.target_density();
   AnchorSet anchors(nl_.num_cells());
@@ -139,7 +141,7 @@ FastPlaceResult FastPlaceStylePlacer::place() {
       anchors.weight_x[id] = w;
       anchors.weight_y[id] = w;
     }
-    solve_qp_iteration(nl_, vars, p, &anchors, cfg_.qp);
+    solve_qp_iteration(nl_, vars, p, &anchors, cfg_.qp, qp_ws);
   }
 
   result.placement = std::move(p);

@@ -243,7 +243,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
     QpOptions opts = qp_opts;
     opts.cg.inject_breakdown = inject_breakdown;
     const QpIterationResult qr =
-        solve_qp_iteration(nl_, vars, p, anchors, opts, &qp_ws);
+        solve_qp_iteration(nl_, vars, p, anchors, opts, qp_ws);
     result.solver.add(qr.cg_x);
     result.solver.add(qr.cg_y);
     if (!qr.fully_converged())

@@ -4,8 +4,53 @@
 #include <stdexcept>
 
 #include "util/fpcmp.h"
+#include "util/parallel.h"
 
 namespace complx {
+
+namespace {
+
+/// Runs body(block, begin, end) over the fixed kReduceChunk blocks of
+/// [0, n); a block's partial sums depend on n only, never on the threads.
+template <typename Body>
+void for_blocks(size_t n, const Body& body) {
+  parallel_for(
+      n,
+      [&](size_t begin, size_t end) { body(begin / kReduceChunk, begin, end); },
+      kReduceChunk);
+}
+
+/// Adds the block partials in block order — parallel_sum's addition
+/// sequence, so a fused reduction has the bits of the dot() it replaces.
+double block_sum(const Vec& part) {
+  if (part.size() == 1) return part[0];
+  double s = 0.0;
+  for (double v : part) s += v;
+  return s;
+}
+
+/// out = (A + shift·I) in; returns in·out.
+double shifted_multiply_dot(const CsrMatrix& A, double shift, const Vec& in,
+                            Vec& out, Vec& part) {
+  const size_t* row_ptr = A.row_ptr().data();
+  const uint32_t* col = A.col().data();
+  const double* val = A.val().data();
+  for_blocks(in.size(), [&](size_t block, size_t begin, size_t end) {
+    double dot_in_out = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      double s = 0.0;
+      for (size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k)
+        s += val[k] * in[col[k]];
+      if (shift > 0.0) s += shift * in[i];
+      out[i] = s;
+      dot_in_out += in[i] * s;
+    }
+    part[block] = dot_in_out;
+  });
+  return block_sum(part);
+}
+
+}  // namespace
 
 CgResult solve_pcg(const CsrMatrix& A, const Vec& b, Vec& x,
                    const CgOptions& opts) {
@@ -55,8 +100,11 @@ CgResult solve_pcg(const CsrMatrix& A, const Vec& b, Vec& x,
   z.resize(n);
   p.resize(n);
   Ap.resize(n);
-  A.multiply(x, Ap);
-  if (shift > 0.0) axpy(shift, x, Ap);
+  const size_t blocks = (n + kReduceChunk - 1) / kReduceChunk;
+  ws.pAp_part.resize(blocks);
+  ws.rz_part.resize(blocks);
+  ws.rr_part.resize(blocks);
+  shifted_multiply_dot(A, shift, x, Ap, ws.pAp_part);
   for (size_t i = 0; i < n; ++i) r[i] = b[i] - Ap[i];
   for (size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
   p = z;
@@ -66,6 +114,11 @@ CgResult solve_pcg(const CsrMatrix& A, const Vec& b, Vec& x,
       opts.max_iterations ? opts.max_iterations : 4 * n + 16;
   const double tol = opts.rel_tolerance * b_norm;
 
+  // Three passes per iteration: SpMV fused with p·Ap; the x, r and z
+  // updates fused with r·z and r·r; the direction update. Every value and
+  // every reduction order is that of the textbook loop (SpMV, dot, two
+  // axpys, z, dot, xpay, norm2), so the fusion changes no bits.
+  //
   // The residual norm is computed once per iteration (after the update) and
   // carried into both the convergence test and the reported result, so
   // result.iterations / result.residual_norm always describe the same
@@ -73,22 +126,31 @@ CgResult solve_pcg(const CsrMatrix& A, const Vec& b, Vec& x,
   double r_norm = norm2(r);
   size_t it = 0;
   for (; it < max_iter && r_norm > tol; ++it) {
-    A.multiply(p, Ap);
-    if (shift > 0.0) axpy(shift, p, Ap);
-    const double pAp = dot(p, Ap);
+    const double pAp = shifted_multiply_dot(A, shift, p, Ap, ws.pAp_part);
     if (pAp <= 0.0) {  // not SPD (or numerical breakdown)
       result.breakdown = true;
       break;
     }
     const double alpha = rz / pAp;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    for (size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
-    const double rz_next = dot(r, z);
+    for_blocks(n, [&](size_t block, size_t begin, size_t end) {
+      double rz_block = 0.0, rr_block = 0.0;
+      for (size_t i = begin; i < end; ++i) {
+        x[i] += alpha * p[i];
+        r[i] += -alpha * Ap[i];
+        z[i] = inv_diag[i] * r[i];
+        rz_block += r[i] * z[i];
+        rr_block += r[i] * r[i];
+      }
+      ws.rz_part[block] = rz_block;
+      ws.rr_part[block] = rr_block;
+    });
+    const double rz_next = block_sum(ws.rz_part);
     const double beta = rz_next / rz;
     rz = rz_next;
-    xpay(z, beta, p);  // p = z + beta * p
-    r_norm = norm2(r);
+    parallel_for(n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) p[i] = beta * p[i] + z[i];
+    });
+    r_norm = std::sqrt(block_sum(ws.rr_part));
   }
   result.iterations = it;
   result.residual_norm = r_norm;

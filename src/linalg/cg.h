@@ -15,7 +15,7 @@ namespace complx {
 
 struct CgOptions {
   double rel_tolerance = 1e-6;  ///< stop when ||r|| <= rel_tolerance * ||b||
-  size_t max_iterations = 0;    ///< 0 means 4 * dim
+  size_t max_iterations = 0;    ///< 0 means 4 * dim + 16
   /// Tikhonov shift: solves (A + diag_shift·I) x = b. The recovery policy
   /// raises it on repeated breakdown to restore positive definiteness of a
   /// numerically indefinite system; 0 (the default) changes nothing.
@@ -35,13 +35,14 @@ struct CgResult {
   bool breakdown = false;
 };
 
-/// Persistent scratch for solve_pcg. The residual/direction vectors and
-/// the Jacobi diagonal are plain members reused across calls: once warm
-/// (sized by a first solve of the same dimension), a steady-state solve
-/// performs zero heap allocations — asserted by the allocation-counting
-/// test in test_linalg.
+/// Persistent scratch for solve_pcg. The residual/direction vectors, the
+/// Jacobi diagonal and the per-block reduction partials are plain members
+/// reused across calls: once warm (sized by a first solve of the same
+/// dimension), a steady-state solve performs zero heap allocations —
+/// asserted by the allocation-counting test in test_linalg.
 struct CgWorkspace {
   Vec r, z, p, Ap, inv_diag;
+  Vec pAp_part, rz_part, rr_part;  ///< one partial per kReduceChunk block
 };
 
 /// Solves A x = b in place (x is the initial guess on entry, solution on

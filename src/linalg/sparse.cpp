@@ -9,112 +9,97 @@
 
 namespace complx {
 
-namespace {
-
-using Slot = CsrBuildScratch::Slot;
-
-uint32_t col_of(const Slot& s) { return static_cast<uint32_t>(s.key >> 32); }
-
-}  // namespace
-
-TripletList::TripletList(size_t n) : n_(n) {
+StampStore::StampStore(size_t n) : n_(n) {
   if (n > std::numeric_limits<uint32_t>::max())
     throw std::invalid_argument("matrix dimension exceeds 32-bit indices");
   diag_.resize(n);
   has_diag_.resize(n);
 }
 
-void TripletList::clear() {
+void StampStore::clear() {
   std::fill(has_diag_.begin(), has_diag_.end(), uint8_t{0});
   edges_.clear();
 }
 
-CsrMatrix CsrMatrix::from_triplets(const TripletList& t) {
+CsrMatrix CsrMatrix::from_stamps(const StampStore& t) {
   CsrMatrix m;
   CsrBuildScratch scratch;
   build_csr(t, m, scratch);
   return m;
 }
 
-void build_csr(const TripletList& t, CsrMatrix& m, CsrBuildScratch& scratch) {
+void build_csr(const StampStore& t, CsrMatrix& m, CsrBuildScratch& scratch) {
   const size_t n = t.n_;
+  const std::vector<StampStore::Edge>& edges = t.edges_;
+  if (edges.size() > std::numeric_limits<uint32_t>::max())
+    throw std::length_error("too many springs for 32-bit spring indices");
   std::vector<size_t>& start = scratch.start;
   std::vector<size_t>& fill = scratch.fill;
-  std::vector<Slot>& slots = scratch.slots;
+  std::vector<uint32_t>& incident = scratch.incident;
 
-  const std::vector<TripletList::Edge>& edges = t.edges_;
-  if (edges.size() > std::numeric_limits<uint32_t>::max())
-    throw std::length_error("too many springs for 32-bit slot keys");
-
-  // Counting pass: each spring owns one slot in the row of either end.
+  // Row r owns slots [start[r], start[r + 1]) of the CSR arrays: one per
+  // spring at r plus one spare for the diagonal. Its springs are bucketed
+  // at incident[start[r] - r ...], which has no spare slot.
   start.assign(n + 1, 0);
-  for (const TripletList::Edge& e : edges) {
+  for (const StampStore::Edge& e : edges) {
     ++start[e.i + 1];
     ++start[e.j + 1];
   }
-  for (size_t i = 0; i < n; ++i) start[i + 1] += start[i];
+  for (size_t r = 0; r < n; ++r) start[r + 1] += start[r] + 1;
 
-  // Scatter pass (serial): every row receives its slots in arrival order.
-  fill.assign(start.begin(), start.end() - 1);
-  slots.resize(start[n]);
+  // Bucket the springs by row, each bucket in arrival order.
+  fill.resize(n);
+  for (size_t r = 0; r < n; ++r) fill[r] = start[r] - r;
+  incident.resize(start[n] - n);
   for (size_t k = 0; k < edges.size(); ++k) {
-    const TripletList::Edge& e = edges[k];
-    slots[fill[e.i]++] = {uint64_t{e.j} << 32 | k, -e.w};
-    slots[fill[e.j]++] = {uint64_t{e.i} << 32 | k, -e.w};
+    incident[fill[edges[k].i]++] = static_cast<uint32_t>(k);
+    incident[fill[edges[k].j]++] = static_cast<uint32_t>(k);
   }
 
-  // Row pass A (row-parallel): sort each row by column and merge duplicate
-  // columns in place — the first contribution is an assignment, the rest
-  // are added in arrival order. Keys are unique within a row (a spring has
-  // one slot per row), so std::sort keeps equal columns in arrival order
-  // and needs no temporary buffer. fill[i] becomes the merged length.
-  parallel_for(n, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      Slot* row = slots.data() + start[i];
-      const size_t len = start[i + 1] - start[i];
-      std::sort(row, row + len,
-                [](const Slot& a, const Slot& b) { return a.key < b.key; });
-      size_t out = 0;
-      for (size_t k = 0; k < len; ++k) {
-        if (out > 0 && col_of(row[out - 1]) == col_of(row[k]))
-          row[out - 1].val += row[k].val;
-        else
-          row[out++] = row[k];
-      }
-      fill[i] = out;
+  // Walk the buckets in row order c and append (c, -w) to the other end's
+  // row: each row receives its entries sorted by column, equal columns in
+  // arrival order, and merges them as they arrive — the first assigned, the
+  // rest added. The diagonal goes in when c reaches its own row.
+  m.col_.resize(start[n]);
+  m.val_.resize(start[n]);
+  m.diag_.resize(n);
+  uint32_t* col = m.col_.data();
+  double* val = m.val_.data();
+  fill.assign(start.begin(), start.end() - 1);
+  for (size_t c = 0; c < n; ++c) {
+    m.diag_[c] = 0.0;
+    if (t.has_diag_[c]) {
+      m.diag_[c] = t.diag_[c];
+      col[fill[c]] = static_cast<uint32_t>(c);
+      val[fill[c]++] = t.diag_[c];
     }
-  });
+    for (size_t s = start[c] - c; s < start[c + 1] - c - 1; ++s) {
+      const StampStore::Edge& e = edges[incident[s]];
+      const size_t r = e.i ^ e.j ^ c;
+      const double v = -e.w;
+      size_t& out = fill[r];
+      if (out > start[r] && col[out - 1] == c) {
+        val[out - 1] += v;
+      } else {
+        col[out] = static_cast<uint32_t>(c);
+        val[out++] = v;
+      }
+    }
+  }
 
+  // Compact the rows forward over the unused slots.
   m.row_ptr_.resize(n + 1);
   m.row_ptr_[0] = 0;
-  for (size_t i = 0; i < n; ++i)
-    m.row_ptr_[i + 1] = m.row_ptr_[i] + fill[i] + t.has_diag_[i];
-  m.col_.resize(m.row_ptr_[n]);
-  m.val_.resize(m.row_ptr_[n]);
-
-  // Row pass B (row-parallel): copy the merged off-diagonals and insert the
-  // diagonal at its column.
-  parallel_for(n, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      const Slot* row = slots.data() + start[i];
-      const size_t len = fill[i];
-      size_t out = m.row_ptr_[i];
-      size_t k = 0;
-      for (; k < len && col_of(row[k]) < i; ++k, ++out) {
-        m.col_[out] = col_of(row[k]);
-        m.val_[out] = row[k].val;
-      }
-      if (t.has_diag_[i]) {
-        m.col_[out] = i;
-        m.val_[out] = t.diag_[i];
-        ++out;
-      }
-      for (; k < len; ++k, ++out) {
-        m.col_[out] = col_of(row[k]);
-        m.val_[out] = row[k].val;
-      }
+  size_t nnz = 0;
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t k = start[r]; k < fill[r]; ++k, ++nnz) {
+      col[nnz] = col[k];
+      val[nnz] = val[k];
     }
-  });
+    m.row_ptr_[r + 1] = nnz;
+  }
+  m.col_.resize(nnz);
+  m.val_.resize(nnz);
 }
 
 void CsrMatrix::multiply(const Vec& x, Vec& y) const {
@@ -131,20 +116,6 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
       y[i] = s;
     }
   });
-}
-
-Vec CsrMatrix::diagonal() const {
-  Vec d;
-  diagonal_into(d);
-  return d;
-}
-
-void CsrMatrix::diagonal_into(Vec& d) const {
-  const size_t n = dim();
-  d.assign(n, 0.0);
-  for (size_t i = 0; i < n; ++i)
-    for (size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k)
-      if (col_[k] == i) d[i] = val_[k];
 }
 
 double CsrMatrix::at(size_t i, size_t j) const {

@@ -1,10 +1,10 @@
 // Sparse symmetric-positive-definite matrix support for quadratic placement.
 //
 // The placer stamps the connectivity Laplacian plus anchor diagonal into a
-// TripletList (duplicates allowed, summed on conversion), then builds CSR
-// once per placement iteration for the CG solve. Only the operations the
-// placer needs are implemented: stamping, CSR build, SpMV, diagonal
-// extraction.
+// StampStore (a dense diagonal and one edge per spring), then builds CSR
+// straight from it once per placement iteration for the CG solve. Only the
+// operations the placer needs are implemented: stamping, CSR build, SpMV,
+// diagonal extraction.
 #pragma once
 
 #include <cstddef>
@@ -26,11 +26,11 @@ struct CsrBuildScratch;
 /// each spring is kept as one compact (i, j, w) edge. Duplicates are summed
 /// in arrival order, so net-model code can stamp one spring per net edge
 /// without pre-merging. Indices are range-checked when stamped.
-class TripletList {
+class StampStore {
  public:
   /// Throws std::invalid_argument when n does not fit the 32-bit edge
   /// indices.
-  explicit TripletList(size_t n);
+  explicit StampStore(size_t n);
 
   size_t dim() const { return n_; }
 
@@ -58,7 +58,7 @@ class TripletList {
   void clear();
 
  private:
-  friend void build_csr(const TripletList& t, CsrMatrix& m,
+  friend void build_csr(const StampStore& t, CsrMatrix& m,
                         CsrBuildScratch& scratch);
 
   struct Edge {
@@ -81,15 +81,15 @@ class TripletList {
   std::vector<Edge> edges_;        ///< springs in arrival order
 };
 
-/// Compressed-sparse-row matrix (square), built from a TripletList by
-/// build_csr(); immutable afterwards.
+/// Compressed-sparse-row matrix (square), built from a StampStore by
+/// build_csr(); immutable afterwards. Columns are 32-bit, as StampStore
+/// caps the dimension there.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Builds CSR from a stamp store, summing duplicates. O(nnz + n) plus the
-  /// per-row column sort.
-  static CsrMatrix from_triplets(const TripletList& t);
+  /// Builds CSR from a stamp store, summing duplicates. O(nnz + n).
+  static CsrMatrix from_stamps(const StampStore& t);
 
   size_t dim() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   size_t nnz() const { return col_.size(); }
@@ -98,43 +98,40 @@ class CsrMatrix {
   void multiply(const Vec& x, Vec& y) const;
 
   /// Returns the diagonal of A (for Jacobi preconditioning).
-  Vec diagonal() const;
+  Vec diagonal() const { return diag_; }
 
   /// Writes the diagonal into `d` (resized to dim()). Buffer-reusing form
-  /// of diagonal() — no allocation when d already has the capacity.
-  void diagonal_into(Vec& d) const;
+  /// of diagonal(), O(n): the build keeps the diagonal.
+  void diagonal_into(Vec& d) const { d.assign(diag_.begin(), diag_.end()); }
 
-  /// Max |A[i][j] - A[j][i]| over sampled entries — exact symmetry check
-  /// used by tests (O(nnz log) via lookups).
+  /// Max |A[i][j] - A[j][i]| over every stored entry — exact symmetry
+  /// check used by tests (O(nnz log) via lookups).
   double symmetry_error() const;
 
   const std::vector<size_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<size_t>& col() const { return col_; }
+  const std::vector<uint32_t>& col() const { return col_; }
   const std::vector<double>& val() const { return val_; }
 
   /// A[i][j] by binary search over row i (0 when absent).
   double at(size_t i, size_t j) const;
 
  private:
-  friend void build_csr(const TripletList& t, CsrMatrix& m,
+  friend void build_csr(const StampStore& t, CsrMatrix& m,
                         CsrBuildScratch& scratch);
 
   std::vector<size_t> row_ptr_;
-  std::vector<size_t> col_;
+  std::vector<uint32_t> col_;
   std::vector<double> val_;
+  Vec diag_;  ///< A[i][i], +0.0 where row i has no diagonal entry
 };
 
 /// Buffers of build_csr(), kept by the caller so that repeated builds stop
 /// allocating once the buffers have grown. The contents are build_csr's
 /// business.
 struct CsrBuildScratch {
-  struct Slot {
-    uint64_t key;  ///< column << 32 | arrival index of the spring
-    double val;
-  };
-  std::vector<size_t> start;  ///< off-diagonal slot offsets per row (n+1)
-  std::vector<size_t> fill;   ///< scatter cursors, then merged row lengths
-  std::vector<Slot> slots;    ///< off-diagonal slots, grouped by row
+  std::vector<size_t> start;       ///< per-row slot offsets (n+1)
+  std::vector<size_t> fill;        ///< per-row cursors
+  std::vector<uint32_t> incident;  ///< spring indices, grouped by row
 };
 
 /// Builds `t` into `m`, reusing the capacity of `m` and `scratch`.
@@ -142,8 +139,9 @@ struct CsrBuildScratch {
 /// Every entry is the sum of its contributions in arrival order, the first
 /// one assigned: the diagonal comes from the dense stamp, each off-diagonal
 /// (i, j) from the springs between i and j in the order they were stamped.
-/// Rows are sorted and merged row-parallel, each row by exactly one chunk,
-/// so the result is bitwise independent of the thread count.
-void build_csr(const TripletList& t, CsrMatrix& m, CsrBuildScratch& scratch);
+/// The build is serial and sorts nothing: the springs are bucketed by row
+/// in arrival order, and walking those buckets in row order hands every
+/// neighbour row its entries already sorted by column.
+void build_csr(const StampStore& t, CsrMatrix& m, CsrBuildScratch& scratch);
 
 }  // namespace complx

@@ -41,17 +41,17 @@ struct QpIterationResult {
   bool fully_converged() const { return cg_x.converged && cg_y.converged; }
 };
 
-/// Instrumentation of the workspace path, accumulated across iterations.
+/// Instrumentation of solve_qp_iteration, accumulated across iterations.
 struct QpWorkspaceStats {
-  size_t iterations = 0;    ///< solve_qp_iteration calls with a workspace
+  size_t iterations = 0;    ///< solve_qp_iteration calls
   double assembly_s = 0.0;  ///< net model + stamping + CSR build
   double solve_s = 0.0;     ///< PCG wall time
 };
 
 /// Iteration-persistent state for solve_qp_iteration.
 ///
-/// Lifecycle: the placer owns one QpWorkspace for the whole run and passes
-/// it to every primal step. First use allocates and binds the per-axis
+/// Lifecycle: every caller owns one QpWorkspace for its whole run and
+/// passes it to every primal step. First use allocates and binds the per-axis
 /// builders; subsequent iterations reuse every buffer (stamp store, CSR
 /// matrix and build scratch, PCG scratch, spring lists, the frozen
 /// linearization-point copy). Nothing numeric is cached: every iteration
@@ -70,12 +70,11 @@ struct QpWorkspace {
 };
 
 /// Solves min Φ_Q(x, y) (+ anchor penalties) linearized at `p`, writing the
-/// minimizer back into `p`. With `ws` non-null, all per-iteration buffers
-/// come from the workspace and `ws->stats` is updated; the result is
-/// bitwise identical to the workspace-free call.
+/// minimizer back into `p`. All per-iteration buffers come from `ws`, and
+/// `ws.stats` is updated. The workspace carries no numeric state between
+/// calls: the result depends on the arguments only.
 QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
                                      Placement& p, const AnchorSet* anchors,
-                                     const QpOptions& opts,
-                                     QpWorkspace* ws = nullptr);
+                                     const QpOptions& opts, QpWorkspace& ws);
 
 }  // namespace complx

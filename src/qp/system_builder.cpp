@@ -17,7 +17,7 @@ SystemBuilder::SystemBuilder(const Netlist& nl, const VarMap& vars, Axis axis,
       vars_(vars),
       axis_(axis),
       point_(&linearization_point),
-      trip_(vars.num_vars()),
+      stamps_(vars.num_vars()),
       rhs_(vars.num_vars(), 0.0) {
   const NetlistView v = nl.view();
   pin_cell_ = v.pin_cell;
@@ -26,7 +26,7 @@ SystemBuilder::SystemBuilder(const Netlist& nl, const VarMap& vars, Axis axis,
 
 void SystemBuilder::reset(const Placement& linearization_point) {
   point_ = &linearization_point;
-  trip_.clear();  // keeps capacity
+  stamps_.clear();  // keeps capacity
   rhs_.assign(vars_.num_vars(), 0.0);
 }
 
@@ -45,14 +45,14 @@ void SystemBuilder::add_pin_springs(const std::vector<PinSpring>& springs) {
 
     if (va != VarMap::kFixed && vb != VarMap::kFixed) {
       if (va == vb) continue;  // net touches the same cell twice: no force
-      trip_.add_spring(va, vb, s.weight);
+      stamps_.add_spring(va, vb, s.weight);
       rhs_[va] += s.weight * (ob - oa);
       rhs_[vb] += s.weight * (oa - ob);
     } else if (va != VarMap::kFixed) {
-      trip_.add_diag(va, s.weight);
+      stamps_.add_diag(va, s.weight);
       rhs_[va] += s.weight * (pin_coord(s.q) - oa);
     } else if (vb != VarMap::kFixed) {
-      trip_.add_diag(vb, s.weight);
+      stamps_.add_diag(vb, s.weight);
       rhs_[vb] += s.weight * (pin_coord(s.p) - ob);
     }
   }
@@ -63,7 +63,7 @@ void SystemBuilder::add_star_springs(const std::vector<StarSpring>& springs) {
     const CellId c = pin_cell_[s.p];
     const size_t v = vars_.var_of_cell[c];
     if (v == VarMap::kFixed) continue;
-    trip_.add_diag(v, s.weight);
+    stamps_.add_diag(v, s.weight);
     rhs_[v] += s.weight * (s.center - pin_offset(s.p));
   }
 }
@@ -71,33 +71,18 @@ void SystemBuilder::add_star_springs(const std::vector<StarSpring>& springs) {
 void SystemBuilder::add_anchor(CellId c, double target, double weight) {
   const size_t v = vars_.var_of_cell[c];
   if (v == VarMap::kFixed || weight <= 0.0) return;
-  trip_.add_diag(v, weight);
+  stamps_.add_diag(v, weight);
   rhs_[v] += weight * target;
-}
-
-CgResult SystemBuilder::solve(Placement& p, const CgOptions& opts) const {
-  const CsrMatrix A = CsrMatrix::from_triplets(trip_);
-  Vec& coords = axis_ == Axis::X ? p.x : p.y;
-
-  // Warm start from the current iterate: quadratic placement changes little
-  // between relinearizations, which saves most CG iterations.
-  Vec x(vars_.num_vars());
-  for (size_t v = 0; v < vars_.num_vars(); ++v)
-    x[v] = coords[vars_.cell_of_var[v]];
-
-  const CgResult res = solve_pcg(A, rhs_, x, opts);
-  for (size_t v = 0; v < vars_.num_vars(); ++v)
-    coords[vars_.cell_of_var[v]] = x[v];
-  return res;
 }
 
 CgResult SystemBuilder::solve(Placement& p, const CgOptions& opts,
                               SolveWorkspace& ws) const {
-  // Precondition: assemble(ws) ran after the last stamping call — the
-  // split exists so the caller can time assembly and solve separately.
+  // Precondition: assemble(ws) ran after the last stamping call.
   const CsrMatrix& A = ws.A;
   Vec& coords = axis_ == Axis::X ? p.x : p.y;
 
+  // Warm start from the current iterate: quadratic placement changes little
+  // between relinearizations, which saves most CG iterations.
   ws.x.resize(vars_.num_vars());
   for (size_t v = 0; v < vars_.num_vars(); ++v)
     ws.x[v] = coords[vars_.cell_of_var[v]];

@@ -33,10 +33,10 @@ struct VarMap {
   size_t num_vars() const { return cell_of_var.size(); }
 };
 
-/// Per-axis persistent numeric state for the workspace solve path: the CSR
-/// matrix with its build scratch, the PCG scratch vectors, and the movable-
-/// coordinate gather buffer. Owned by QpWorkspace and reused every
-/// iteration; the matrix is rebuilt from the fresh stamps each call.
+/// Per-axis persistent numeric state of the solve: the CSR matrix with its
+/// build scratch, the PCG scratch vectors, and the movable-coordinate
+/// gather buffer. Owned by QpWorkspace and reused every iteration; the
+/// matrix is rebuilt from the fresh stamps each call.
 struct SolveWorkspace {
   CsrMatrix A;
   CsrBuildScratch csr;
@@ -65,19 +65,15 @@ class SystemBuilder {
   /// Pseudonet from movable cell `c` to fixed coordinate `target`.
   void add_anchor(CellId c, double target, double weight);
 
-  /// Finalizes the matrix and solves; the solution is scattered back into
-  /// the axis coordinates of `p` for movable cells.
-  CgResult solve(Placement& p, const CgOptions& opts = {}) const;
-
-  /// Workspace path, split so callers can time assembly and solve
-  /// separately: assemble() builds the CSR matrix into the workspace,
-  /// solve() then runs PCG out of the workspace buffers. Bitwise identical
-  /// to the one-shot solve() above.
-  void assemble(SolveWorkspace& ws) const { build_csr(trip_, ws.A, ws.csr); }
+  /// assemble() builds the CSR matrix into the workspace; solve() then runs
+  /// PCG out of the workspace buffers and scatters the solution back into
+  /// the axis coordinates of `p` for movable cells. They are split so that
+  /// callers can time assembly and solve separately.
+  void assemble(SolveWorkspace& ws) const { build_csr(stamps_, ws.A, ws.csr); }
   CgResult solve(Placement& p, const CgOptions& opts, SolveWorkspace& ws) const;
 
   /// Exposed for tests: the assembled matrix and RHS.
-  CsrMatrix build_matrix() const { return CsrMatrix::from_triplets(trip_); }
+  CsrMatrix build_matrix() const { return CsrMatrix::from_stamps(stamps_); }
   const Vec& rhs() const { return rhs_; }
 
  private:
@@ -92,7 +88,7 @@ class SystemBuilder {
   const CellId* pin_cell_;
   const double* pin_off_;
   const Placement* point_;  ///< current linearization point (rebindable)
-  TripletList trip_;
+  StampStore stamps_;
   Vec rhs_;
 };
 

@@ -9,7 +9,13 @@ namespace complx {
 
 namespace {
 
-/// Emits the B2B springs of nets [begin, end) into `springs` in net order.
+/// Springs a net of degree `deg` emits: the bound pair plus two per inner
+/// pin, or none for a skipped net.
+size_t springs_of(uint32_t deg, const B2bOptions& opts) {
+  return deg < 2 || deg > opts.max_degree ? 0 : 2 * size_t{deg} - 3;
+}
+
+/// Writes the B2B springs of nets [begin, end) to `out` in net order.
 /// Works on the netlist's raw-array view: per axis, the loop touches the
 /// position vector, the pin→cell array and ONE pin-offset array — the SoA
 /// payoff on multi-million-pin designs.
@@ -23,11 +29,11 @@ namespace {
 /// to the re-deriving loop.
 void build_b2b_range(const NetlistView& v, const double* pos,
                      const double* off, const B2bOptions& opts, size_t begin,
-                     size_t end, std::vector<PinSpring>& springs) {
+                     size_t end, PinSpring* out) {
   for (size_t e = begin; e < end; ++e) {
     const Net& net = v.nets[e];
     const uint32_t deg = net.num_pins;
-    if (deg < 2 || deg > opts.max_degree) continue;
+    if (springs_of(deg, opts) == 0) continue;
 
     // Locate the two bound pins on this axis.
     auto coord = [&](uint32_t k) { return pos[v.pin_cell[k]] + off[k]; };
@@ -55,7 +61,7 @@ void build_b2b_range(const NetlistView& v, const double* pos,
     const double scale = net.weight / static_cast<double>(deg - 1);
     auto emit = [&](uint32_t a, uint32_t b, double ca, double cb) {
       const double sep = std::max(std::abs(ca - cb), opts.min_separation);
-      springs.push_back({a, b, scale / sep});
+      *out++ = {a, b, scale / sep};
     };
 
     emit(lo, hi, lo_c, hi_c);
@@ -70,46 +76,32 @@ void build_b2b_range(const NetlistView& v, const double* pos,
 
 }  // namespace
 
-std::vector<PinSpring> build_b2b(const Netlist& nl, const Placement& p,
-                                 Axis axis, const B2bOptions& opts) {
-  std::vector<PinSpring> springs;
-  build_b2b(nl, p, axis, opts, springs);
-  return springs;
-}
-
 void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
                const B2bOptions& opts, std::vector<PinSpring>& springs) {
   const NetlistView v = nl.view();
   const double* pos = axis == Axis::X ? p.x.data() : p.y.data();
   const double* off = axis == Axis::X ? v.pin_dx : v.pin_dy;
   const size_t num_nets = v.num_nets;
-  const Partition part = partition_range(num_nets, 512, 64);
+  constexpr size_t kMaxBlocks = 64;
+  const Partition part = partition_range(num_nets, 512, kMaxBlocks);
 
-  springs.clear();
-  if (part.parts <= 1) {
-    springs.reserve(2 * v.num_pins);
-    build_b2b_range(v, pos, off, opts, 0, num_nets, springs);
-    return;
-  }
+  // A net's spring count follows from its degree alone, so every block
+  // knows where its springs start and writes them in place: the output is
+  // the exact spring sequence of the serial loop at any thread count, with
+  // no per-block buffers.
+  size_t block_start[kMaxBlocks + 1] = {};
+  for (size_t e = 0; e < num_nets; ++e)
+    block_start[e / part.chunk + 1] += springs_of(v.nets[e].num_pins, opts);
+  for (size_t b = 0; b < part.parts; ++b) block_start[b + 1] += block_start[b];
+  springs.resize(block_start[part.parts]);
 
-  // Per-block spring buffers built in parallel, concatenated in block
-  // order: the output is the exact spring sequence of the serial loop, so
-  // everything downstream (stamps, CSR, CG) is bitwise unchanged.
-  std::vector<std::vector<PinSpring>> blocks(part.parts);
   parallel_for(
       num_nets,
       [&](size_t begin, size_t end) {
-        std::vector<PinSpring>& out = blocks[begin / part.chunk];
-        out.reserve(3 * (end - begin));
-        build_b2b_range(v, pos, off, opts, begin, end, out);
+        build_b2b_range(v, pos, off, opts, begin, end,
+                        springs.data() + block_start[begin / part.chunk]);
       },
       part.chunk);
-
-  size_t total = 0;
-  for (const auto& blk : blocks) total += blk.size();
-  springs.reserve(total);
-  for (const auto& blk : blocks)
-    springs.insert(springs.end(), blk.begin(), blk.end());
 }
 
 }  // namespace complx

@@ -35,13 +35,10 @@ struct B2bOptions {
 };
 
 /// Builds the Bound2Bound spring list for one axis at linearization point
-/// `p`. Degenerate nets (degree < 2) produce nothing.
-std::vector<PinSpring> build_b2b(const Netlist& nl, const Placement& p,
-                                 Axis axis, const B2bOptions& opts);
-
-/// Buffer-reusing variant: clears and refills `out` (capacity survives, so
-/// the QP workspace builds each iteration's spring list allocation-free
-/// once warm). Same spring sequence as the value-returning form.
+/// `p` into `out`, in net order. Degenerate nets (degree < 2) produce
+/// nothing. `out` is overwritten in place, so a reused buffer makes the
+/// build allocation-free once warm; the sequence does not depend on the
+/// thread count.
 void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
                const B2bOptions& opts, std::vector<PinSpring>& out);
 

@@ -12,14 +12,6 @@ double pin_coord(const Netlist& nl, const Placement& p, PinId k, Axis axis) {
 }
 }  // namespace
 
-std::vector<PinSpring> build_clique(const Netlist& nl, const Placement& p,
-                                    Axis axis, const B2bOptions& opts,
-                                    uint32_t clique_max_degree) {
-  std::vector<PinSpring> springs;
-  build_clique(nl, p, axis, opts, springs, clique_max_degree);
-  return springs;
-}
-
 void build_clique(const Netlist& nl, const Placement& p, Axis axis,
                   const B2bOptions& opts, std::vector<PinSpring>& springs,
                   uint32_t clique_max_degree) {
@@ -61,13 +53,6 @@ void build_clique(const Netlist& nl, const Placement& p, Axis axis,
       }
     }
   }
-}
-
-std::vector<StarSpring> build_star(const Netlist& nl, const Placement& p,
-                                   Axis axis, const B2bOptions& opts) {
-  std::vector<StarSpring> springs;
-  build_star(nl, p, axis, opts, springs);
-  return springs;
 }
 
 void build_star(const Netlist& nl, const Placement& p, Axis axis,

@@ -12,13 +12,9 @@ namespace complx {
 
 /// Clique: every pin pair of a net, weight w_e / (P−1) per edge, linearized
 /// by the current pin separation like B2B (Sigl's GORDIAN-L linearization).
-/// Nets above `max_degree` are decomposed as stars instead to avoid the
-/// quadratic edge blow-up.
-std::vector<PinSpring> build_clique(const Netlist& nl, const Placement& p,
-                                    Axis axis, const B2bOptions& opts,
-                                    uint32_t clique_max_degree = 16);
-
-/// Buffer-reusing variant (clears and refills `out`; capacity survives).
+/// Nets above `clique_max_degree` are decomposed as chains instead to avoid
+/// the quadratic edge blow-up. Clears and refills `out` (capacity
+/// survives).
 void build_clique(const Netlist& nl, const Placement& p, Axis axis,
                   const B2bOptions& opts, std::vector<PinSpring>& out,
                   uint32_t clique_max_degree = 16);
@@ -34,10 +30,7 @@ struct StarSpring {
   double weight = 0.0;
 };
 
-std::vector<StarSpring> build_star(const Netlist& nl, const Placement& p,
-                                   Axis axis, const B2bOptions& opts);
-
-/// Buffer-reusing variant (clears and refills `out`; capacity survives).
+/// Clears and refills `out` (capacity survives).
 void build_star(const Netlist& nl, const Placement& p, Axis axis,
                 const B2bOptions& opts, std::vector<StarSpring>& out);
 

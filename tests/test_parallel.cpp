@@ -185,7 +185,9 @@ CsrMatrix placement_system(const Netlist& nl, Vec& rhs) {
   const VarMap vars(nl);
   const Placement snap = nl.snapshot();
   SystemBuilder builder(nl, vars, Axis::X, snap);
-  builder.add_pin_springs(build_b2b(nl, snap, Axis::X, {}));
+  std::vector<PinSpring> springs;
+  build_b2b(nl, snap, Axis::X, {}, springs);
+  builder.add_pin_springs(springs);
   rhs = builder.rhs();
   return builder.build_matrix();
 }
@@ -280,10 +282,11 @@ TEST(Determinism, B2bSpringsIdenticalAcrossThreads) {
   const Netlist nl = small_circuit(31, 8000);
   const Placement p = nl.snapshot();
   set_global_threads(1);
-  const std::vector<PinSpring> ref = build_b2b(nl, p, Axis::X, {});
+  std::vector<PinSpring> ref, got;
+  build_b2b(nl, p, Axis::X, {}, ref);
   for (size_t t : {2u, 8u}) {
     set_global_threads(t);
-    const std::vector<PinSpring> got = build_b2b(nl, p, Axis::X, {});
+    build_b2b(nl, p, Axis::X, {}, got);
     ASSERT_EQ(ref.size(), got.size());
     for (size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i].p, got[i].p) << i;
@@ -302,11 +305,13 @@ TEST(Determinism, QpIterationBitwiseAcrossThreads) {
 
   set_global_threads(1);
   Placement ref = nl.snapshot();
-  solve_qp_iteration(nl, vars, ref, nullptr, opts);
+  QpWorkspace ref_ws;
+  solve_qp_iteration(nl, vars, ref, nullptr, opts, ref_ws);
   for (size_t t : {2u, 8u}) {
     set_global_threads(t);
     Placement p = nl.snapshot();
-    solve_qp_iteration(nl, vars, p, nullptr, opts);
+    QpWorkspace ws;
+    solve_qp_iteration(nl, vars, p, nullptr, opts, ws);
     testing::expect_placements_bitwise_equal(ref, p);
   }
 }

@@ -20,6 +20,14 @@ void expect_bitwise_equal(const Netlist& nl, const Placement& a,
   }
 }
 
+/// Assembles and solves `builder`'s system on a throwaway workspace.
+CgResult solve_system(const SystemBuilder& builder, Placement& p,
+                      const CgOptions& opts) {
+  SolveWorkspace ws;
+  builder.assemble(ws);
+  return builder.solve(p, opts, ws);
+}
+
 TEST(VarMap, MapsOnlyMovables) {
   Netlist nl = complx::testing::two_cell_chain();
   const VarMap vars(nl);
@@ -44,7 +52,7 @@ TEST(SystemBuilder, ChainOptimumIsEvenSpacing) {
   // Unit springs (no B2B linearization, pure quadratic chain).
   std::vector<PinSpring> springs{{0, 1, 1.0}, {2, 3, 1.0}, {4, 5, 1.0}};
   builder.add_pin_springs(springs);
-  const CgResult res = builder.solve(p, {.rel_tolerance = 1e-12});
+  const CgResult res = solve_system(builder, p, {.rel_tolerance = 1e-12});
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(p.x[c0], 10.0, 1e-8);
   EXPECT_NEAR(p.x[c1], 20.0, 1e-8);
@@ -72,7 +80,7 @@ TEST(SystemBuilder, PinOffsetsShiftTheOptimum) {
   Placement p = nl.snapshot();
   SystemBuilder builder(nl, vars, Axis::X, p);
   builder.add_pin_springs({{0, 1, 1.0}});
-  builder.solve(p, {.rel_tolerance = 1e-12});
+  solve_system(builder, p, {.rel_tolerance = 1e-12});
   EXPECT_NEAR(p.x[ic], 8.0, 1e-8);
 }
 
@@ -85,7 +93,7 @@ TEST(SystemBuilder, AnchorPullsTowardTarget) {
   SystemBuilder builder(nl, vars, Axis::X, p);
   builder.add_pin_springs({{0, 1, 1.0}, {2, 3, 1.0}, {4, 5, 1.0}});
   builder.add_anchor(c0, 5.0, 100.0);  // heavy anchor at x=5
-  builder.solve(p, {.rel_tolerance = 1e-12});
+  solve_system(builder, p, {.rel_tolerance = 1e-12});
   EXPECT_NEAR(p.x[c0], 5.0, 0.2);
 }
 
@@ -104,7 +112,9 @@ TEST(SystemBuilder, MatrixIsSymmetricPositive) {
   const VarMap vars(nl);
   const Placement p = nl.snapshot();
   SystemBuilder builder(nl, vars, Axis::X, p);
-  builder.add_pin_springs(build_b2b(nl, p, Axis::X, {}));
+  std::vector<PinSpring> springs;
+  build_b2b(nl, p, Axis::X, {}, springs);
+  builder.add_pin_springs(springs);
   const CsrMatrix A = builder.build_matrix();
   EXPECT_LT(A.symmetry_error(), 1e-12);
   const Vec d = A.diagonal();
@@ -118,7 +128,9 @@ TEST(SolveQpIteration, ReducesHpwlFromScatter) {
   const double before = hpwl(nl, p);
   QpOptions opts;
   opts.b2b.min_separation = 1.5 * nl.row_height();
-  for (int i = 0; i < 3; ++i) solve_qp_iteration(nl, vars, p, nullptr, opts);
+  QpWorkspace ws;
+  for (int i = 0; i < 3; ++i)
+    solve_qp_iteration(nl, vars, p, nullptr, opts, ws);
   const double after = hpwl(nl, p);
   EXPECT_LT(after, 0.6 * before);  // QP collapses scattered placement
 }
@@ -128,7 +140,8 @@ TEST(SolveQpIteration, ClampsToCore) {
   const VarMap vars(nl);
   Placement p = nl.snapshot();
   QpOptions opts;
-  solve_qp_iteration(nl, vars, p, nullptr, opts);
+  QpWorkspace ws;
+  solve_qp_iteration(nl, vars, p, nullptr, opts, ws);
   for (CellId id : nl.movable_cells()) {
     const Cell& c = nl.cell(id);
     EXPECT_GE(p.x[id] - c.width / 2.0, nl.core().xl - 1e-9);
@@ -148,7 +161,9 @@ TEST_P(NetModelSweep, AllModelsReduceHpwl) {
   QpOptions opts;
   opts.model = GetParam();
   opts.b2b.min_separation = 1.5 * nl.row_height();
-  for (int i = 0; i < 3; ++i) solve_qp_iteration(nl, vars, p, nullptr, opts);
+  QpWorkspace ws;
+  for (int i = 0; i < 3; ++i)
+    solve_qp_iteration(nl, vars, p, nullptr, opts, ws);
   EXPECT_LT(hpwl(nl, p), before);
 }
 
@@ -171,7 +186,8 @@ TEST(SolveQpIteration, AnchorsHoldPlacementInPlace) {
   }
   const Placement before = p;
   QpOptions opts;
-  solve_qp_iteration(nl, vars, p, &anchors, opts);
+  QpWorkspace ws;
+  solve_qp_iteration(nl, vars, p, &anchors, opts, ws);
   double max_move = 0.0;
   for (CellId id : nl.movable_cells())
     max_move = std::max(max_move, std::abs(p.x[id] - before.x[id]) +
@@ -183,8 +199,8 @@ TEST(SolveQpIteration, AnchorsHoldPlacementInPlace) {
 
 TEST(QpWorkspace, MultiIterationTrajectoryMatchesFreshBitwise) {
   // Let the iterate evolve naturally for several iterations (the B2B
-  // topology changes as cells move): the workspace path must track the
-  // fresh path bit for bit the whole way.
+  // topology changes as cells move): a reused workspace must track a fresh
+  // workspace per iteration bit for bit the whole way.
   Netlist nl = complx::testing::small_circuit(60, 500);
   const VarMap vars(nl);
   QpOptions opts;
@@ -193,8 +209,9 @@ TEST(QpWorkspace, MultiIterationTrajectoryMatchesFreshBitwise) {
   Placement cached = nl.snapshot();
   Placement fresh = cached;
   for (int i = 0; i < 5; ++i) {
-    solve_qp_iteration(nl, vars, cached, nullptr, opts, &ws);
-    solve_qp_iteration(nl, vars, fresh, nullptr, opts, nullptr);
+    QpWorkspace fresh_ws;
+    solve_qp_iteration(nl, vars, cached, nullptr, opts, ws);
+    solve_qp_iteration(nl, vars, fresh, nullptr, opts, fresh_ws);
     expect_bitwise_equal(nl, cached, fresh);
   }
   EXPECT_EQ(ws.stats.iterations, 5u);

@@ -8,6 +8,26 @@
 namespace complx {
 namespace {
 
+std::vector<PinSpring> b2b_springs(const Netlist& nl, const Placement& p,
+                                   Axis axis, const B2bOptions& opts) {
+  std::vector<PinSpring> springs;
+  build_b2b(nl, p, axis, opts, springs);
+  return springs;
+}
+
+std::vector<PinSpring> clique_springs(const Netlist& nl, const Placement& p,
+                                      uint32_t clique_max_degree = 16) {
+  std::vector<PinSpring> springs;
+  build_clique(nl, p, Axis::X, {}, springs, clique_max_degree);
+  return springs;
+}
+
+std::vector<StarSpring> star_springs(const Netlist& nl, const Placement& p) {
+  std::vector<StarSpring> springs;
+  build_star(nl, p, Axis::X, {}, springs);
+  return springs;
+}
+
 Netlist offset_pair() {
   // Two cells; one net whose pins have non-zero offsets.
   Netlist nl;
@@ -75,7 +95,7 @@ TEST(B2b, QuadraticFormEqualsHpwlAtLinearizationPoint) {
   opts.min_separation = 1e-9;  // exactness requires no clamping
   double quad = 0.0;
   for (Axis axis : {Axis::X, Axis::Y}) {
-    const auto springs = build_b2b(nl, p, axis, opts);
+    const auto springs = b2b_springs(nl, p, axis, opts);
     for (const PinSpring& s : springs) {
       const Pin& a = nl.pin(s.p);
       const Pin& b = nl.pin(s.q);
@@ -93,7 +113,7 @@ TEST(B2b, QuadraticFormEqualsHpwlAtLinearizationPoint) {
 TEST(B2b, TwoPinNetSingleSpring) {
   Netlist nl = offset_pair();
   const Placement p = nl.snapshot();
-  const auto springs = build_b2b(nl, p, Axis::X, {});
+  const auto springs = b2b_springs(nl, p, Axis::X, {});
   ASSERT_EQ(springs.size(), 1u);
   // weight = w / (P-1) / sep = 2 / 1 / 18.
   EXPECT_NEAR(springs[0].weight, 2.0 / 18.0, 1e-12);
@@ -114,8 +134,24 @@ TEST(B2b, SpringCountIs2DMinus3PerNet) {
   nl.add_net("n", 1.0, pins);
   nl.set_core({0, 0, 100, 100});
   nl.finalize();
-  const auto springs = build_b2b(nl, nl.snapshot(), Axis::X, {});
+  const auto springs = b2b_springs(nl, nl.snapshot(), Axis::X, {});
   EXPECT_EQ(springs.size(), 2u * 5 - 3);
+}
+
+TEST(B2b, RefillsAReusedBuffer) {
+  // A buffer holding more, stale springs than the next build emits must
+  // come back holding exactly that build's springs.
+  Netlist nl = complx::testing::small_circuit(22, 300);
+  const Placement p = nl.snapshot();
+  const std::vector<PinSpring> fresh = b2b_springs(nl, p, Axis::X, {});
+  std::vector<PinSpring> reused(3 * fresh.size(), PinSpring{7, 9, -1.0});
+  build_b2b(nl, p, Axis::X, {}, reused);
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    ASSERT_EQ(reused[i].p, fresh[i].p) << i;
+    ASSERT_EQ(reused[i].q, fresh[i].q) << i;
+    ASSERT_EQ(reused[i].weight, fresh[i].weight) << i;
+  }
 }
 
 TEST(B2b, SkipsHugeNets) {
@@ -133,7 +169,7 @@ TEST(B2b, SkipsHugeNets) {
   nl.finalize();
   B2bOptions opts;
   opts.max_degree = 10;
-  EXPECT_TRUE(build_b2b(nl, nl.snapshot(), Axis::X, opts).empty());
+  EXPECT_TRUE(b2b_springs(nl, nl.snapshot(), Axis::X, opts).empty());
 }
 
 TEST(B2b, MinSeparationBoundsWeights) {
@@ -152,7 +188,7 @@ TEST(B2b, MinSeparationBoundsWeights) {
   nl.finalize();
   B2bOptions opts;
   opts.min_separation = 0.5;
-  const auto springs = build_b2b(nl, nl.snapshot(), Axis::X, opts);
+  const auto springs = b2b_springs(nl, nl.snapshot(), Axis::X, opts);
   ASSERT_EQ(springs.size(), 1u);
   EXPECT_LE(springs[0].weight, 2.0 / 0.5 + 1e-12);
 }
@@ -172,7 +208,7 @@ TEST(Clique, EdgeCountQuadratic) {
   nl.add_net("n", 1.0, pins);
   nl.set_core({0, 0, 100, 100});
   nl.finalize();
-  const auto springs = build_clique(nl, nl.snapshot(), Axis::X, {});
+  const auto springs = clique_springs(nl, nl.snapshot());
   EXPECT_EQ(springs.size(), 6u * 5 / 2);
 }
 
@@ -190,7 +226,7 @@ TEST(Clique, LargeNetFallsBackToChain) {
   nl.set_core({0, 0, 100, 100});
   nl.finalize();
   const auto springs =
-      build_clique(nl, nl.snapshot(), Axis::X, {}, /*clique_max_degree=*/16);
+      clique_springs(nl, nl.snapshot(), /*clique_max_degree=*/16);
   EXPECT_EQ(springs.size(), 29u);  // chain
 }
 
@@ -199,7 +235,7 @@ TEST(Clique, LargeNetFallsBackToChain) {
 TEST(Star, CentersAtCentroid) {
   Netlist nl = offset_pair();
   const Placement p = nl.snapshot();
-  const auto springs = build_star(nl, p, Axis::X, {});
+  const auto springs = star_springs(nl, p);
   ASSERT_EQ(springs.size(), 2u);
   // Pin coords 3 and 21 -> centroid 12.
   EXPECT_DOUBLE_EQ(springs[0].center, 12.0);
@@ -216,7 +252,7 @@ TEST(Star, SkipsDegenerateNets) {
   nl.add_net("single", 1.0, {{ia, 0, 0}});
   nl.set_core({0, 0, 10, 10});
   nl.finalize();
-  EXPECT_TRUE(build_star(nl, nl.snapshot(), Axis::X, {}).empty());
+  EXPECT_TRUE(star_springs(nl, nl.snapshot()).empty());
 }
 
 }  // namespace
