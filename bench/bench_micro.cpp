@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -45,18 +46,45 @@ void BM_Hpwl(benchmark::State& state) {
 }
 BENCHMARK(BM_Hpwl)->Arg(2000)->Arg(8000)->Arg(32000);
 
+/// Freezes every movable cell whose centre lies outside a centred window
+/// covering `fraction` of the core area, the way eco_replace does (kind
+/// flip + refinalize).
+void freeze_outside_window(Netlist& nl, double fraction) {
+  const Rect& core = nl.core();
+  const double s = std::sqrt(fraction) / 2.0;
+  const double cx = (core.xl + core.xh) / 2.0, cy = (core.yl + core.yh) / 2.0;
+  const double hw = s * (core.xh - core.xl), hh = s * (core.yh - core.yl);
+  const Rect window{cx - hw, cy - hh, cx + hw, cy + hh};
+  const Placement p = nl.snapshot();
+  for (CellId id : nl.movable_cells())
+    if (!window.contains(Point{p.x[id], p.y[id]}))
+      nl.cell(id).kind = CellKind::Fixed;
+  nl.refinalize();
+}
+
+/// Args: cells, ECO-frozen (1: only a window of 10% of the core stays
+/// movable and the build takes VarMap's live-net list, as an ECO primal
+/// step does).
 void BM_B2bBuild(benchmark::State& state) {
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
+  Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
+  if (state.range(1) != 0) freeze_outside_window(nl, 0.10);
+  const VarMap vars(nl);
   const Placement p = nl.snapshot();
   std::vector<PinSpring> springs;
   for (auto _ : state) {
-    build_b2b(nl, p, Axis::X, {}, springs);
+    build_b2b(nl, p, Axis::X, {}, springs, vars.net_list());
     benchmark::DoNotOptimize(springs.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_pins()));
+  state.counters["springs"] = static_cast<double>(springs.size());
 }
-BENCHMARK(BM_B2bBuild)->Arg(2000)->Arg(8000)->Arg(32000);
+BENCHMARK(BM_B2bBuild)
+    ->Args({2000, 0})
+    ->Args({8000, 0})
+    ->Args({32000, 0})
+    ->Args({20000, 0})
+    ->Args({20000, 1});
 
 void BM_QpSolve(benchmark::State& state) {
   // One primal step (B2B, stamping, CSR build, PCG on both axes) through
@@ -403,6 +431,23 @@ void BM_BookshelfRead(benchmark::State& state) {
   fs::remove_all(dir);
 }
 BENCHMARK(BM_BookshelfRead)->Unit(benchmark::kMillisecond);
+
+void BM_WritePl(benchmark::State& state) {
+  // write_pl of a 20k-cell placement: format plus the atomic publish (temp
+  // file, fsync, rename). The "MB" rate counter is MB/s of .pl text.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "complx_bench_write_pl";
+  fs::create_directories(dir);
+  const Netlist nl = make_circuit(20000);
+  const Placement p = nl.snapshot();
+  const std::string path = (dir / "write.pl").string();
+  for (auto _ : state) write_pl(nl, p, path);
+  state.counters["MB"] = benchmark::Counter(
+      static_cast<double>(fs::file_size(path)) / 1e6,
+      benchmark::Counter::kIsIterationInvariantRate);
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_WritePl)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // Thread-scaling benchmarks (Arg = thread count) on a 100k-cell design.

@@ -27,7 +27,8 @@ run_tree() {
   cmake -B "$dir" -S "$repo_root" "$@" >/dev/null
   echo "=== [$name] build ==="
   cmake --build "$dir" -j "$jobs" --target \
-    complx test_parallel test_golden_determinism test_health test_linalg >/dev/null
+    complx test_parallel test_golden_determinism test_health test_linalg \
+    test_eco test_qp test_bookshelf complx_gen complx_place >/dev/null
   echo "=== [$name] ctest -L determinism ==="
   ctest --test-dir "$dir" -L determinism --output-on-failure
 }

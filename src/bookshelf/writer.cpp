@@ -1,31 +1,65 @@
 #include "bookshelf/writer.h"
 
+#include <charconv>
+#include <concepts>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/atomic_file.h"
 
 namespace complx {
 
 namespace {
-// Every section writer goes through here so no stream can fall back to the
-// default 6-digit precision: max_digits10 (17 for IEEE-754 binary64)
-// guarantees the decimal text parses back to the bitwise-identical double
-// (round-trip-tested in test_bookshelf). Each file is published atomically
-// (util/atomic_file.h): an interrupted export leaves either the previous
-// file or the complete new one — a truncated .nodes/.pl would otherwise be
-// read back as a silently smaller design.
-AtomicFileWriter open_writer(const std::string& path) {
-  AtomicFileWriter out(path);
-  out.stream().precision(std::numeric_limits<double>::max_digits10);
-  return out;
-}
+/// Text composer for the Bookshelf files. Doubles are formatted by
+/// std::to_chars at max_digits10 significant digits in general notation —
+/// the same text as printf("%.17g") and as an ostream at precision 17 —
+/// so the decimal parses back to the bitwise-identical double
+/// (round-trip-tested in test_bookshelf). Each file is composed whole and
+/// published by write_file_atomic (util/atomic_file.h): an interrupted
+/// export leaves either the previous file or the complete new one — a
+/// truncated .nodes/.pl would otherwise be read back as a silently smaller
+/// design.
+class TextOut {
+ public:
+  TextOut& operator<<(std::string_view s) {
+    text_.append(s);
+    return *this;
+  }
+  TextOut& operator<<(char c) {
+    text_.push_back(c);
+    return *this;
+  }
+  TextOut& operator<<(double v) {
+    char buf[32];  // %.17g needs at most 24: sign, 17 digits, '.', "e-308"
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                      std::numeric_limits<double>::max_digits10);
+    text_.append(buf, r.ptr);
+    return *this;
+  }
+  template <std::integral T>
+  TextOut& operator<<(T v) {
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+    text_.append(buf, r.ptr);
+    return *this;
+  }
+
+  void publish(const std::string& path) const {
+    write_file_atomic(path, text_);
+  }
+
+ private:
+  std::string text_;
+};
 }  // namespace
 
 void write_pl(const Netlist& nl, const Placement& p,
               const std::string& path) {
-  AtomicFileWriter writer = open_writer(path);
-  std::ostream& out = writer.stream();
+  if (p.x.size() != nl.num_cells() || p.y.size() != nl.num_cells())
+    throw std::invalid_argument("write_pl: placement size mismatch");
+  TextOut out;
   out << "UCLA pl 1.0\n\n";
   for (CellId i = 0; i < nl.num_cells(); ++i) {
     const Cell& c = nl.cell(i);
@@ -36,7 +70,7 @@ void write_pl(const Netlist& nl, const Placement& p,
     if (!c.movable()) out << " /FIXED";
     out << '\n';
   }
-  writer.commit();
+  out.publish(path);
 }
 
 void write_bookshelf(const Netlist& nl, const std::string& dir,
@@ -44,15 +78,13 @@ void write_bookshelf(const Netlist& nl, const std::string& dir,
   const std::string base = dir + "/" + name;
 
   {
-    AtomicFileWriter aux = open_writer(base + ".aux");
-    aux.stream() << "RowBasedPlacement : " << name << ".nodes " << name
-                 << ".nets " << name << ".wts " << name << ".pl " << name
-                 << ".scl\n";
-    aux.commit();
+    TextOut out;
+    out << "RowBasedPlacement : " << name << ".nodes " << name << ".nets "
+        << name << ".wts " << name << ".pl " << name << ".scl\n";
+    out.publish(base + ".aux");
   }
   {
-    AtomicFileWriter writer = open_writer(base + ".nodes");
-    std::ostream& out = writer.stream();
+    TextOut out;
     out << "UCLA nodes 1.0\n\n";
     size_t terminals = 0;
     for (const Cell& c : nl.cells())
@@ -65,11 +97,10 @@ void write_bookshelf(const Netlist& nl, const std::string& dir,
       if (!c.movable()) out << "\tterminal";
       out << '\n';
     }
-    writer.commit();
+    out.publish(base + ".nodes");
   }
   {
-    AtomicFileWriter writer = open_writer(base + ".nets");
-    std::ostream& out = writer.stream();
+    TextOut out;
     out << "UCLA nets 1.0\n\n";
     out << "NumNets : " << nl.num_nets() << "\n";
     out << "NumPins : " << nl.num_pins() << "\n";
@@ -82,20 +113,18 @@ void write_bookshelf(const Netlist& nl, const std::string& dir,
             << pin.dy << '\n';
       }
     }
-    writer.commit();
+    out.publish(base + ".nets");
   }
   {
-    AtomicFileWriter writer = open_writer(base + ".wts");
-    std::ostream& out = writer.stream();
+    TextOut out;
     out << "UCLA wts 1.0\n\n";
     for (NetId e = 0; e < nl.num_nets(); ++e)
       out << nl.net_name(e) << '\t' << nl.net(e).weight << '\n';
-    writer.commit();
+    out.publish(base + ".wts");
   }
   write_pl(nl, nl.snapshot(), base + ".pl");
   {
-    AtomicFileWriter writer = open_writer(base + ".scl");
-    std::ostream& out = writer.stream();
+    TextOut out;
     out << "UCLA scl 1.0\n\n";
     out << "NumRows : " << nl.rows().size() << "\n";
     for (const Row& r : nl.rows()) {
@@ -109,7 +138,7 @@ void write_bookshelf(const Netlist& nl, const std::string& dir,
           << '\n';
       out << "End\n";
     }
-    writer.commit();
+    out.publish(base + ".scl");
   }
 }
 

@@ -16,6 +16,7 @@ void write_bookshelf(const Netlist& nl, const std::string& dir,
                      const std::string& name);
 
 /// Writes only a .pl file (the contest deliverable) for the given placement.
+/// Throws std::invalid_argument when `p` does not hold one entry per cell.
 void write_pl(const Netlist& nl, const Placement& p, const std::string& path);
 
 }  // namespace complx

@@ -16,9 +16,10 @@
 // When the window covers every movable cell the code path IS a full solve
 // (plain ComplxPlacer::place()) — not an approximation of one — so
 // eco(everything) equals place() bitwise by construction; a regression
-// test pins this. The solve reuses the caches a full solve would: the B2B
-// sparsity-pattern cache keyed by the (temporarily re-finalized) netlist
-// and the projection's summed-area capacity tables.
+// test pins this. A partial window costs what the window costs in the
+// primal step: the solver's VarMap lists the nets with a pin on a dirty
+// cell (VarMap::live_nets), and only those are decomposed into springs —
+// a net whose pins are all frozen adds nothing to the system.
 #pragma once
 
 #include "core/placer.h"

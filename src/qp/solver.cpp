@@ -42,6 +42,11 @@ QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
     ws.y.builder.emplace(nl, vars, Axis::Y, point);
   }
 
+  // Only nets with a movable pin are decomposed (VarMap::live_nets): on an
+  // ECO freeze most nets are all-fixed and would emit nothing but springs
+  // add_pin_springs skips.
+  const std::vector<NetId>* nets = vars.net_list();
+
   // The two axis systems are independent given the frozen linearization
   // point, so their assembly (net model + anchor pseudonets into the stamp
   // stores) runs concurrently. The CSR builds and CG solves stay sequential
@@ -51,15 +56,15 @@ QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
     SystemBuilder& builder = *st.builder;
     switch (opts.model) {
       case NetModel::B2B:
-        build_b2b(nl, point, axis, opts.b2b, st.springs);
+        build_b2b(nl, point, axis, opts.b2b, st.springs, nets);
         builder.add_pin_springs(st.springs);
         break;
       case NetModel::Clique:
-        build_clique(nl, point, axis, opts.b2b, st.springs);
+        build_clique(nl, point, axis, opts.b2b, st.springs, nets);
         builder.add_pin_springs(st.springs);
         break;
       case NetModel::Star:
-        build_star(nl, point, axis, opts.b2b, st.stars);
+        build_star(nl, point, axis, opts.b2b, st.stars, nets);
         builder.add_star_springs(st.stars);
         break;
     }

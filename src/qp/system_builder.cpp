@@ -9,6 +9,19 @@ VarMap::VarMap(const Netlist& nl) {
     var_of_cell[id] = cell_of_var.size();
     cell_of_var.push_back(id);
   }
+
+  const NetlistView v = nl.view();
+  auto live = [&](const Net& net) {
+    for (uint32_t k = net.first_pin; k < net.first_pin + net.num_pins; ++k)
+      if (var_of_cell[v.pin_cell[k]] != kFixed) return true;
+    return false;
+  };
+  size_t num_live = 0;
+  for (NetId e = 0; e < v.num_nets; ++e) num_live += live(v.nets[e]);
+  if (num_live == v.num_nets) return;  // every net is live: no list
+  live_nets.reserve(num_live);
+  for (NetId e = 0; e < v.num_nets; ++e)
+    if (live(v.nets[e])) live_nets.push_back(e);
 }
 
 SystemBuilder::SystemBuilder(const Netlist& nl, const VarMap& vars, Axis axis,

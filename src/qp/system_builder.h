@@ -28,9 +28,20 @@ struct VarMap {
   static constexpr size_t kFixed = std::numeric_limits<size_t>::max();
   std::vector<size_t> var_of_cell;  ///< kFixed for fixed cells
   std::vector<CellId> cell_of_var;
+  /// Nets with at least one pin on a movable cell, ascending. A net whose
+  /// pins are all fixed adds nothing to the system, so the net models build
+  /// only these (see net_list()). Kept only when some net has no movable
+  /// pin — an ECO freeze; on designs where every net is live it stays empty.
+  std::vector<NetId> live_nets;
 
   explicit VarMap(const Netlist& nl);
   size_t num_vars() const { return cell_of_var.size(); }
+  /// The `nets` argument for build_b2b/build_clique/build_star: the live
+  /// nets, or null (every net) when none was dropped. A design with no live
+  /// net at all also gets null; its springs are all fixed–fixed and skipped.
+  const std::vector<NetId>* net_list() const {
+    return live_nets.empty() ? nullptr : &live_nets;
+  }
 };
 
 /// Per-axis persistent numeric state of the solve: the CSR matrix with its

@@ -15,7 +15,8 @@ size_t springs_of(uint32_t deg, const B2bOptions& opts) {
   return deg < 2 || deg > opts.max_degree ? 0 : 2 * size_t{deg} - 3;
 }
 
-/// Writes the B2B springs of nets [begin, end) to `out` in net order.
+/// Writes the B2B springs of nets ids[begin, end) — of nets [begin, end)
+/// when `ids` is null — to `out` in that order.
 /// Works on the netlist's raw-array view: per axis, the loop touches the
 /// position vector, the pin→cell array and ONE pin-offset array — the SoA
 /// payoff on multi-million-pin designs.
@@ -28,10 +29,11 @@ size_t springs_of(uint32_t deg, const B2bOptions& opts) {
 /// memory — so every comparison, separation and weight is bitwise identical
 /// to the re-deriving loop.
 void build_b2b_range(const NetlistView& v, const double* pos,
-                     const double* off, const B2bOptions& opts, size_t begin,
-                     size_t end, PinSpring* out) {
-  for (size_t e = begin; e < end; ++e) {
-    const Net& net = v.nets[e];
+                     const double* off, const B2bOptions& opts,
+                     const NetId* ids, size_t begin, size_t end,
+                     PinSpring* out) {
+  for (size_t i = begin; i < end; ++i) {
+    const Net& net = v.nets[ids ? ids[i] : i];
     const uint32_t deg = net.num_pins;
     if (springs_of(deg, opts) == 0) continue;
 
@@ -77,11 +79,13 @@ void build_b2b_range(const NetlistView& v, const double* pos,
 }  // namespace
 
 void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
-               const B2bOptions& opts, std::vector<PinSpring>& springs) {
+               const B2bOptions& opts, std::vector<PinSpring>& springs,
+               const std::vector<NetId>* nets) {
   const NetlistView v = nl.view();
   const double* pos = axis == Axis::X ? p.x.data() : p.y.data();
   const double* off = axis == Axis::X ? v.pin_dx : v.pin_dy;
-  const size_t num_nets = v.num_nets;
+  const NetId* ids = nets ? nets->data() : nullptr;
+  const size_t num_nets = nets ? nets->size() : v.num_nets;
   constexpr size_t kMaxBlocks = 64;
   const Partition part = partition_range(num_nets, 512, kMaxBlocks);
 
@@ -90,15 +94,16 @@ void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
   // the exact spring sequence of the serial loop at any thread count, with
   // no per-block buffers.
   size_t block_start[kMaxBlocks + 1] = {};
-  for (size_t e = 0; e < num_nets; ++e)
-    block_start[e / part.chunk + 1] += springs_of(v.nets[e].num_pins, opts);
+  for (size_t i = 0; i < num_nets; ++i)
+    block_start[i / part.chunk + 1] +=
+        springs_of(v.nets[ids ? ids[i] : i].num_pins, opts);
   for (size_t b = 0; b < part.parts; ++b) block_start[b + 1] += block_start[b];
   springs.resize(block_start[part.parts]);
 
   parallel_for(
       num_nets,
       [&](size_t begin, size_t end) {
-        build_b2b_range(v, pos, off, opts, begin, end,
+        build_b2b_range(v, pos, off, opts, ids, begin, end,
                         springs.data() + block_start[begin / part.chunk]);
       },
       part.chunk);

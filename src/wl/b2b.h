@@ -39,7 +39,14 @@ struct B2bOptions {
 /// nothing. `out` is overwritten in place, so a reused buffer makes the
 /// build allocation-free once warm; the sequence does not depend on the
 /// thread count.
+///
+/// `nets`, when given, lists the nets to decompose (ascending ids, e.g.
+/// VarMap::live_nets); null means every net. Leaving out a net whose pins
+/// are all on fixed cells drops only fixed–fixed springs, which
+/// SystemBuilder::add_pin_springs skips anyway, so the stamped system is
+/// bitwise the all-nets one.
 void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
-               const B2bOptions& opts, std::vector<PinSpring>& out);
+               const B2bOptions& opts, std::vector<PinSpring>& out,
+               const std::vector<NetId>* nets = nullptr);
 
 }  // namespace complx

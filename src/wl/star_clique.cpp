@@ -14,10 +14,11 @@ double pin_coord(const Netlist& nl, const Placement& p, PinId k, Axis axis) {
 
 void build_clique(const Netlist& nl, const Placement& p, Axis axis,
                   const B2bOptions& opts, std::vector<PinSpring>& springs,
-                  uint32_t clique_max_degree) {
+                  const std::vector<NetId>* nets, uint32_t clique_max_degree) {
   springs.clear();
-  for (NetId e = 0; e < nl.num_nets(); ++e) {
-    const Net& net = nl.net(e);
+  const size_t num_nets = nets ? nets->size() : nl.num_nets();
+  for (size_t i = 0; i < num_nets; ++i) {
+    const Net& net = nl.net(nets ? (*nets)[i] : static_cast<NetId>(i));
     const uint32_t deg = net.num_pins;
     if (deg < 2 || deg > opts.max_degree) continue;
 
@@ -56,10 +57,12 @@ void build_clique(const Netlist& nl, const Placement& p, Axis axis,
 }
 
 void build_star(const Netlist& nl, const Placement& p, Axis axis,
-                const B2bOptions& opts, std::vector<StarSpring>& springs) {
+                const B2bOptions& opts, std::vector<StarSpring>& springs,
+                const std::vector<NetId>* nets) {
   springs.clear();
-  for (NetId e = 0; e < nl.num_nets(); ++e) {
-    const Net& net = nl.net(e);
+  const size_t num_nets = nets ? nets->size() : nl.num_nets();
+  for (size_t i = 0; i < num_nets; ++i) {
+    const Net& net = nl.net(nets ? (*nets)[i] : static_cast<NetId>(i));
     const uint32_t deg = net.num_pins;
     if (deg < 2 || deg > opts.max_degree) continue;
 

@@ -14,9 +14,11 @@ namespace complx {
 /// by the current pin separation like B2B (Sigl's GORDIAN-L linearization).
 /// Nets above `clique_max_degree` are decomposed as chains instead to avoid
 /// the quadratic edge blow-up. Clears and refills `out` (capacity
-/// survives).
+/// survives). `nets` selects the nets to decompose as in build_b2b (null:
+/// every net).
 void build_clique(const Netlist& nl, const Placement& p, Axis axis,
                   const B2bOptions& opts, std::vector<PinSpring>& out,
+                  const std::vector<NetId>* nets = nullptr,
                   uint32_t clique_max_degree = 16);
 
 /// Star: one auxiliary node per net located at the net's pin centroid;
@@ -30,8 +32,11 @@ struct StarSpring {
   double weight = 0.0;
 };
 
-/// Clears and refills `out` (capacity survives).
+/// Clears and refills `out` (capacity survives). `nets` selects the nets as
+/// in build_b2b (null: every net); a net with no movable pin only yields
+/// springs that SystemBuilder::add_star_springs skips.
 void build_star(const Netlist& nl, const Placement& p, Axis axis,
-                const B2bOptions& opts, std::vector<StarSpring>& out);
+                const B2bOptions& opts, std::vector<StarSpring>& out,
+                const std::vector<NetId>* nets = nullptr);
 
 }  // namespace complx

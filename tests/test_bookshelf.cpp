@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -135,6 +137,88 @@ TEST_F(BookshelfRoundTrip, WriteReadWriteIsBitwiseLossless) {
     EXPECT_EQ(bits(d2.netlist.cell(i).x), bits(d3.netlist.cell(i).x)) << i;
     EXPECT_EQ(bits(d2.netlist.cell(i).y), bits(d3.netlist.cell(i).y)) << i;
   }
+}
+
+TEST(Bookshelf, WritePlMatchesStreamReferenceBytes) {
+  // Zero-size fixed pads carry the awkward values verbatim (x − 0/2 keeps
+  // −0.0 and the subnormal); two movable cells exercise the centre →
+  // lower-left transform.
+  const std::vector<double> values = {-0.0,   0.1,       1.0 / 3.0,
+                                      5e-324, 1e300,     0.0,
+                                      42.0,   1048576.0, -123456789.125,
+                                      -1e20,  -7.0};
+  Netlist nl;
+  std::vector<CellId> ids;
+  for (size_t i = 0; i < values.size(); ++i) {
+    Cell pad;
+    pad.width = pad.height = 0.0;
+    pad.kind = CellKind::Fixed;
+    ids.push_back(nl.add_cell(pad, "t" + std::to_string(i)));
+  }
+  Cell c;
+  c.width = 3.0;
+  c.height = 12.0;
+  ids.push_back(nl.add_cell(c, "a"));
+  c.flipped_x = true;
+  ids.push_back(nl.add_cell(c, "b"));
+  nl.add_net("n", 1.0, {{ids.front(), 0, 0}, {ids.back(), 0, 0}});
+  nl.set_core({0.0, 0.0, 100.0, 12.0});
+  nl.finalize();
+
+  Placement p = nl.snapshot();
+  for (size_t i = 0; i < values.size(); ++i) {
+    p.x[ids[i]] = values[i];
+    p.y[ids[i]] = values[values.size() - 1 - i];
+  }
+  p.x[ids[values.size()]] = 1.0 / 7.0;
+  p.y[ids[values.size()]] = -1e-7;
+  p.x[ids.back()] = 98765.4321;
+  p.y[ids.back()] = 6.0;
+
+  std::ostringstream ref;
+  ref.precision(17);
+  ref << "UCLA pl 1.0\n\n";
+  for (CellId i = 0; i < nl.num_cells(); ++i) {
+    const Cell& cell = nl.cell(i);
+    ref << nl.cell_name(i) << '\t' << p.x[i] - cell.width / 2.0 << '\t'
+        << p.y[i] - cell.height / 2.0 << "\t: "
+        << (cell.flipped_x ? "FN" : "N");
+    if (!cell.movable()) ref << " /FIXED";
+    ref << '\n';
+  }
+
+  const fs::path dir = fs::temp_directory_path() /
+                       ("complx_write_pl_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  write_bookshelf(nl, dir.string(), "w");
+  write_pl(nl, p, (dir / "w.pl").string());
+  EXPECT_EQ(slurp((dir / "w.pl").string()), ref.str());
+
+  const std::string base = (dir / "w").string();
+  const BookshelfDesign back = read_bookshelf_files(
+      base + ".nodes", base + ".nets", base + ".wts", base + ".pl",
+      base + ".scl");
+  ASSERT_EQ(back.netlist.num_cells(), nl.num_cells());
+  for (CellId i = 0; i < nl.num_cells(); ++i) {
+    const Cell& cell = nl.cell(i);
+    EXPECT_EQ(bits(back.netlist.cell(i).x), bits(p.x[i] - cell.width / 2.0))
+        << nl.cell_name(i);
+    EXPECT_EQ(bits(back.netlist.cell(i).y), bits(p.y[i] - cell.height / 2.0))
+        << nl.cell_name(i);
+  }
+
+  // A placement that does not cover the netlist is rejected, not read out
+  // of bounds.
+  Placement short_p = p;
+  short_p.x.pop_back();
+  EXPECT_THROW(write_pl(nl, short_p, (dir / "bad.pl").string()),
+               std::invalid_argument);
+  short_p = p;
+  short_p.y.push_back(0.0);
+  EXPECT_THROW(write_pl(nl, short_p, (dir / "bad.pl").string()),
+               std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir / "bad.pl"));
+  fs::remove_all(dir);
 }
 
 TEST_F(BookshelfRoundTrip, OrientationFlagRoundTrips) {

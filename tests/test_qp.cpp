@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
 #include "helpers.h"
 #include "qp/solver.h"
+#include "util/parallel.h"
 #include "wl/hpwl.h"
 
 namespace complx {
@@ -215,6 +217,93 @@ TEST(QpWorkspace, MultiIterationTrajectoryMatchesFreshBitwise) {
     expect_bitwise_equal(nl, cached, fresh);
   }
   EXPECT_EQ(ws.stats.iterations, 5u);
+}
+
+// ------------------------------------------------------ live-net assembly ----
+
+/// Assembles one axis of `model` at `p`, decomposing the nets in `nets`
+/// (null: every net), and returns the CSR matrix with the RHS.
+std::pair<CsrMatrix, Vec> assemble_axis(const Netlist& nl, const VarMap& vars,
+                                        const Placement& p, Axis axis,
+                                        NetModel model,
+                                        const std::vector<NetId>* nets) {
+  SystemBuilder builder(nl, vars, axis, p);
+  const B2bOptions opts{.min_separation = 1.5 * nl.row_height()};
+  std::vector<PinSpring> springs;
+  std::vector<StarSpring> stars;
+  switch (model) {
+    case NetModel::B2B:
+      build_b2b(nl, p, axis, opts, springs, nets);
+      builder.add_pin_springs(springs);
+      break;
+    case NetModel::Clique:
+      build_clique(nl, p, axis, opts, springs, nets);
+      builder.add_pin_springs(springs);
+      break;
+    case NetModel::Star:
+      build_star(nl, p, axis, opts, stars, nets);
+      builder.add_star_springs(stars);
+      break;
+  }
+  SolveWorkspace ws;
+  builder.assemble(ws);
+  return {std::move(ws.A), builder.rhs()};
+}
+
+TEST(Qp, LiveNetAssemblyMatchesAllNetsBitwise) {
+  // Freeze every movable cell outside a window around the core centre the
+  // way eco_replace does (kind flip + refinalize): most nets then have no
+  // movable pin, and skipping them must leave every stamp unchanged.
+  Netlist nl = complx::testing::small_circuit(61, 3000, /*movable_macros=*/2);
+  const Placement p = nl.snapshot();
+  const Rect& core = nl.core();
+  const double cx = (core.xl + core.xh) / 2.0, cy = (core.yl + core.yh) / 2.0;
+  const double hw = (core.xh - core.xl) / 6.0, hh = (core.yh - core.yl) / 6.0;
+  const Rect window{cx - hw, cy - hh, cx + hw, cy + hh};
+  for (CellId id : nl.movable_cells())
+    if (!window.contains(Point{p.x[id], p.y[id]}))
+      nl.cell(id).kind = CellKind::Fixed;
+  nl.refinalize();
+
+  const VarMap vars(nl);
+  ASSERT_GT(vars.num_vars(), 0u);
+  ASSERT_NE(vars.net_list(), nullptr);
+  ASSERT_LT(vars.live_nets.size(), nl.num_nets() / 2);
+  ASSERT_TRUE(std::is_sorted(vars.live_nets.begin(), vars.live_nets.end()));
+
+  const size_t prev = global_threads();
+  for (NetModel model : {NetModel::B2B, NetModel::Clique, NetModel::Star}) {
+    for (Axis axis : {Axis::X, Axis::Y}) {
+      set_global_threads(1);
+      const auto [ref_A, ref_rhs] =
+          assemble_axis(nl, vars, p, axis, model, nullptr);
+      for (size_t threads : {1u, 2u, 8u}) {
+        set_global_threads(threads);
+        SCOPED_TRACE(::testing::Message()
+                     << "model " << static_cast<int>(model) << " axis "
+                     << static_cast<int>(axis) << " threads " << threads);
+        const auto [A, rhs] =
+            assemble_axis(nl, vars, p, axis, model, vars.net_list());
+        ASSERT_EQ(A.row_ptr(), ref_A.row_ptr());
+        ASSERT_EQ(A.col(), ref_A.col());
+        ASSERT_EQ(A.val().size(), ref_A.val().size());
+        for (size_t k = 0; k < A.val().size(); ++k)
+          ASSERT_EQ(dbits(A.val()[k]), dbits(ref_A.val()[k])) << "nnz " << k;
+        ASSERT_EQ(rhs.size(), ref_rhs.size());
+        for (size_t v = 0; v < rhs.size(); ++v)
+          ASSERT_EQ(dbits(rhs[v]), dbits(ref_rhs[v])) << "rhs " << v;
+      }
+    }
+  }
+  set_global_threads(prev);
+
+  // The live list really drops springs, and an unfrozen design keeps none.
+  std::vector<PinSpring> all, live;
+  build_b2b(nl, p, Axis::X, {}, all);
+  build_b2b(nl, p, Axis::X, {}, live, vars.net_list());
+  EXPECT_LT(live.size(), all.size());
+  const Netlist flat = complx::testing::small_circuit(61, 3000, 2);
+  EXPECT_EQ(VarMap(flat).net_list(), nullptr);
 }
 
 }  // namespace

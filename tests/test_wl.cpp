@@ -18,7 +18,7 @@ std::vector<PinSpring> b2b_springs(const Netlist& nl, const Placement& p,
 std::vector<PinSpring> clique_springs(const Netlist& nl, const Placement& p,
                                       uint32_t clique_max_degree = 16) {
   std::vector<PinSpring> springs;
-  build_clique(nl, p, Axis::X, {}, springs, clique_max_degree);
+  build_clique(nl, p, Axis::X, {}, springs, nullptr, clique_max_degree);
   return springs;
 }
 
