@@ -265,7 +265,10 @@ int main(int argc, char** argv) {
       if (!ml.level_sizes.empty()) {
         std::printf("multilevel: %zu level(s),", ml.level_sizes.size() - 1);
         for (const size_t cells : ml.level_sizes) std::printf(" %zu", cells);
-        std::printf(" cells, %.1fs\n", ml.place.runtime_s);
+        std::printf(" cells, stops");
+        for (const StopReason s : ml.level_stops)
+          std::printf(" %s", to_string(s));
+        std::printf(", %.1fs\n", ml.place.runtime_s);
       }
       gp = std::move(ml.place);
     }

@@ -45,6 +45,7 @@ MultilevelResult MultilevelPlacer::place() {
   // level's granularity. Each run gets what is left of the shared deadline
   // (exhausted = the smallest positive limit; 0 means none). A time-limit,
   // cancelled or diverged level is carried down without re-solving.
+  result.level_stops.resize(result.level_sizes.size());
   for (size_t l = levels.size() + 1; l-- > 0;) {
     const Netlist& level = l == 0 ? nl_ : levels[l - 1].netlist;
     const bool refine = l < levels.size();
@@ -57,6 +58,7 @@ MultilevelResult MultilevelPlacer::place() {
       out.anchors = seed;
       out.lower_bound =
           interpolate(level, levels[l].fine_to_coarse, out.lower_bound);
+      result.level_stops[l] = out.stop;
       continue;
     }
     // Stale now: freed before this level allocates its own.
@@ -84,6 +86,7 @@ MultilevelResult MultilevelPlacer::place() {
     r.iterations += out.iterations;
     r.recovered += out.recovered;
     out = std::move(r);
+    result.level_stops[l] = out.stop;
   }
 
   out.runtime_s = timer.seconds();

@@ -31,6 +31,10 @@ struct MultilevelResult {
   /// Cells per level, fine -> coarse (levels used = size() - 1). Empty
   /// when place_auto took the flat path.
   std::vector<size_t> level_sizes;
+  /// Stop reason per level_sizes entry (index 0 is the input netlist, so
+  /// level_stops[0] == place.stop). A level carried down without re-solving
+  /// records the stop it inherited.
+  std::vector<StopReason> level_stops;
 };
 
 class MultilevelPlacer {

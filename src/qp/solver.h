@@ -1,5 +1,6 @@
 // One linearized quadratic-placement iteration: relinearize the chosen net
-// model at the current iterate, add anchor pseudonets, solve both axes.
+// model at the current iterate, add anchor pseudonets, solve the x and then
+// the y system.
 // This is the primal step of the ComPLx Lagrangian (Formula 10) when Φ is
 // the linearized-quadratic model.
 #pragma once
@@ -48,31 +49,28 @@ struct QpWorkspaceStats {
   double solve_s = 0.0;     ///< PCG wall time
 };
 
-/// Iteration-persistent state for solve_qp_iteration.
+/// Iteration-persistent state for solve_qp_iteration: one buffer set that
+/// the x and then the y system pass through in turn.
 ///
 /// Lifecycle: every caller owns one QpWorkspace for its whole run and
-/// passes it to every primal step. First use allocates and binds the per-axis
-/// builders; subsequent iterations reuse every buffer (stamp store, CSR
-/// matrix and build scratch, PCG scratch, spring lists, the frozen
-/// linearization-point copy). Nothing numeric is cached: every iteration
-/// restamps and rebuilds its systems.
+/// passes it to every primal step. First use allocates and binds the
+/// builder; after that every buffer (spring list, stamp store, CSR matrix
+/// and build scratch, PCG scratch) is reused and holds the larger axis.
+/// Nothing numeric is cached: every axis restamps and rebuilds its system.
 struct QpWorkspace {
-  struct AxisState {
-    std::optional<SystemBuilder> builder;  ///< bound on first iteration
-    SolveWorkspace solve;
-    std::vector<PinSpring> springs;  ///< B2B / clique buffer
-    std::vector<StarSpring> stars;   ///< star-model buffer
-  };
-
-  AxisState x, y;
-  Placement point;  ///< frozen linearization-point buffer
+  std::optional<SystemBuilder> builder;  ///< bound on first iteration
+  SolveWorkspace solve;
+  std::vector<PinSpring> springs;  ///< B2B / clique buffer
+  std::vector<StarSpring> stars;   ///< star-model buffer
   QpWorkspaceStats stats;
 };
 
 /// Solves min Φ_Q(x, y) (+ anchor penalties) linearized at `p`, writing the
-/// minimizer back into `p`. All per-iteration buffers come from `ws`, and
-/// `ws.stats` is updated. The workspace carries no numeric state between
-/// calls: the result depends on the arguments only.
+/// minimizer back into `p`. The axes run one after the other: the x solve
+/// writes only p.x and the y system reads only p.y, so both linearize at
+/// the entry point without a copy of it. All per-iteration buffers come
+/// from `ws`, and `ws.stats` is updated. The workspace carries no numeric
+/// state between calls: the result depends on the arguments only.
 QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
                                      Placement& p, const AnchorSet* anchors,
                                      const QpOptions& opts, QpWorkspace& ws);

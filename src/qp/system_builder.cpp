@@ -28,16 +28,14 @@ SystemBuilder::SystemBuilder(const Netlist& nl, const VarMap& vars, Axis axis,
                              const Placement& linearization_point)
     : nl_(nl),
       vars_(vars),
-      axis_(axis),
-      point_(&linearization_point),
-      stamps_(vars.num_vars()),
-      rhs_(vars.num_vars(), 0.0) {
-  const NetlistView v = nl.view();
-  pin_cell_ = v.pin_cell;
-  pin_off_ = axis == Axis::X ? v.pin_dx : v.pin_dy;
+      pin_cell_(nl.view().pin_cell),
+      stamps_(vars.num_vars()) {
+  reset(axis, linearization_point);
 }
 
-void SystemBuilder::reset(const Placement& linearization_point) {
+void SystemBuilder::reset(Axis axis, const Placement& linearization_point) {
+  axis_ = axis;
+  pin_off_ = axis == Axis::X ? nl_.view().pin_dx : nl_.view().pin_dy;
   point_ = &linearization_point;
   stamps_.clear();  // keeps capacity
   rhs_.assign(vars_.num_vars(), 0.0);

@@ -44,10 +44,10 @@ struct VarMap {
   }
 };
 
-/// Per-axis persistent numeric state of the solve: the CSR matrix with its
+/// Persistent numeric state of one axis solve: the CSR matrix with its
 /// build scratch, the PCG scratch vectors, and the movable-coordinate
-/// gather buffer. Owned by QpWorkspace and reused every iteration; the
-/// matrix is rebuilt from the fresh stamps each call.
+/// gather buffer. Owned by QpWorkspace and reused by both axes every
+/// iteration; the matrix is rebuilt from the fresh stamps each call.
 struct SolveWorkspace {
   CsrMatrix A;
   CsrBuildScratch csr;
@@ -55,8 +55,9 @@ struct SolveWorkspace {
   Vec x;  ///< warm-start / solution buffer (movable variables)
 };
 
-/// Builds A·x = rhs for one axis. Springs reference pins; anchors reference
-/// cells directly (pseudonets attach at the cell center).
+/// Builds A·x = rhs for one axis at a time. Springs reference pins; anchors
+/// reference cells directly (pseudonets attach at the cell center). Only the
+/// axis's own coordinate of the linearization point is read.
 class SystemBuilder {
  public:
   SystemBuilder(const Netlist& nl, const VarMap& vars, Axis axis,
@@ -66,10 +67,11 @@ class SystemBuilder {
   SystemBuilder(const Netlist& nl, const VarMap& vars, Axis axis,
                 Placement&& linearization_point) = delete;
 
-  /// Rewinds to an empty system at a new linearization point, keeping the
-  /// capacity of the stamp and RHS buffers (allocation-free once warm).
-  void reset(const Placement& linearization_point);
-  void reset(Placement&& linearization_point) = delete;
+  /// Rewinds to an empty system of `axis` at a new linearization point,
+  /// keeping the capacity of the stamp and RHS buffers (allocation-free once
+  /// warm), so one builder serves both axes in turn.
+  void reset(Axis axis, const Placement& linearization_point);
+  void reset(Axis axis, Placement&& linearization_point) = delete;
 
   void add_pin_springs(const std::vector<PinSpring>& springs);
   void add_star_springs(const std::vector<StarSpring>& springs);
@@ -94,8 +96,8 @@ class SystemBuilder {
   const Netlist& nl_;
   const VarMap& vars_;
   Axis axis_;
-  // Raw pin arrays for this axis (netlist view): spring stamping resolves
-  // pins through two flat loads instead of materializing Pin records.
+  // Raw pin arrays for the current axis (netlist view): spring stamping
+  // resolves pins through two flat loads instead of materializing Pins.
   const CellId* pin_cell_;
   const double* pin_off_;
   const Placement* point_;  ///< current linearization point (rebindable)

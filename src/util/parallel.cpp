@@ -223,19 +223,6 @@ double pool_sum(size_t n,
 
 }  // namespace detail
 
-void parallel_invoke(const std::function<void()>& a,
-                     const std::function<void()>& b) {
-  if (global_threads() == 1 || ThreadPool::in_parallel_region()) {
-    // The pool's inline order, without building its task vector: a warm
-    // primal step at one thread stays allocation-free.
-    ThreadPool::RegionScope region;
-    a();
-    b();
-    return;
-  }
-  global_pool().invoke({a, b});
-}
-
 // ---------------------------------------------------------------------------
 // vec.h backends.
 // ---------------------------------------------------------------------------

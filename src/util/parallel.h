@@ -262,10 +262,6 @@ double parallel_sum(size_t n, const ChunkSum& chunk_sum) {
   return detail::pool_sum(n, chunk_sum);
 }
 
-/// Runs two independent tasks concurrently (e.g. the two placement axes).
-void parallel_invoke(const std::function<void()>& a,
-                     const std::function<void()>& b);
-
 // ---------------------------------------------------------------------------
 // Parallel backends for the vec.h reductions (deterministic chunking).
 // vec.h wraps these behind a small-size fast path; declared on raw

@@ -13,6 +13,7 @@
 
 #include "gen/generator.h"
 #include "netlist/netlist.h"
+#include "qp/solver.h"
 
 namespace complx::testing {
 
@@ -144,6 +145,69 @@ inline Netlist small_circuit(uint64_t seed = 7, size_t cells = 2000,
   p.utilization = 0.6;
   p.target_density = target_density;
   return generate_circuit(p);
+}
+
+/// Clamps the `axis` coordinate of every movable cell into the core.
+inline void clamp_to_core(const Netlist& nl, Placement& p, Axis axis) {
+  const Rect& core = nl.core();
+  for (CellId id : nl.movable_cells()) {
+    const Cell& c = nl.cell(id);
+    if (axis == Axis::X) {
+      const double half = c.width / 2.0;
+      p.x[id] = std::clamp(p.x[id], core.xl + half,
+                           std::max(core.xl + half, core.xh - half));
+    } else {
+      const double half = c.height / 2.0;
+      p.y[id] = std::clamp(p.y[id], core.yl + half,
+                           std::max(core.yl + half, core.yh - half));
+    }
+  }
+}
+
+/// Reference primal step with one buffer set per axis (solve_qp_iteration
+/// shares one set between them): both systems are stamped and built at a
+/// frozen copy of `p` before either is solved, then each axis is solved and
+/// clamped in turn.
+inline QpIterationResult frozen_point_reference(const Netlist& nl,
+                                                const VarMap& vars,
+                                                Placement& p,
+                                                const AnchorSet* anchors,
+                                                const QpOptions& opts) {
+  const Placement point = p;
+  SystemBuilder bx(nl, vars, Axis::X, point), by(nl, vars, Axis::Y, point);
+  SolveWorkspace wx, wy;
+  for (Axis axis : {Axis::X, Axis::Y}) {
+    SystemBuilder& b = axis == Axis::X ? bx : by;
+    std::vector<PinSpring> springs;
+    std::vector<StarSpring> stars;
+    switch (opts.model) {
+      case NetModel::B2B:
+        build_b2b(nl, point, axis, opts.b2b, springs, vars.net_list());
+        b.add_pin_springs(springs);
+        break;
+      case NetModel::Clique:
+        build_clique(nl, point, axis, opts.b2b, springs, vars.net_list());
+        b.add_pin_springs(springs);
+        break;
+      case NetModel::Star:
+        build_star(nl, point, axis, opts.b2b, stars, vars.net_list());
+        b.add_star_springs(stars);
+        break;
+    }
+    if (anchors) {
+      const Vec& tgt = axis == Axis::X ? anchors->target_x : anchors->target_y;
+      const Vec& wgt = axis == Axis::X ? anchors->weight_x : anchors->weight_y;
+      for (CellId id : nl.movable_cells()) b.add_anchor(id, tgt[id], wgt[id]);
+    }
+  }
+  bx.assemble(wx);
+  by.assemble(wy);
+  QpIterationResult r;
+  r.cg_x = bx.solve(p, opts.cg, wx);
+  clamp_to_core(nl, p, Axis::X);
+  r.cg_y = by.solve(p, opts.cg, wy);
+  clamp_to_core(nl, p, Axis::Y);
+  return r;
 }
 
 }  // namespace complx::testing

@@ -20,16 +20,26 @@
 #include "wl/b2b.h"
 
 // Global operator new/delete replacement for the steady-state
-// allocation-freedom test below. The counter only ticks while armed, so the
-// rest of the binary (gtest bookkeeping, test setup) is unaffected. Must
-// live at global scope — allocation functions cannot be namespace members.
+// allocation-freedom tests and the primal-step footprint test below. The
+// counters only tick while armed, so the rest of the binary (gtest
+// bookkeeping, test setup) is unaffected. Must live at global scope —
+// allocation functions cannot be namespace members.
 namespace alloc_counter {
 std::atomic<bool> armed{false};
 std::atomic<size_t> news{0};
+std::atomic<size_t> bytes{0};  ///< requested by the counted calls
 
+/// Disarms and returns the calls counted since arm().
 size_t drain() {
   armed.store(false, std::memory_order_relaxed);
+  bytes.store(0, std::memory_order_relaxed);
   return news.exchange(0, std::memory_order_relaxed);
+}
+/// Disarms and returns the bytes those calls requested.
+size_t drain_bytes() {
+  armed.store(false, std::memory_order_relaxed);
+  news.store(0, std::memory_order_relaxed);
+  return bytes.exchange(0, std::memory_order_relaxed);
 }
 void arm() { armed.store(true, std::memory_order_relaxed); }
 }  // namespace alloc_counter
@@ -40,8 +50,10 @@ void arm() { armed.store(true, std::memory_order_relaxed); }
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t sz) {
-  if (alloc_counter::armed.load(std::memory_order_relaxed))
+  if (alloc_counter::armed.load(std::memory_order_relaxed)) {
     alloc_counter::news.fetch_add(1, std::memory_order_relaxed);
+    alloc_counter::bytes.fetch_add(sz, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(sz ? sz : 1)) return p;
   throw std::bad_alloc();
 }
@@ -568,7 +580,7 @@ TEST(CsrBuild, SteadyStateAssemblyIsAllocationFree) {
   SystemBuilder builder(nl, vars, Axis::X, point);
   SolveWorkspace ws;
   auto stamp_and_assemble = [&] {
-    builder.reset(point);
+    builder.reset(Axis::X, point);
     builder.add_pin_springs(springs);
     for (CellId id : nl.movable_cells())
       builder.add_anchor(id, point.x[id], 0.25);
@@ -785,6 +797,45 @@ TEST(QpWorkspace, WarmIterationIsAllocationFree) {
   EXPECT_EQ(alloc_counter::drain(), 0u)
       << "a primal step on a warm workspace must not touch the heap";
   set_global_threads(prev);
+}
+
+TEST(QpWorkspace, ColdIterationRequestsAboutHalfOfTwoAxisBuffers) {
+  // The primal step passes x and y through one buffer set and linearizes
+  // at `p` itself, so a cold step asks the heap for about half of what one
+  // buffer set per axis plus a frozen copy of the point asks for. Requested
+  // bytes are deterministic at one thread, unlike a wall-clock or RSS read.
+  const size_t prev = global_threads();
+  set_global_threads(1);
+  const Netlist nl = testing::small_circuit(29, 6000);
+  const VarMap vars(nl);
+  const Placement start = nl.snapshot();
+  AnchorSet anchors(nl.num_cells());
+  for (CellId id : nl.movable_cells()) {
+    anchors.target_x[id] = start.x[id];
+    anchors.target_y[id] = start.y[id];
+    anchors.weight_x[id] = anchors.weight_y[id] = 0.25;
+  }
+  QpOptions opts;
+  opts.b2b.min_separation = 1.5 * nl.row_height();
+
+  Placement p = start;
+  alloc_counter::arm();
+  {
+    QpWorkspace ws;
+    solve_qp_iteration(nl, vars, p, &anchors, opts, ws);
+  }
+  const size_t one_set = alloc_counter::drain_bytes();
+  Placement ref = start;
+  alloc_counter::arm();
+  testing::frozen_point_reference(nl, vars, ref, &anchors, opts);
+  const size_t two_sets = alloc_counter::drain_bytes();
+  set_global_threads(prev);
+
+  const double ratio =
+      static_cast<double>(one_set) / static_cast<double>(two_sets);
+  // Measured 0.495 (4,532,912 of 9,162,848 bytes); the margin leaves room
+  // for growth-policy differences between standard libraries.
+  EXPECT_LT(ratio, 0.55) << one_set << " of " << two_sets << " bytes";
 }
 
 }  // namespace

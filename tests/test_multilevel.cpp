@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <vector>
 
 #include "helpers.h"
 #include "legal/tetris.h"
@@ -135,12 +136,31 @@ TEST(Multilevel, CancelStopsTheCycleWithFiniteFineAnchors) {
   ASSERT_GE(res.level_sizes.size(), 2u);
   EXPECT_EQ(res.place.stop, StopReason::Cancelled);
   EXPECT_EQ(levels_placed(res.place), 1u);  // finer levels not re-solved
+  // Every carried level records the stop it inherited.
+  EXPECT_EQ(res.level_stops, std::vector<StopReason>(res.level_sizes.size(),
+                                                     StopReason::Cancelled));
   ASSERT_EQ(res.place.anchors.x.size(), nl.num_cells());
   ASSERT_EQ(res.place.lower_bound.x.size(), nl.num_cells());
   for (CellId id : nl.movable_cells()) {
     EXPECT_TRUE(std::isfinite(res.place.anchors.x[id])) << id;
     EXPECT_TRUE(std::isfinite(res.place.anchors.y[id])) << id;
   }
+}
+
+TEST(Multilevel, LevelStopsShowACappedCoarsestLevel) {
+  // A coarsest level cut off by its iteration cap must say so in
+  // level_stops, whatever the finer levels (and so the V-cycle) stop on.
+  Netlist nl = complx::testing::small_circuit(420, 4000);
+  MultilevelConfig cfg;
+  cfg.coarsest_cells = 1000;
+  cfg.coarse.max_iterations = 3;
+  cfg.coarse.min_iterations = 1;
+  const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
+  ASSERT_GE(res.level_sizes.size(), 2u);
+  ASSERT_EQ(res.level_stops.size(), res.level_sizes.size());
+  EXPECT_EQ(res.level_stops.back(), StopReason::MaxIterations);
+  EXPECT_EQ(res.level_stops.front(), res.place.stop);
+  EXPECT_EQ(levels_placed(res.place), res.level_sizes.size());
 }
 
 TEST(Multilevel, SharedDeadlineStopsTheCycle) {
@@ -169,6 +189,7 @@ TEST(PlaceAuto, SmallDesignTakesFlatPath) {
   AutoPlaceOptions opts;  // default threshold is far above 500 movables
   const MultilevelResult r = place_auto(nl, cfg, opts);
   EXPECT_TRUE(r.level_sizes.empty());
+  EXPECT_TRUE(r.level_stops.empty());
   EXPECT_GT(r.place.iterations, 0);
   EXPECT_GT(hpwl(nl, r.place.anchors), 0.0);
 }

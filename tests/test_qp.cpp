@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "helpers.h"
 #include "qp/solver.h"
@@ -250,11 +251,10 @@ std::pair<CsrMatrix, Vec> assemble_axis(const Netlist& nl, const VarMap& vars,
   return {std::move(ws.A), builder.rhs()};
 }
 
-TEST(Qp, LiveNetAssemblyMatchesAllNetsBitwise) {
-  // Freeze every movable cell outside a window around the core centre the
-  // way eco_replace does (kind flip + refinalize): most nets then have no
-  // movable pin, and skipping them must leave every stamp unchanged.
-  Netlist nl = complx::testing::small_circuit(61, 3000, /*movable_macros=*/2);
+/// Freezes every movable cell outside a window around the core centre the
+/// way eco_replace does (kind flip + refinalize): most nets then have no
+/// movable pin.
+void freeze_outside_center_window(Netlist& nl) {
   const Placement p = nl.snapshot();
   const Rect& core = nl.core();
   const double cx = (core.xl + core.xh) / 2.0, cy = (core.yl + core.yh) / 2.0;
@@ -264,6 +264,14 @@ TEST(Qp, LiveNetAssemblyMatchesAllNetsBitwise) {
     if (!window.contains(Point{p.x[id], p.y[id]}))
       nl.cell(id).kind = CellKind::Fixed;
   nl.refinalize();
+}
+
+TEST(Qp, LiveNetAssemblyMatchesAllNetsBitwise) {
+  // On an ECO freeze skipping the nets without a movable pin must leave
+  // every stamp unchanged.
+  Netlist nl = complx::testing::small_circuit(61, 3000, /*movable_macros=*/2);
+  freeze_outside_center_window(nl);
+  const Placement p = nl.snapshot();
 
   const VarMap vars(nl);
   ASSERT_GT(vars.num_vars(), 0u);
@@ -304,6 +312,80 @@ TEST(Qp, LiveNetAssemblyMatchesAllNetsBitwise) {
   EXPECT_LT(live.size(), all.size());
   const Netlist flat = complx::testing::small_circuit(61, 3000, 2);
   EXPECT_EQ(VarMap(flat).net_list(), nullptr);
+}
+
+// ------------------------------------------- sequential axes reference ----
+
+void expect_same_cg(const CgResult& a, const CgResult& b) {
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(dbits(a.residual_norm), dbits(b.residual_norm));
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.breakdown, b.breakdown);
+}
+
+TEST(QpWorkspace, SequentialAxesMatchFrozenPointReferenceBitwise) {
+  // solve_qp_iteration runs x then y through one buffer set, linearizing y
+  // at `p` after x was solved. Over three iterations on a reused workspace it
+  // must equal the frozen-point, two-system flow bit for bit: every model,
+  // with anchors, on an ECO freeze (live-net list), at 1, 2 and 8 threads.
+  Netlist flat = complx::testing::small_circuit(62, 1200, /*movable_macros=*/2);
+  Netlist eco = flat;
+  freeze_outside_center_window(eco);
+  ASSERT_NE(VarMap(eco).net_list(), nullptr);
+  struct Case {
+    const char* name;
+    const Netlist* nl;
+    bool anchored;
+  };
+  const Case cases[] = {{"flat", &flat, false},
+                        {"flat+anchors", &flat, true},
+                        {"eco+anchors", &eco, true}};
+  const size_t prev = global_threads();
+  for (const Case& c : cases) {
+    const Netlist& nl = *c.nl;
+    const VarMap vars(nl);
+    AnchorSet anchors(nl.num_cells());
+    const Placement start = nl.snapshot();
+    for (CellId id : nl.movable_cells()) {
+      anchors.target_x[id] = start.x[id] + 3.0 * static_cast<double>(id % 5);
+      anchors.target_y[id] = start.y[id] - 2.0 * static_cast<double>(id % 3);
+      anchors.weight_x[id] = 0.05 + 0.01 * static_cast<double>(id % 7);
+      anchors.weight_y[id] = 0.05 + 0.02 * static_cast<double>(id % 4);
+    }
+    const AnchorSet* anchor_arg = c.anchored ? &anchors : nullptr;
+    for (NetModel model : {NetModel::B2B, NetModel::Clique, NetModel::Star}) {
+      QpOptions opts;
+      opts.model = model;
+      opts.b2b.min_separation = 1.5 * nl.row_height();
+
+      set_global_threads(1);
+      std::vector<Placement> ref_p;
+      std::vector<QpIterationResult> ref_r;
+      Placement ref = start;
+      for (int i = 0; i < 3; ++i) {
+        ref_r.push_back(testing::frozen_point_reference(nl, vars, ref, anchor_arg,
+                                                       opts));
+        ref_p.push_back(ref);
+      }
+
+      for (size_t threads : {1u, 2u, 8u}) {
+        set_global_threads(threads);
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " model " << static_cast<int>(model)
+                     << " threads " << threads);
+        QpWorkspace ws;
+        Placement p = start;
+        for (int i = 0; i < 3; ++i) {
+          const QpIterationResult r =
+              solve_qp_iteration(nl, vars, p, anchor_arg, opts, ws);
+          expect_bitwise_equal(nl, p, ref_p[i]);
+          expect_same_cg(r.cg_x, ref_r[i].cg_x);
+          expect_same_cg(r.cg_y, ref_r[i].cg_y);
+        }
+      }
+    }
+  }
+  set_global_threads(prev);
 }
 
 }  // namespace
