@@ -19,6 +19,7 @@
 #include "lint.h"
 #include "report.h"
 #include "util/atomic_file.h"
+#include "util/parallel.h"
 
 namespace fs = std::filesystem;
 using complx::lint::Finding;
@@ -49,7 +50,8 @@ int usage(const char* argv0) {
       "atomically)\n"
       "  --no-taint      skip the cross-file T1 determinism-taint pass\n"
       "  --threads N     worker threads for the per-file pass\n"
-      "  --stats         print files/cache-hit/timing summary to stderr\n"
+      "  --stats         print files/cache-hit/timing/thread summary to "
+      "stderr\n"
       "  --quiet         summary line only\n"
       "  --list-rules    print the rule catalog and exit\n",
       argv0);
@@ -211,9 +213,9 @@ int main(int argc, char** argv) {
   if (stats_out) {
     std::fprintf(stderr,
                  "complx-lint: stats files=%zu cache_hits=%zu "
-                 "cache_misses=%zu analyze_ms=%.2f\n",
+                 "cache_misses=%zu analyze_ms=%.2f threads=%zu\n",
                  stats.files, stats.cache_hits, stats.cache_misses,
-                 stats.analyze_s * 1e3);
+                 stats.analyze_s * 1e3, complx::global_threads());
   }
 
   std::string breakdown;
