@@ -28,7 +28,10 @@
 //                         binary snapshot of converged placements keyed by
 //                         netlist hash
 //   --warm-start          probe the store; on an exact or topology hit the
-//                         solver resumes from the stored placement
+//                         solver resumes from the stored placement, flat
+//                         at any design size (the stored placement is
+//                         already spread, so no V-cycle runs); a miss
+//                         places as without the flag
 //   --save-experience     record this run's converged placement back
 //   --ml-threshold <n>    movable-cell count at which the multilevel
 //                         V-cycle replaces flat placement (default 1000000;
@@ -248,16 +251,20 @@ int main(int argc, char** argv) {
                      "warning: experience store %s is corrupt (%s); "
                      "continuing with a cold start\n",
                      snapshot_path.c_str(), to_string(load_err));
-      if (warm_start) cfg.experience = experience.get();
     }
+    std::optional<Placement> start;
+    if (experience && warm_start) start = experience->resume_point(nl);
 
-    // ECO or place_auto (flat or V-cycle); the rest sees only gp.
+    // ECO, a warm-start resume, or place_auto (flat or V-cycle); the rest
+    // sees only gp.
     PlaceResult gp;
     if (eco_window) {
       EcoResult eco = eco_replace(nl, {.window = *eco_window, .config = cfg});
       std::printf("eco: %zu dirty / %zu frozen movables%s\n", eco.dirty_cells,
                   eco.frozen_cells, eco.full_solve ? " (full solve)" : "");
       gp = std::move(eco.place);
+    } else if (start) {
+      gp = ComplxPlacer(nl, cfg).resume(*start);
     } else {
       AutoPlaceOptions aopts;
       aopts.multilevel_threshold = static_cast<size_t>(ml_threshold);

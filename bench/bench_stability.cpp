@@ -85,9 +85,9 @@ int main() {
     const Netlist eco_nl = perturb(base_nl, base.anchors, extra, seed ^ 7);
 
     ComplxConfig warm_cfg = cfg;
-    warm_cfg.warm_start = true;
     warm_cfg.max_iterations = 20;
-    const PlaceResult warm = ComplxPlacer(eco_nl, warm_cfg).place();
+    const PlaceResult warm =
+        ComplxPlacer(eco_nl, warm_cfg).place_from(eco_nl.snapshot());
 
     const PlaceResult cold = ComplxPlacer(eco_nl, cfg).place();
 

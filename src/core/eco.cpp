@@ -69,9 +69,7 @@ EcoResult eco_replace(Netlist& nl, const EcoOptions& opts) {
   nl.refinalize();
   FreezeGuard guard(nl, std::move(saved));
 
-  ComplxConfig cfg = opts.config;
-  cfg.warm_start = true;
-  ComplxPlacer placer(nl, cfg);
+  ComplxPlacer placer(nl, opts.config);
   result.place = placer.place_from(current);
 
   if (opts.apply) {

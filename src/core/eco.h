@@ -32,9 +32,10 @@ struct EcoOptions {
   /// CENTER lies inside (boundary-inclusive, Rect::contains semantics).
   Rect window;
 
-  /// Placer configuration for the re-solve. warm_start is forced on for
-  /// partial windows (an ECO that collapses the dirty cells to the core
-  /// center would throw away the very stability ECO exists for).
+  /// Placer configuration for the re-solve. Partial windows always start
+  /// warm, from the incoming placement (ComplxPlacer::place_from): an ECO
+  /// that collapses the dirty cells to the core center would throw away the
+  /// very stability ECO exists for.
   ComplxConfig config;
 
   /// Commit the re-solved anchor positions of the dirty cells back into

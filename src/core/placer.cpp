@@ -6,7 +6,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/warm_start.h"
 #include "nlcg/nlcg.h"
 #include "util/log.h"
 #include "util/parallel.h"
@@ -18,6 +17,15 @@
 namespace complx {
 
 namespace {
+
+// Warm starts begin with λ at this fraction of its balance value λ*.
+constexpr double kWarmLambdaFraction = 0.5;
+// resume() only: the iteration floor, and the plateau stop — the run exits
+// once Φ̄ fails to improve by kResumePlateauTol (relative) for
+// kResumePlateauWindow consecutive healthy iterations at the finest grid.
+constexpr int kResumeMinIterations = 3;
+constexpr int kResumePlateauWindow = 4;
+constexpr double kResumePlateauTol = 1e-3;
 
 /// L1 distance between two placements over movable cells only.
 double movable_l1(const Netlist& nl, const Placement& a, const Placement& b) {
@@ -150,16 +158,14 @@ double ComplxPlacer::estimate_lambda_star(const Netlist& nl) {
   return std::max(1e-9, 0.5 * per_cell);
 }
 
-PlaceResult ComplxPlacer::place() { return place_impl(nullptr); }
+PlaceResult ComplxPlacer::place() { return place_impl(nullptr, false); }
 
 PlaceResult ComplxPlacer::place_from(const Placement& initial) {
-  if (initial.size() != nl_.num_cells())
-    throw std::invalid_argument("initial placement size mismatch");
-  const bool saved = cfg_.warm_start;
-  cfg_.warm_start = true;
-  PlaceResult result = place_impl(&initial);
-  cfg_.warm_start = saved;
-  return result;
+  return place_impl(&initial, false);
+}
+
+PlaceResult ComplxPlacer::resume(const Placement& stored) {
+  return place_impl(&stored, true);
 }
 
 bool recordable(const PlaceResult& r) {
@@ -168,40 +174,21 @@ bool recordable(const PlaceResult& r) {
                        r.stop == StopReason::MaxIterations);
 }
 
-PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
+PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
+  if (initial && initial->size() != nl_.num_cells())
+    throw std::invalid_argument("initial placement size mismatch");
   if (cfg_.threads > 0) set_global_threads(cfg_.threads);
 
   Timer timer;
   PlaceResult result;
 
-  Placement p = initial ? *initial : nl_.snapshot();
-
-  // Warm-start probe (core/warm_start.h): an exact or near-repeat hit
-  // replaces the cold collapse-to-center with the stored converged
-  // placement. Movable cells only — fixed positions always come from THIS
-  // netlist, so a topology hit with moved terminals stays consistent. A
-  // miss, a degraded source, or no source at all is the cold path, bitwise.
-  bool from_experience = false;
-  if (!initial && !cfg_.warm_start && cfg_.experience) {
-    const WarmStartSource::Hit hit = cfg_.experience->warm_start(nl_);
-    if (hit.x != nullptr && hit.y != nullptr) {
-      for (CellId id : nl_.movable_cells()) {
-        p.x[id] = (*hit.x)[id];
-        p.y[id] = (*hit.y)[id];
-      }
-      from_experience = true;
-      log_debug("experience store: %s hit (stored hpwl %.4g, %u iterations)",
-                hit.kind == WarmStartSource::MatchKind::Exact ? "exact"
-                                                              : "topology",
-                hit.hpwl, hit.iterations);
-    }
-  }
-  // Both warm-start flavours skip the bootstrap and the λ=0 phase and jump
-  // λ toward the balance point; the experience flavour additionally starts
-  // at the finest grid (the stored solution is already spread — coarse
-  // re-projection would shred it) and lowers the iteration floor.
-  const bool warm = cfg_.warm_start || from_experience;
-  result.warm_started = from_experience;
+  // Both warm flavours skip the bootstrap and the λ=0 phase and jump λ
+  // toward the balance point; resume() additionally starts at the finest
+  // grid (the stored solution is already spread — coarse re-projection
+  // would shred it), lowers the iteration floor and arms the plateau stop.
+  const bool warm = initial != nullptr;
+  result.warm_started = resume;
+  Placement p = warm ? *initial : nl_.snapshot();
   if (!warm) init_at_center(nl_, p);
   const VarMap vars(nl_);
 
@@ -262,7 +249,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
   LookAheadLegalizer lal(nl_, cfg_.projection);
   const size_t finest = lal.bins_x();
   double bins =
-      from_experience
+      resume
           ? static_cast<double>(finest)
           : std::max(4.0, static_cast<double>(finest) /
                               std::max(cfg_.grid_coarsening, 1.0));
@@ -285,7 +272,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
   if (warm) {
     // Jump λ to a fraction of its balance value so the incoming placement
     // is respected from the first iteration.
-    while (schedule.lambda() < cfg_.warm_lambda_fraction * lambda_star)
+    while (schedule.lambda() < kWarmLambdaFraction * lambda_star)
       schedule.update(proj.displacement_l1, proj.displacement_l1);
   }
 
@@ -397,9 +384,9 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
 
   // Warm plateau detector. Baseline = the resumed solution's projected
   // quality: an iteration must beat it (and then keep beating its own best)
-  // by warm_plateau_tol to keep the run alive. Cold runs never read these,
-  // so the cold path stays bitwise identical with the detector compiled in.
-  double warm_best_phi = from_experience
+  // by kResumePlateauTol to keep the run alive. Only resume() reads these,
+  // so the other paths stay bitwise identical with the detector compiled in.
+  double warm_best_phi = resume
                              ? result.trace.back().phi_upper
                              : std::numeric_limits<double>::infinity();
   int warm_stall = 0;
@@ -527,8 +514,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
     // on a small duality gap (detailed placement runs on the anchors, so
     // the gap bounds the cost difference).
     const bool grid_final = lal.bins_x() >= finest;
-    const int min_iters =
-        from_experience ? cfg_.warm_min_iterations : cfg_.min_iterations;
+    const int min_iters = resume ? kResumeMinIterations : cfg_.min_iterations;
     if (k >= min_iters && grid_final) {
       if (st.overflow_ratio < cfg_.stop_overflow) {
         stop = StopReason::Converged;
@@ -539,15 +525,15 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
         stop = StopReason::Converged;
         break;
       }
-      // Warm plateau (experience resumes only): the run started at the
-      // stored quality, so once Φ̄ stops improving on it there is nothing
-      // left in the budget worth spending — exit and let the checkpoint
-      // fallback below return the best state seen (resumed or better).
-      if (from_experience) {
-        if (st.phi_upper < warm_best_phi * (1.0 - cfg_.warm_plateau_tol)) {
+      // Warm plateau (resume() only): the run started at the stored
+      // quality, so once Φ̄ stops improving on it there is nothing left in
+      // the budget worth spending — exit and let the checkpoint fallback
+      // below return the best state seen (resumed or better).
+      if (resume) {
+        if (st.phi_upper < warm_best_phi * (1.0 - kResumePlateauTol)) {
           warm_best_phi = st.phi_upper;
           warm_stall = 0;
-        } else if (++warm_stall >= cfg_.warm_plateau_window) {
+        } else if (++warm_stall >= kResumePlateauWindow) {
           stop = StopReason::Plateau;
           log_debug("iter %d: warm plateau — phi_upper %.4g stalled for %d "
                     "iterations",

@@ -35,8 +35,6 @@
 
 namespace complx {
 
-class WarmStartSource;
-
 /// Routability mode (the SimPLR/Ripple special cases, Section 5): RUDY
 /// congestion is estimated every `period` iterations and congested standard
 /// cells are inflated inside the feasibility projection.
@@ -120,36 +118,6 @@ struct ComplxConfig {
   // λ = 0 before the first projection.
   int initial_iterations = 3;
 
-  // Warm start (incremental placement, cf. S6's stability observation and
-  // the physical-synthesis use case of [1]): start from the positions
-  // stored in the netlist instead of collapsing to the core center, skip
-  // the λ=0 phase, and begin with a non-zero λ so the placement stays
-  // close to the incoming solution.
-  bool warm_start = false;
-  double warm_lambda_fraction = 0.5;  ///< initial λ as a fraction of λ*
-
-  // Experience-driven warm start (core/warm_start.h; io/experience.h is
-  // the production implementation): when non-null, place() probes the
-  // source for this job before the cold bootstrap. On a hit the
-  // stored placement replaces the collapse-to-center, the λ=0 phase is
-  // skipped, the grid starts at the finest resolution (the stored solution
-  // is already spread — re-coarsening would destroy it) and the iteration
-  // floor drops to warm_min_iterations. A miss — or a degraded store — is
-  // exactly the cold path, bitwise. The placer only READS the store;
-  // recording results back is the caller's decision.
-  //
-  // A resumed run also gets a plateau stop: once Φ̄ fails to improve by
-  // warm_plateau_tol (relative) for warm_plateau_window consecutive healthy
-  // iterations at the finest grid, the run exits with StopReason::Plateau
-  // and returns its best-so-far checkpoint — which is never worse than the
-  // resumed solution. This is what makes a repeat of a job that exhausted
-  // its iteration budget cheap: the rerun re-attains the stored quality in
-  // a handful of iterations instead of burning the whole budget again.
-  const WarmStartSource* experience = nullptr;
-  int warm_min_iterations = 3;  ///< min_iterations for experience hits
-  int warm_plateau_window = 4;     ///< stalled iterations before Plateau stop
-  double warm_plateau_tol = 1e-3;  ///< relative Φ̄ gain that resets the stall
-
   // Routability-driven placement (SimPLR/Ripple as ComPLx configurations).
   RoutabilityOptions routability;
 
@@ -211,7 +179,7 @@ struct PlaceResult {
   HealthStats health;   ///< watchdog fault counters
   int recovered = 0;    ///< rollback-and-backoff recoveries performed
   int best_iteration = -1;  ///< trace iteration the placements come from
-  bool warm_started = false;  ///< started from an experience-store record
+  bool warm_started = false;  ///< run by resume() from a stored placement
   bool failed = false;  ///< recovery retries exhausted; placements are the
                         ///< best-so-far checkpoint, `failure` explains why
   std::string failure;  ///< structured failure description (empty when ok)
@@ -250,13 +218,33 @@ class ComplxPlacer {
     faults_ = std::move(faults);
   }
 
+  /// Cold start: movable cells collapse to the core center, a λ=0 phase
+  /// minimizes Φ alone, and the grid refines from coarse to finest.
   PlaceResult place();
 
-  /// Warm-started placement from an explicit initial placement (the
-  /// netlist's stored positions are not consulted or modified). Implies
-  /// cfg.warm_start semantics: no collapse-to-center, no λ=0 phase, λ
-  /// starts near the balance point.
+  /// Warm start (incremental placement, cf. S6's stability observation and
+  /// the physical-synthesis use case of [1]) from an explicit initial
+  /// placement (the netlist's stored positions are not consulted or
+  /// modified): no collapse-to-center, no λ=0 phase, and λ starts at
+  /// kWarmLambdaFraction (placer.cpp) of its balance value so the placement
+  /// stays close to the incoming one. Pass nl.snapshot() to start from the
+  /// netlist's own positions. Throws std::invalid_argument on a size
+  /// mismatch.
   PlaceResult place_from(const Placement& initial);
+
+  /// Resumes from a stored converged placement, typically the one
+  /// ExperienceStore::resume_point returned for this netlist. Everything
+  /// place_from does, and in addition: the grid starts at the finest
+  /// resolution (the stored solution is already spread — re-coarsening
+  /// would destroy it), the iteration floor drops to kResumeMinIterations,
+  /// and the run gets a plateau stop — once Φ̄ fails to improve by
+  /// kResumePlateauTol for kResumePlateauWindow consecutive healthy
+  /// iterations it exits with StopReason::Plateau and returns its
+  /// best-so-far checkpoint, which is never worse than the stored solution.
+  /// A repeat of a job that exhausted its iteration budget thus re-attains
+  /// the stored quality in a handful of iterations instead of burning the
+  /// whole budget again. Sets PlaceResult::warm_started.
+  PlaceResult resume(const Placement& stored);
 
   /// Force-balance estimate of the converged multiplier: at the optimum the
   /// pseudonet force per cell (≈ 2λ) matches the mean linearized B2B net
@@ -272,7 +260,9 @@ class ComplxPlacer {
                               const Placement& cur_iter,
                               const Placement& cur_proj, bool grid_final,
                               SelfConsistencyStats& stats) const;
-  PlaceResult place_impl(const Placement* initial);
+  /// Cold when `initial` is null, warm otherwise; `resume` adds the
+  /// resume() behaviour on top of the warm start.
+  PlaceResult place_impl(const Placement* initial, bool resume);
 
   const Netlist& nl_;
   ComplxConfig cfg_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -78,8 +79,11 @@ FleetRecord run_fleet_design(const PekoParams& params,
   cfg.density_backend = opts.density_backend;
   cfg.threads = opts.threads;
   cfg.cancel = opts.cancel;
-  if (opts.warm_start) cfg.experience = opts.experience;
-  const PlaceResult gp = ComplxPlacer(nl, cfg).place();
+  std::optional<Placement> start;
+  if (opts.warm_start && opts.experience)
+    start = opts.experience->resume_point(nl);
+  ComplxPlacer placer(nl, cfg);
+  const PlaceResult gp = start ? placer.resume(*start) : placer.place();
 
   // Record the best usable GLOBAL placement (the anchors a warm start
   // resumes from), before legalization/DP bake in row snapping.

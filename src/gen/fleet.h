@@ -50,10 +50,11 @@ struct FleetRunOptions {
   std::string density_backend = "spread";
 
   /// Experience store (io/experience.h): when non-null, each design probes
-  /// the store before the cold bootstrap (warm_start) and/or records its
-  /// converged global placement back (save_experience). The store is probed
-  /// and updated per design, so within one fleet run design k can already
-  /// warm-start from design k's record of a previous run.
+  /// the store and resumes from a hit instead of starting cold (warm_start)
+  /// and/or records its converged global placement back (save_experience).
+  /// The store is probed and updated per design, so within one fleet run
+  /// design k can already warm-start from design k's record of a previous
+  /// run.
   ExperienceStore* experience = nullptr;
   bool warm_start = false;
   bool save_experience = false;

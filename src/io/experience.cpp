@@ -97,20 +97,21 @@ ExperienceStore::Probe ExperienceStore::lookup_locked(
   return probe;
 }
 
-WarmStartSource::Hit ExperienceStore::warm_start(const Netlist& nl) const {
-  WarmStartSource::Hit hit;
+std::optional<Placement> ExperienceStore::resume_point(
+    const Netlist& nl) const {
   MutexLock lock(mu_);
   const Probe probe = lookup_locked(nl);
-  if (probe.record != nullptr) {
-    hit.kind = probe.kind == MatchKind::Exact
-                   ? WarmStartSource::MatchKind::Exact
-                   : WarmStartSource::MatchKind::Topology;
-    hit.x = &probe.record->x;
-    hit.y = &probe.record->y;
-    hit.hpwl = probe.record->hpwl;
-    hit.iterations = probe.record->iterations;
+  if (probe.record == nullptr) return std::nullopt;
+  const SnapshotRecord& rec = *probe.record;
+  Placement p = nl.snapshot();
+  for (CellId id : nl.movable_cells()) {
+    p.x[id] = rec.x[id];
+    p.y[id] = rec.y[id];
   }
-  return hit;
+  log_debug("experience store: %s hit (stored hpwl %.4g, %u iterations)",
+            probe.kind == MatchKind::Exact ? "exact" : "topology", rec.hpwl,
+            rec.iterations);
+  return p;
 }
 
 bool ExperienceStore::record(const Netlist& nl, const Placement& placement,

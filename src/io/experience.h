@@ -4,7 +4,9 @@
 // A placement service sees the same netlist again and again — ECO loops,
 // parameter sweeps, nightly reruns. The store keeps one converged placement
 // per job (keyed by netlist_job_hash), persisted in the snapshot format of
-// io/snapshot.h, and answers probes:
+// io/snapshot.h, and answers probes. The store serves the placer through
+// its caller: resume_point() turns a hit into a starting placement, which
+// the caller hands to ComplxPlacer::resume().
 //
 //   Exact match     — same job hash: resume from the stored placement at
 //                     the finest grid with a short iteration floor; the
@@ -32,19 +34,17 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
-#include "core/warm_start.h"
 #include "io/snapshot.h"
+#include "netlist/netlist.h"
 #include "util/atomic_file.h"
 #include "util/parallel.h"
 
 namespace complx {
 
-class Netlist;
-struct Placement;
-
-class ExperienceStore : public WarmStartSource {
+class ExperienceStore {
  public:
   struct Options {
     std::string path;       ///< snapshot file (created on first save)
@@ -76,10 +76,13 @@ class ExperienceStore : public WarmStartSource {
   /// topology match with the smallest key.
   Probe lookup(const Netlist& nl) const;
 
-  /// WarmStartSource: lookup() adapted to the core-side interface (the
-  /// placer depends on core/warm_start.h only — io sits above core in the
-  /// layer DAG, so the store implements the interface, not the reverse).
-  WarmStartSource::Hit warm_start(const Netlist& nl) const override;
+  /// Where a warm start for this job resumes from: nl.snapshot() with every
+  /// movable cell moved to the matching record's coordinates. Fixed cells
+  /// keep THIS netlist's positions, so a topology hit with moved terminals
+  /// stays consistent. nullopt on a miss (cold start). The copy is made
+  /// under the lock, so a concurrent record() cannot invalidate it.
+  std::optional<Placement> resume_point(const Netlist& nl) const
+      COMPLX_EXCLUDES(mu_);
 
   /// Records a converged placement for this job and, when persist is on,
   /// rewrites the store atomically. Returns false (and marks the store
@@ -118,7 +121,7 @@ class ExperienceStore : public WarmStartSource {
 
   Options opts_;  ///< set in the constructor, never mutated after
   /// Guards every mutable member: a placement service probes (lookup /
-  /// warm_start) from worker sessions while completed runs record() back.
+  /// resume_point) from worker sessions while completed runs record() back.
   /// The discipline is declared here and proven by the CI clang job's
   /// -Wthread-safety build; complx-lint rule P2 keeps it declared.
   mutable Mutex mu_;

@@ -69,8 +69,8 @@ QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
     Timer solve_timer;
     const CgResult cg = builder.solve(p, opts.cg, ws.solve);
     ws.stats.solve_s += solve_timer.seconds();
-    if (opts.clamp_to_core)
-      clamp_axis(nl, axis == Axis::X ? p.x : p.y, axis);
+    // Cells cannot leave the placement region.
+    clamp_axis(nl, axis == Axis::X ? p.x : p.y, axis);
     (axis == Axis::X ? result.cg_x : result.cg_y) = cg;
   }
   ++ws.stats.iterations;

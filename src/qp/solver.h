@@ -30,9 +30,6 @@ struct QpOptions {
   NetModel model = NetModel::B2B;
   B2bOptions b2b;
   CgOptions cg;
-  /// Clamp solved coordinates into the core area (cells cannot leave the
-  /// placement region).
-  bool clamp_to_core = true;
 };
 
 struct QpIterationResult {

@@ -148,7 +148,7 @@ inline Netlist small_circuit(uint64_t seed = 7, size_t cells = 2000,
 }
 
 /// Clamps the `axis` coordinate of every movable cell into the core.
-inline void clamp_to_core(const Netlist& nl, Placement& p, Axis axis) {
+inline void clamp_into_core(const Netlist& nl, Placement& p, Axis axis) {
   const Rect& core = nl.core();
   for (CellId id : nl.movable_cells()) {
     const Cell& c = nl.cell(id);
@@ -204,9 +204,9 @@ inline QpIterationResult frozen_point_reference(const Netlist& nl,
   by.assemble(wy);
   QpIterationResult r;
   r.cg_x = bx.solve(p, opts.cg, wx);
-  clamp_to_core(nl, p, Axis::X);
+  clamp_into_core(nl, p, Axis::X);
   r.cg_y = by.solve(p, opts.cg, wy);
-  clamp_to_core(nl, p, Axis::Y);
+  clamp_into_core(nl, p, Axis::Y);
   return r;
 }
 

@@ -120,9 +120,8 @@ TEST(WarmStart, StaysCloseToIncomingPlacement) {
 
   // Warm re-place of the SAME design must barely move anything.
   ComplxConfig warm = cold;
-  warm.warm_start = true;
   warm.max_iterations = 15;
-  const PlaceResult re = ComplxPlacer(nl, warm).place();
+  const PlaceResult re = ComplxPlacer(nl, warm).place_from(nl.snapshot());
   double disp = 0.0;
   for (CellId id : nl.movable_cells())
     disp += std::abs(re.anchors.x[id] - base.anchors.x[id]) +

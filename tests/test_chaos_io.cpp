@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -606,9 +607,9 @@ TEST(ExperienceWarmStart, ExactRepeatResumesAndConvergesFaster) {
   ASSERT_TRUE(store.record(nl, cold.anchors,
                            weighted_hpwl(nl, cold.anchors), cold.iterations));
 
-  ComplxConfig cfg = chaos_config();
-  cfg.experience = &store;
-  const PlaceResult warm = ComplxPlacer(nl, cfg).place();
+  const std::optional<Placement> start = store.resume_point(nl);
+  ASSERT_TRUE(start.has_value());
+  const PlaceResult warm = ComplxPlacer(nl, chaos_config()).resume(*start);
   ASSERT_FALSE(warm.failed) << warm.failure;
   EXPECT_TRUE(warm.warm_started);
   EXPECT_LT(warm.iterations, cold.iterations)
@@ -626,16 +627,52 @@ TEST(ExperienceWarmStart, MissIsBitwiseIdenticalToColdStart) {
   ASSERT_TRUE(store.record(other, other.snapshot(), 1.0, 5));
   ASSERT_EQ(store.lookup(nl).kind, ExperienceStore::MatchKind::Miss);
 
+  // A miss hands the caller nothing to resume from, so it places cold —
+  // the same call a run without a store makes.
+  const std::optional<Placement> start = store.resume_point(nl);
+  EXPECT_FALSE(start.has_value());
+  ComplxPlacer placer(nl, chaos_config());
+  const PlaceResult probed = start ? placer.resume(*start) : placer.place();
   const PlaceResult cold = ComplxPlacer(nl, chaos_config()).place();
-  ComplxConfig cfg = chaos_config();
-  cfg.experience = &store;
-  const PlaceResult probed = ComplxPlacer(nl, cfg).place();
 
   EXPECT_FALSE(probed.warm_started);
   EXPECT_EQ(probed.iterations, cold.iterations);
   testing::expect_placements_bitwise_equal(probed.anchors, cold.anchors);
   testing::expect_placements_bitwise_equal(probed.lower_bound,
                                            cold.lower_bound);
+}
+
+// A topology hit (same connectivity, one fixed cell moved) resumes the
+// movable cells from the record but keeps the probed netlist's fixed cells:
+// the record's stale terminal positions must never leak into the start.
+TEST(ExperienceStore, ResumePointKeepsThisNetlistsFixedCells) {
+  const Netlist nl = testing::small_circuit(13, 400);
+  Placement stored = nl.snapshot();
+  for (CellId id = 0; id < nl.num_cells(); ++id) {
+    stored.x[id] += 1.5;
+    stored.y[id] -= 2.5;
+  }
+  ExperienceStore::Options opts;
+  opts.persist = false;
+  ExperienceStore store(opts);
+  ASSERT_TRUE(store.record(nl, stored, 1.0, 7));
+
+  Netlist moved = nl;
+  CellId fixed = 0;
+  while (fixed < moved.num_cells() && moved.cell(fixed).movable()) ++fixed;
+  ASSERT_LT(fixed, moved.num_cells()) << "test circuit has no fixed cell";
+  moved.cell(fixed).x += 10.0;
+  ASSERT_EQ(store.lookup(moved).kind, ExperienceStore::MatchKind::Topology);
+
+  const std::optional<Placement> start = store.resume_point(moved);
+  ASSERT_TRUE(start.has_value());
+  const Placement here = moved.snapshot();
+  for (CellId id = 0; id < moved.num_cells(); ++id) {
+    const Placement& want = moved.cell(id).movable() ? stored : here;
+    EXPECT_EQ(testing::bits(start->x[id]), testing::bits(want.x[id])) << id;
+    EXPECT_EQ(testing::bits(start->y[id]), testing::bits(want.y[id])) << id;
+  }
+  EXPECT_NE(testing::bits(start->x[fixed]), testing::bits(stored.x[fixed]));
 }
 
 }  // namespace

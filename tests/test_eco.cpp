@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 
 #include "core/eco.h"
 #include "helpers.h"
@@ -146,9 +147,10 @@ TEST(Eco, ApplyFalseLeavesNetlistUntouched) {
 }
 
 // Chaos-labeled: a warm-start snapshot (experience store) feeding an ECO
-// pass. The stored placement seeds the full-window solve; the partial
-// window then re-solves an island on top of the resumed result. Exercises
-// the store → placer → freeze/refinalize → commit pipeline end to end.
+// pass. The stored placement seeds a resumed solve (the caller probes the
+// store, as complx_place --warm-start does); the partial window then
+// re-solves an island on top of the resumed result. Exercises the store →
+// placer → freeze/refinalize → commit pipeline end to end.
 TEST(EcoChaos, WarmStartSnapshotFeedsEcoPass) {
   Netlist nl = testing::small_circuit(25, 300);
 
@@ -159,24 +161,19 @@ TEST(EcoChaos, WarmStartSnapshotFeedsEcoPass) {
 
   // Produce and record a converged placement.
   ComplxConfig cfg = fast_config();
-  ComplxPlacer placer(nl, cfg);
-  const PlaceResult cold = placer.place();
+  const PlaceResult cold = ComplxPlacer(nl, cfg).place();
   ASSERT_FALSE(cold.failed);
   ASSERT_TRUE(store.record(nl, cold.anchors,
                            weighted_hpwl(nl, cold.anchors),
                            cold.iterations));
-  nl.apply(cold.anchors);
 
-  // Full-window ECO with the store wired in: must warm-start, not re-run
-  // the cold bootstrap.
-  EcoOptions full;
-  full.window = {-1e30, -1e30, 1e30, 1e30};
-  full.config = cfg;
-  full.config.experience = &store;
-  const EcoResult resumed = eco_replace(nl, full);
-  EXPECT_TRUE(resumed.full_solve);
-  EXPECT_TRUE(resumed.place.warm_started);
-  EXPECT_FALSE(resumed.place.failed);
+  // Resume from the store: must warm-start, not re-run the cold bootstrap.
+  const std::optional<Placement> start = store.resume_point(nl);
+  ASSERT_TRUE(start.has_value());
+  const PlaceResult resumed = ComplxPlacer(nl, cfg).resume(*start);
+  EXPECT_TRUE(resumed.warm_started);
+  EXPECT_FALSE(resumed.failed);
+  nl.apply(resumed.anchors);
 
   // Partial ECO on the resumed placement: outside cells bit-exact.
   const Rect core = nl.core();

@@ -8,7 +8,6 @@
 // Exit codes: 0 clean, 1 findings, 2 usage error.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -20,6 +19,7 @@
 #include "report.h"
 #include "util/atomic_file.h"
 #include "util/parallel.h"
+#include "util/parse_num.h"
 
 namespace fs = std::filesystem;
 using complx::lint::Finding;
@@ -140,7 +140,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       const char* v = need_value(i);
       if (!v) return usage(argv[0]);
-      threads = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
+      try {
+        threads = complx::parse_uint64("--threads", v, 0, 65536);
+      } catch (const complx::ParseError& e) {
+        std::fprintf(stderr, "complx-lint: %s\n", e.what());
+        return usage(argv[0]);
+      }
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
