@@ -28,7 +28,8 @@ run_tree() {
   echo "=== [$name] build ==="
   cmake --build "$dir" -j "$jobs" --target \
     complx test_parallel test_golden_determinism test_health test_linalg \
-    test_eco test_qp test_bookshelf complx_gen complx_place >/dev/null
+    test_eco test_qp test_bookshelf complx_gen complx_place complx_fleet \
+    >/dev/null
   echo "=== [$name] ctest -L determinism ==="
   ctest --test-dir "$dir" -L determinism --output-on-failure
 }

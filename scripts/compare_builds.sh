@@ -1,0 +1,99 @@
+#!/usr/bin/env bash
+# Checks that two builds place the same designs to the same bytes: the
+# "same placements" check for changes that must leave every placement
+# bitwise unchanged. Both builds run the same jobs and their outputs are
+# compared with cmp:
+#   * complx_fleet --preset gate and --preset smoke (--no-timing JSON);
+#   * complx_fleet --preset gate --warm-start, each build on its own copy of
+#     one store seeded by a cold --save-experience gate fleet of <base-build>;
+#   * complx_place .pl files on a generated 6k-cell design with two macros:
+#     flat, multilevel (--ml-threshold 0), a partial --eco-window, and a flat
+#     --warm-start hit on a store seeded by <base-build>'s flat run.
+#
+# Usage: scripts/compare_builds.sh <base-build> <cand-build>
+#   <base-build>, <cand-build>: CMake build trees holding apps/complx_fleet,
+#   apps/complx_gen and apps/complx_place. Passing one tree twice checks
+#   that its placements are reproducible run to run.
+# Exit code 0 iff every output matches; otherwise 1, naming the first file
+# that differs (or the job that did not do what it should). The outputs go
+# to a temporary directory, removed on success and kept on failure.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+  echo "usage: $0 <base-build> <cand-build>" >&2
+  exit 2
+fi
+base=$(cd "$1" && pwd)
+cand=$(cd "$2" && pwd)
+work=$(mktemp -d)
+
+fail() {
+  echo "compare_builds: $*" >&2
+  exit 1
+}
+
+for b in "$base" "$cand"; do
+  for app in complx_fleet complx_gen complx_place; do
+    [ -x "$b/apps/$app" ] || fail "missing $b/apps/$app"
+  done
+done
+
+# Runs one app of build $1 ("base" or "cand"), logging to $work/$1/$2.log.
+run() {
+  local side=$1 log=$2 app=$3; shift 3
+  local dir
+  if [ "$side" = base ]; then dir=$base; else dir=$cand; fi
+  "$dir/apps/$app" "$@" > "$work/$side/$log.log" 2>&1 ||
+    fail "$side: $app $* failed (log: $work/$side/$log.log)"
+}
+
+mkdir -p "$work/base" "$work/cand" "$work/seed"
+
+# Seeds: one cold gate fleet store, one generated design and its flat-run
+# store, all from the base build.
+"$base/apps/complx_fleet" --preset gate --no-timing --quiet \
+  --snapshot "$work/seed/fleet.snap" --save-experience \
+  --out "$work/seed/fleet.json" > "$work/seed/fleet.log" 2>&1 ||
+  fail "seeding the gate fleet store failed"
+"$base/apps/complx_gen" --cells 6000 --seed 9 --macros 2 --name d6k \
+  --out "$work/seed" > "$work/seed/gen.log" 2>&1 ||
+  fail "generating the 6k design failed"
+design=$work/seed/d6k.aux
+"$base/apps/complx_place" "$design" --quiet --out "$work/seed/flat.pl" \
+  --snapshot "$work/seed/place.snap" --save-experience \
+  > "$work/seed/place.log" 2>&1 || fail "seeding the placement store failed"
+
+for side in base cand; do
+  out=$work/$side
+  cp "$work/seed/fleet.snap" "$out/fleet.snap"
+  cp "$work/seed/place.snap" "$out/place.snap"
+  run "$side" gate complx_fleet --preset gate --no-timing --quiet \
+    --out "$out/gate.json"
+  run "$side" smoke complx_fleet --preset smoke --no-timing --quiet \
+    --out "$out/smoke.json"
+  run "$side" gate_warm complx_fleet --preset gate --no-timing --quiet \
+    --snapshot "$out/fleet.snap" --warm-start --out "$out/gate_warm.json"
+  run "$side" flat complx_place "$design" --quiet --out "$out/flat.pl"
+  run "$side" ml complx_place "$design" --quiet --ml-threshold 0 \
+    --out "$out/ml.pl"
+  run "$side" eco complx_place "$design" --quiet \
+    --eco-window 300,300,700,700 --out "$out/eco.pl"
+  run "$side" warm complx_place "$design" --quiet \
+    --snapshot "$out/place.snap" --warm-start --out "$out/warm.pl"
+
+  # A job that silently fell back to another path would compare equal and
+  # prove nothing.
+  grep -q '^multilevel:' "$out/ml.log" || fail "$side: ml run stayed flat"
+  grep -Eq '^eco: [1-9][0-9]* dirty / [1-9][0-9]* frozen movables$' \
+    "$out/eco.log" || fail "$side: eco window was not partial"
+  grep -q 'warm start' "$out/warm.log" || fail "$side: warm run missed"
+  grep -q '"warm_started": true' "$out/gate_warm.json" ||
+    fail "$side: warm gate fleet resumed no design"
+done
+
+for f in gate.json smoke.json gate_warm.json flat.pl ml.pl eco.pl warm.pl; do
+  cmp -s "$work/base/$f" "$work/cand/$f" ||
+    fail "$f differs ($work/base/$f vs $work/cand/$f)"
+done
+rm -rf "$work"
+echo "compare_builds: all outputs identical"

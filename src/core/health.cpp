@@ -92,12 +92,12 @@ HealthFault HealthMonitor::check_stats(const IterationStats& st) const {
   // Blow-up tests compare against references from accepted iterations only,
   // so the very first iteration can never be flagged as divergent.
   if (best_phi_ > 0.0 && std::isfinite(best_phi_) &&
-      st.phi_lower > opts_.phi_blowup_ratio * best_phi_)
+      st.phi_lower > kPhiBlowupRatio * best_phi_)
     return HealthFault::ObjectiveBlowup;
-  if (max_pi_ > 0.0 && st.pi > opts_.pi_blowup_ratio * max_pi_)
+  if (max_pi_ > 0.0 && st.pi > kPiBlowupRatio * max_pi_)
     return HealthFault::PenaltyBlowup;
   if (best_lagrangian_ > 0.0 && std::isfinite(best_lagrangian_) &&
-      st.lagrangian > opts_.lagrangian_blowup_ratio * best_lagrangian_)
+      st.lagrangian > kLagrangianBlowupRatio * best_lagrangian_)
     return HealthFault::LagrangianBlowup;
   return HealthFault::None;
 }

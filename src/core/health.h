@@ -9,7 +9,7 @@
 //
 //  * HealthMonitor   — validates every iterate/projection for NaN/Inf and
 //                      detects divergence from the trace (Φ/Π/L blow-up
-//                      beyond configurable ratios, non-finite λ);
+//                      beyond fixed ratios, non-finite λ);
 //  * Checkpoint      — the best-so-far snapshot (anchors, iterate, λ, trace
 //                      index) ranked by (grid resolution, overflow_ratio,
 //                      then Φ_upper), so the run can always return the best
@@ -29,14 +29,12 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <utility>
 
 #include "core/trace.h"
 #include "linalg/cg.h"
 #include "netlist/netlist.h"
 #include "util/atomic_file.h"
 #include "util/fpcmp.h"
-#include "util/parallel.h"
 
 namespace complx {
 
@@ -66,8 +64,7 @@ enum class HealthFault {
 const char* to_string(HealthFault f);
 
 /// Aggregate per-run statistics of the inner linear solves (both axes, all
-/// iterations, including the λ = 0 warm-up). Previously solve_qp_iteration's
-/// CgResults were discarded; now the driver folds them in here.
+/// iterations, including the λ = 0 warm-up).
 struct SolverStats {
   size_t solves = 0;
   size_t nonconverged = 0;        ///< budget exhausted above tolerance
@@ -131,33 +128,26 @@ struct HealthStats {
 /// Divergence thresholds. The ratios are deliberately loose: the watchdog
 /// exists to catch runaway numerics, not to second-guess a noisy but
 /// convergent trajectory.
-struct HealthOptions {
-  bool enabled = true;
-  double phi_blowup_ratio = 50.0;   ///< Φ_lower vs best (smallest) seen
-  double pi_blowup_ratio = 20.0;    ///< Π vs largest healthy value seen
-  double lagrangian_blowup_ratio = 100.0;  ///< L vs best (smallest) seen
-};
+inline constexpr double kPhiBlowupRatio = 50.0;  ///< Φ_lower vs smallest seen
+inline constexpr double kPiBlowupRatio = 20.0;   ///< Π vs largest healthy
+inline constexpr double kLagrangianBlowupRatio = 100.0;  ///< L vs smallest
 
-/// Rollback-and-backoff policy applied when the monitor flags a bad step.
-struct RecoveryOptions {
-  int max_retries = 3;          ///< consecutive rollbacks before giving up
-  double lambda_backoff = 0.5;  ///< λ multiplier per consecutive retry
-  /// Applied from the second consecutive PCG breakdown onward: the CG
-  /// tolerance is multiplied by cg_tol_relax and diag_shift is added to the
-  /// system diagonal (Tikhonov regularization) to restore positive
-  /// definiteness.
-  double cg_tol_relax = 10.0;
-  double diag_shift = 1e-6;
-};
+/// Rollback-and-backoff policy applied when the monitor flags a bad step:
+/// at most kMaxRecoveryRetries consecutive rollbacks, each multiplying the
+/// checkpoint's λ by kRecoveryLambdaBackoff once more. From the second
+/// consecutive PCG breakdown onward the CG tolerance is also multiplied by
+/// kRecoveryCgTolRelax and kRecoveryDiagShift is added to the system
+/// diagonal (Tikhonov regularization) to restore positive definiteness.
+inline constexpr int kMaxRecoveryRetries = 3;
+inline constexpr double kRecoveryLambdaBackoff = 0.5;
+inline constexpr double kRecoveryCgTolRelax = 10.0;
+inline constexpr double kRecoveryDiagShift = 1e-6;
 
 /// Validates iterates and per-iteration statistics. All checks are
 /// read-only: on a healthy run the monitor perturbs nothing — the
 /// determinism suite holds bitwise with the watchdog enabled.
 class HealthMonitor {
  public:
-  HealthMonitor(const Netlist& nl, const HealthOptions& opts)
-      : nl_(nl), opts_(opts) {}
-
   /// True iff every movable coordinate of `p` is finite.
   static bool placement_finite(const Netlist& nl, const Placement& p);
 
@@ -171,11 +161,8 @@ class HealthMonitor {
 
   const HealthStats& stats() const { return stats_; }
   HealthStats& stats() { return stats_; }
-  const Netlist& netlist() const { return nl_; }
 
  private:
-  const Netlist& nl_;
-  HealthOptions opts_;
   HealthStats stats_;
   double best_phi_ = std::numeric_limits<double>::infinity();
   double best_lagrangian_ = std::numeric_limits<double>::infinity();
@@ -219,49 +206,6 @@ struct Checkpoint {
   bool offer(const Netlist& nl, const Placement& it, const Placement& anc,
              double lam, double pi_value, int index, size_t bins, double ovfl,
              double phi_up);
-};
-
-/// Mutex-guarded Checkpoint holder: the driver offers every healthy
-/// iteration, and any thread — the loop itself on rollback/exit, a watchdog
-/// or service thread polling progress — reads a consistent snapshot. The
-/// lock discipline is declared (COMPLX_GUARDED_BY) and proven by the CI
-/// clang job's -Wthread-safety build; on the placer's hot path the store
-/// is touched once per iteration, so the uncontended lock cost is noise.
-class CheckpointStore {
- public:
-  /// Checkpoint::offer under the lock. Returns true if the snapshot was
-  /// taken.
-  bool offer(const Netlist& nl, const Placement& it, const Placement& anc,
-             double lam, double pi_value, int index, size_t bins, double ovfl,
-             double phi_up) COMPLX_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return best_.offer(nl, it, anc, lam, pi_value, index, bins, ovfl, phi_up);
-  }
-
-  bool valid() const COMPLX_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return best_.valid();
-  }
-
-  /// Consistent copy of the best-so-far state (rollback targets, progress
-  /// polls). Copying the placements is deliberate: the caller gets a frozen
-  /// state, never a reference another thread may overwrite.
-  Checkpoint snapshot() const COMPLX_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return best_;
-  }
-
-  /// Moves the checkpoint out (final hand-off; the store is empty after).
-  Checkpoint take() COMPLX_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    Checkpoint out = std::move(best_);
-    best_ = Checkpoint{};
-    return out;
-  }
-
- private:
-  mutable Mutex mu_;
-  Checkpoint best_ COMPLX_GUARDED_BY(mu_);
 };
 
 /// Test-only fault hooks. Production configs leave every member empty; the

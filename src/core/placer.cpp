@@ -18,6 +18,32 @@ namespace complx {
 
 namespace {
 
+// Pseudonet linearization ε of the L1 anchor term, in row heights
+// (Section 3: ε = 1.5 row heights).
+constexpr double kEpsilonRows = 1.5;
+// Per-macro λ multiplier cap (multiplier = macro area / average cell area,
+// Section 5): keeps the largest blocks' anchors from dominating the system's
+// conditioning.
+constexpr double kMacroLambdaCap = 20.0;
+// B2B relinearization passes of the λ = 0 minimization of Φ that precedes
+// the first projection on a cold start.
+constexpr int kInitialIterations = 3;
+// Formula 12's scale: λ reaches its balance value λ* in about this many
+// iterations whatever the instance size (Section S3's flat iteration
+// counts).
+constexpr double kLambdaRampSteps = 18.0;
+// Per-iteration bin-count growth of the coarse-to-fine grid schedule
+// (Section 6's runtime/accuracy trade-off).
+constexpr double kGridRefineRate = 1.3;
+// Stopping rule (Section 4): the iterate's overflow ratio below
+// kStopOverflow, or — the refined ComPLx criterion — a relative duality gap
+// below kStopGap while the overflow is under twice that.
+constexpr double kStopOverflow = 0.10;
+constexpr double kStopGap = 0.08;
+// Log-sum-exp instantiation (Section S1): smoothing in row heights, and
+// nonlinear-CG steps per primal iteration.
+constexpr double kLseGammaRows = 2.0;
+constexpr int kNlcgIterations = 60;
 // Warm starts begin with λ at this fraction of its balance value λ*.
 constexpr double kWarmLambdaFraction = 0.5;
 // resume() only: the iteration floor, and the plateau stop — the run exits
@@ -73,7 +99,7 @@ AnchorSet ComplxPlacer::make_anchors(const Placement& iterate,
                                      const Placement& proj,
                                      double lambda) const {
   AnchorSet anchors(nl_.num_cells());
-  const double eps = cfg_.epsilon_rows * nl_.row_height();
+  const double eps = kEpsilonRows * nl_.row_height();
   const double avg_area =
       std::max(nl_.average_movable_width() * nl_.row_height(), 1e-12);
 
@@ -83,7 +109,7 @@ AnchorSet ComplxPlacer::make_anchors(const Placement& iterate,
     // stronger anchors so they stabilize early; capped for conditioning.
     double mult = criticality_[id];
     if (c.is_macro())
-      mult *= std::min(cfg_.macro_lambda_cap, c.area() / avg_area);
+      mult *= std::min(kMacroLambdaCap, c.area() / avg_area);
 
     const double lx = lambda * mult;
     anchors.target_x[id] = proj.x[id];
@@ -218,12 +244,11 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // when the linear solver reported a breakdown (QP path only).
   std::unique_ptr<LseWl> lse;
   if (cfg_.use_lse)
-    lse = std::make_unique<LseWl>(nl_,
-                                  cfg_.lse_gamma_rows * nl_.row_height());
+    lse = std::make_unique<LseWl>(nl_, kLseGammaRows * nl_.row_height());
   auto primal_step = [&](const AnchorSet* anchors) -> bool {
     if (lse) {
       NlcgOptions o;
-      o.max_iterations = cfg_.nlcg_iterations;
+      o.max_iterations = kNlcgIterations;
       minimize_smooth_placement(nl_, *lse, p, anchors, o);
       return false;
     }
@@ -243,7 +268,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // Skipped on warm starts: the incoming placement is already spread, and
   // an unconstrained solve would collapse it.
   if (!warm)
-    for (int i = 0; i < cfg_.initial_iterations; ++i) primal_step(nullptr);
+    for (int i = 0; i < kInitialIterations; ++i) primal_step(nullptr);
 
   // --- Projection machinery and grid schedule ----------------------------
   LookAheadLegalizer lal(nl_, cfg_.projection);
@@ -265,8 +290,8 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   const double lambda_star = estimate_lambda_star(nl_);
   const double h_base =
       cfg_.schedule == ScheduleKind::SimplLinearRamp
-          ? lambda_star / (3.0 * cfg_.lambda_ramp_steps)
-          : lambda_star / cfg_.lambda_ramp_steps;
+          ? lambda_star / (3.0 * kLambdaRampSteps)
+          : lambda_star / kLambdaRampSteps;
   LambdaSchedule schedule(cfg_.schedule, cfg_.h_factor);
   schedule.init(weighted_hpwl(nl_, p), proj.displacement_l1, h_base);
   if (warm) {
@@ -297,9 +322,9 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // --- Watchdog / recovery state -----------------------------------------
   // All monitor checks are read-only: a healthy run executes bitwise the
   // same arithmetic with the watchdog on or off.
-  const bool watchdog = cfg_.health.enabled;
-  HealthMonitor monitor(nl_, cfg_.health);
-  CheckpointStore best;
+  const bool watchdog = cfg_.watchdog;
+  HealthMonitor monitor;
+  Checkpoint best;
   int consecutive_faults = 0;  // rollbacks since the last healthy iteration
   int breakdown_streak = 0;    // consecutive CG-breakdown faults
   int pending_recoveries = 0;  // recoveries to stamp on the next trace row
@@ -349,7 +374,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // Returns false when the retry budget is spent.
   auto rollback = [&](int iter, HealthFault fault) -> bool {
     monitor.stats().count(fault);
-    if (!best.valid() || consecutive_faults >= cfg_.recovery.max_retries)
+    if (!best.valid() || consecutive_faults >= kMaxRecoveryRetries)
       return false;
     ++consecutive_faults;
     ++result.recovered;
@@ -357,26 +382,26 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     if (fault == HealthFault::CgBreakdown) {
       ++breakdown_streak;
       if (breakdown_streak >= 2) {
-        qp_opts.cg.rel_tolerance *= cfg_.recovery.cg_tol_relax;
-        qp_opts.cg.diag_shift += cfg_.recovery.diag_shift;
+        qp_opts.cg.rel_tolerance *= kRecoveryCgTolRelax;
+        qp_opts.cg.diag_shift += kRecoveryDiagShift;
       }
     }
-    const Checkpoint ck = best.snapshot();
-    p = ck.iterate;
-    proj.anchors = ck.anchors;
-    proj.displacement_l1 = ck.pi;
-    proj.input_overflow_ratio = ck.overflow;
+    // Copy, never move: a second consecutive rollback returns here again.
+    p = best.iterate;
+    proj.anchors = best.anchors;
+    proj.displacement_l1 = best.pi;
+    proj.input_overflow_ratio = best.overflow;
     prev_iter = p;
     prev_proj = proj.anchors;
-    prev_pi = ck.pi;
-    double backed_off = ck.lambda;
+    prev_pi = best.pi;
+    double backed_off = best.lambda;
     for (int i = 0; i < consecutive_faults; ++i)
-      backed_off *= cfg_.recovery.lambda_backoff;
+      backed_off *= kRecoveryLambdaBackoff;
     schedule.set_lambda(std::max(backed_off, 1e-12));
     log_warn("iter %d: %s — rolled back to iteration %d, lambda %.3g "
              "(retry %d/%d)",
-             iter, to_string(fault), ck.trace_index, schedule.lambda(),
-             consecutive_faults, cfg_.recovery.max_retries);
+             iter, to_string(fault), best.trace_index, schedule.lambda(),
+             consecutive_faults, kMaxRecoveryRetries);
     return true;
   };
 
@@ -396,7 +421,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     stop = StopReason::Diverged;
     result.failure = "iteration " + std::to_string(iter) + ": " +
                      to_string(fault) + ": recovery retries exhausted (" +
-                     std::to_string(cfg_.recovery.max_retries) + ")";
+                     std::to_string(kMaxRecoveryRetries) + ")";
     log_error("placement diverged: %s", result.failure.c_str());
   };
 
@@ -446,7 +471,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
       }
     }
 
-    bins = std::min(static_cast<double>(finest), bins * cfg_.grid_refine_rate);
+    bins = std::min(static_cast<double>(finest), bins * kGridRefineRate);
     lal.set_grid(static_cast<size_t>(bins), static_cast<size_t>(bins));
 
     // Routability (SimPLR/Ripple): periodically re-estimate congestion and
@@ -516,12 +541,12 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     const bool grid_final = lal.bins_x() >= finest;
     const int min_iters = resume ? kResumeMinIterations : cfg_.min_iterations;
     if (k >= min_iters && grid_final) {
-      if (st.overflow_ratio < cfg_.stop_overflow) {
+      if (st.overflow_ratio < kStopOverflow) {
         stop = StopReason::Converged;
         break;
       }
-      if (cfg_.use_gap_criterion && st.gap < cfg_.stop_gap &&
-          st.overflow_ratio < 2.0 * cfg_.stop_overflow) {
+      if (cfg_.use_gap_criterion && st.gap < kStopGap &&
+          st.overflow_ratio < 2.0 * kStopOverflow) {
         stop = StopReason::Converged;
         break;
       }
@@ -551,27 +576,25 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // checkpoint when it ranks strictly better by (overflow, Φ_upper), and
   // any exit whose final state is non-finite always does.
   const IterationStats& last = result.trace.back();
-  Checkpoint ck;
   bool use_checkpoint = false;
   if (best.valid()) {
-    ck = best.take();  // the loop is done — move the placements out
     const bool final_finite =
         HealthMonitor::placement_finite(nl_, p) &&
         HealthMonitor::placement_finite(nl_, proj.anchors);
     if (!final_finite)
       use_checkpoint = true;
     else if (stop != StopReason::Converged &&
-             Checkpoint::ranks_better(ck.grid_bins, ck.overflow,
-                                      ck.phi_upper, last.grid_bins,
+             Checkpoint::ranks_better(best.grid_bins, best.overflow,
+                                      best.phi_upper, last.grid_bins,
                                       last.overflow_ratio, last.phi_upper))
       use_checkpoint = true;
   }
-  if (use_checkpoint) {
-    result.lower_bound = std::move(ck.iterate);
-    result.anchors = std::move(ck.anchors);
-    result.final_lambda = ck.lambda;
-    result.final_overflow = ck.overflow;
-    result.best_iteration = ck.trace_index;
+  if (use_checkpoint) {  // the loop is done — move the placements out
+    result.lower_bound = std::move(best.iterate);
+    result.anchors = std::move(best.anchors);
+    result.final_lambda = best.lambda;
+    result.final_overflow = best.overflow;
+    result.best_iteration = best.trace_index;
   } else {
     result.lower_bound = std::move(p);
     result.anchors = std::move(proj.anchors);
@@ -579,7 +602,12 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     result.final_overflow = last.overflow_ratio;
     result.best_iteration = last.iteration;
   }
-  result.iterations = std::min(k, cfg_.max_iterations);
+  // A cancel or time-limit stop breaks at the top of iteration k, before it
+  // runs; every other exit leaves the loop inside or after iteration k.
+  result.iterations =
+      stop == StopReason::Cancelled || stop == StopReason::TimeLimit
+          ? k - 1
+          : std::min(k, cfg_.max_iterations);
   result.stop = stop;
   result.health = monitor.stats();
   fold_workspace_stats();

@@ -69,14 +69,13 @@ struct ComplxConfig {
 
   // Dual schedule. Formula 12's scaling constant h is derived from the
   // force-balance estimate λ* (mean B2B force per movable cell — the value
-  // λ converges to): h = h_factor · λ* / lambda_ramp_steps, so λ doubles
-  // while small and then climbs to λ* in ~lambda_ramp_steps iterations
-  // REGARDLESS of instance size (Section S3's flat iteration counts).
-  // The SimPL ramp uses a 3× smaller fixed step (its schedule is the
-  // special case ComPLx improves on).
+  // λ converges to): h = h_factor · λ* / kLambdaRampSteps (placer.cpp), so
+  // λ doubles while small and then climbs to λ* in a fixed number of
+  // iterations REGARDLESS of instance size (Section S3's flat iteration
+  // counts). The SimPL ramp uses a 3× smaller fixed step (its schedule is
+  // the special case ComPLx improves on).
   ScheduleKind schedule = ScheduleKind::ComplxFormula12;
   double h_factor = 1.0;
-  double lambda_ramp_steps = 18.0;
 
   // Feasibility projection. gamma = 0 (the default here) means "inherit the
   // netlist's target density"; set explicitly to override.
@@ -89,15 +88,14 @@ struct ComplxConfig {
 
   ComplxConfig() { projection.gamma = 0.0; }
   /// Grid schedule: start at finest/coarsening_factor bins and refine
-  /// geometrically to the finest grid. 1 disables coarsening (the Table 1
-  /// "Finest Grid" configuration).
+  /// geometrically (kGridRefineRate per iteration, placer.cpp) to the
+  /// finest grid. 1 disables coarsening (the Table 1 "Finest Grid"
+  /// configuration).
   double grid_coarsening = 8.0;
-  double grid_refine_rate = 1.3;  ///< per-iteration bin-count growth
 
-  // Convergence (Section 4).
+  // Convergence (Section 4): the overflow and duality-gap thresholds are
+  // kStopOverflow / kStopGap in placer.cpp.
   int max_iterations = 120;
-  double stop_overflow = 0.10;  ///< SimPL-style: iterate overflow ratio
-  double stop_gap = 0.08;       ///< ComPLx refined: relative duality gap
   bool use_gap_criterion = true;  ///< false = SimPL (overflow only)
   int min_iterations = 10;
 
@@ -108,16 +106,6 @@ struct ComplxConfig {
   // identical placements; 1 runs everything inline on the caller.
   size_t threads = 0;
 
-  // Pseudonet linearization ε in row heights (paper: 1.5).
-  double epsilon_rows = 1.5;
-
-  // Per-macro λ multiplier cap (multiplier = macro area / avg cell area).
-  double macro_lambda_cap = 20.0;
-
-  // Initial pure-Φ minimization: number of B2B relinearization passes at
-  // λ = 0 before the first projection.
-  int initial_iterations = 3;
-
   // Routability-driven placement (SimPLR/Ripple as ComPLx configurations).
   RoutabilityOptions routability;
 
@@ -125,16 +113,13 @@ struct ComplxConfig {
   // primal step with log-sum-exp wirelength minimized by nonlinear CG. The
   // anchors/λ machinery is unchanged — the paper's model-agnosticism claim.
   bool use_lse = false;
-  double lse_gamma_rows = 2.0;  ///< LSE smoothing in row heights
-  int nlcg_iterations = 60;     ///< NLCG steps per primal iteration
 
   // Numerical-safety watchdog: NaN/Inf screening of every iterate and
   // projection, divergence detection from the trace, and the
-  // rollback-and-backoff recovery policy. All checks are read-only on
-  // healthy runs — the determinism guarantee is unaffected. Disabling
-  // `health.enabled` removes even the checks (ablation/debug only).
-  HealthOptions health;
-  RecoveryOptions recovery;
+  // rollback-and-backoff recovery policy (thresholds in core/health.h).
+  // All checks are read-only on healthy runs — the determinism guarantee
+  // is unaffected. false removes even the checks (ablation/debug only).
+  bool watchdog = true;
 
   // Wall-clock budget in seconds (0 = unlimited). When exceeded, the loop
   // stops after the current iteration and the best-so-far checkpoint is
@@ -168,7 +153,8 @@ struct PlaceResult {
   Placement anchors;  ///< matching projection (x°, y°) — hand to legalizer
   std::vector<IterationStats> trace;
   SelfConsistencyStats self_consistency;
-  int iterations = 0;
+  int iterations = 0;  ///< loop iterations run (k − 1 for a cancel or
+                       ///< time-limit stop at the top of iteration k)
   double final_lambda = 0.0;
   double final_overflow = 0.0;
   double runtime_s = 0.0;

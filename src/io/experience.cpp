@@ -71,45 +71,47 @@ SnapshotError ExperienceStore::open() {
 
 ExperienceStore::Probe ExperienceStore::lookup(const Netlist& nl) const {
   MutexLock lock(mu_);
-  return lookup_locked(nl);
+  Probe probe;
+  if (const SnapshotRecord* rec = find_locked(nl, probe.kind))
+    probe.record = *rec;
+  return probe;
 }
 
-ExperienceStore::Probe ExperienceStore::lookup_locked(
-    const Netlist& nl) const {
-  Probe probe;
+const SnapshotRecord* ExperienceStore::find_locked(const Netlist& nl,
+                                                   MatchKind& kind) const {
+  kind = MatchKind::Miss;
   const uint64_t key = netlist_job_hash(nl);
   const auto exact = records_.find(key);
   if (exact != records_.end() &&
       exact->second.x.size() == nl.num_cells()) {
-    probe.kind = MatchKind::Exact;
-    probe.record = &exact->second;
-    return probe;
+    kind = MatchKind::Exact;
+    return &exact->second;
   }
   const uint64_t topo = netlist_topology_hash(nl);
   for (const auto& [k, rec] : records_) {  // sorted: smallest key wins
     (void)k;
     if (rec.topo == topo && rec.x.size() == nl.num_cells()) {
-      probe.kind = MatchKind::Topology;
-      probe.record = &rec;
-      return probe;
+      kind = MatchKind::Topology;
+      return &rec;
     }
   }
-  return probe;
+  return nullptr;
 }
 
 std::optional<Placement> ExperienceStore::resume_point(
     const Netlist& nl) const {
   MutexLock lock(mu_);
-  const Probe probe = lookup_locked(nl);
-  if (probe.record == nullptr) return std::nullopt;
-  const SnapshotRecord& rec = *probe.record;
+  MatchKind kind = MatchKind::Miss;
+  const SnapshotRecord* found = find_locked(nl, kind);
+  if (found == nullptr) return std::nullopt;
+  const SnapshotRecord& rec = *found;
   Placement p = nl.snapshot();
   for (CellId id : nl.movable_cells()) {
     p.x[id] = rec.x[id];
     p.y[id] = rec.y[id];
   }
   log_debug("experience store: %s hit (stored hpwl %.4g, %u iterations)",
-            probe.kind == MatchKind::Exact ? "exact" : "topology", rec.hpwl,
+            kind == MatchKind::Exact ? "exact" : "topology", rec.hpwl,
             rec.iterations);
   return p;
 }

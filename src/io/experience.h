@@ -66,15 +66,15 @@ class ExperienceStore {
   enum class MatchKind { Miss, Exact, Topology };
   struct Probe {
     MatchKind kind = MatchKind::Miss;
-    /// Valid until the next record()/open(); null on Miss.
-    const SnapshotRecord* record = nullptr;
+    std::optional<SnapshotRecord> record;  ///< empty on Miss
   };
 
   /// Probes for this job. A record is only returned when its cell count
   /// matches the netlist (a topology hit with a different cell count would
   /// be un-applicable). Deterministic: an exact hit wins; otherwise the
-  /// topology match with the smallest key.
-  Probe lookup(const Netlist& nl) const;
+  /// topology match with the smallest key. The record is a copy taken
+  /// under the lock, so a later record() cannot change it.
+  Probe lookup(const Netlist& nl) const COMPLX_EXCLUDES(mu_);
 
   /// Where a warm start for this job resumes from: nl.snapshot() with every
   /// movable cell moved to the matching record's coordinates. Fixed cells
@@ -117,7 +117,9 @@ class ExperienceStore {
 
  private:
   void mark_degraded(const std::string& reason) COMPLX_REQUIRES(mu_);
-  Probe lookup_locked(const Netlist& nl) const COMPLX_REQUIRES(mu_);
+  /// lookup()'s search; the pointer is valid while mu_ is held.
+  const SnapshotRecord* find_locked(const Netlist& nl, MatchKind& kind) const
+      COMPLX_REQUIRES(mu_);
 
   Options opts_;  ///< set in the constructor, never mutated after
   /// Guards every mutable member: a placement service probes (lookup /

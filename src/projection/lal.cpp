@@ -208,7 +208,7 @@ ProjectionResult LookAheadLegalizer::project(const Placement& p,
   }
 
   // 5. Hard region constraints (Section S5) and alignment groups.
-  if (opts_.enforce_regions && !nl_.regions().empty())
+  if (!nl_.regions().empty())
     snap_to_regions(nl_, result.anchors);
   if (!opts_.alignments.empty())
     snap_to_alignments(nl_, opts_.alignments, result.anchors);

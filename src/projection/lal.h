@@ -28,7 +28,6 @@ struct ProjectionOptions {
   SpreaderOptions spreader;  ///< gamma is overwritten from this struct
   ShredderOptions shredder;  ///< gamma is overwritten from this struct
   DensityOptions density;    ///< grid query mode (prefix sums on/off)
-  bool enforce_regions = true;
   /// Alignment groups enforced by the projection (after density spreading
   /// and region snapping).
   std::vector<AlignmentGroup> alignments;

@@ -5,12 +5,17 @@
 
 namespace complx {
 
+namespace {
+// Shred edge in row heights: the paper's 2×2-row shreds (Section 5).
+constexpr double kShredRows = 2.0;
+}  // namespace
+
 MacroShredder::MacroShredder(const Netlist& nl, const ShredderOptions& opts)
     : nl_(nl), opts_(opts) {}
 
 std::vector<Mote> MacroShredder::shred(CellId id, double cx, double cy) const {
   const Cell& c = nl_.cell(id);
-  const double tile = opts_.shred_rows * nl_.row_height();
+  const double tile = kShredRows * nl_.row_height();
   const double scale = std::sqrt(std::clamp(opts_.gamma, 0.01, 1.0));
 
   // Number of tiles per dimension (at least one); tiles evenly cover the

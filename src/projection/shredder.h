@@ -14,8 +14,7 @@
 namespace complx {
 
 struct ShredderOptions {
-  double shred_rows = 2.0;  ///< shred edge in row heights (paper: 2×2)
-  double gamma = 1.0;       ///< target utilization (√γ size compensation)
+  double gamma = 1.0;  ///< target utilization (√γ size compensation)
 };
 
 class MacroShredder {

@@ -7,6 +7,11 @@ namespace complx {
 
 namespace {
 
+// Recursion depth bound. Each level splits the mote list at its area
+// median, but a skewed area distribution can peel off one mote per level;
+// past this depth the terminal sweep spreads what is left.
+constexpr int kMaxDepth = 48;
+
 double coord(const Mote* m, bool horizontal) {
   return horizontal ? m->x : m->y;
 }
@@ -110,7 +115,7 @@ void Spreader::recurse(const Rect& region, std::vector<Mote*>& motes,
                        int depth) const {
   if (motes.empty()) return;
   if (static_cast<int>(motes.size()) <= opts_.terminal_motes ||
-      depth >= opts_.max_depth) {
+      depth >= kMaxDepth) {
     terminal_spread(region, motes);
     return;
   }

@@ -20,7 +20,6 @@ namespace complx {
 struct SpreaderOptions {
   double gamma = 1.0;       ///< target utilization within the region
   int terminal_motes = 24;  ///< stop recursion at this many motes
-  int max_depth = 48;
 };
 
 class Spreader {

@@ -428,12 +428,39 @@ TEST(ExperienceStoreChaos, SaveThenReloadServesAnExactBitwiseHit) {
   EXPECT_EQ(reloaded.save_count(), 1u);
   const ExperienceStore::Probe hit = reloaded.lookup(nl);
   ASSERT_EQ(hit.kind, ExperienceStore::MatchKind::Exact);
-  ASSERT_NE(hit.record, nullptr);
+  ASSERT_TRUE(hit.record.has_value());
   EXPECT_EQ(hit.record->iterations, 7u);
   EXPECT_EQ(hit.record->saves, 1u);
   EXPECT_EQ(hit.record->hpwl, hpwl);
   testing::expect_vec_bitwise_equal(hit.record->x, p.x, "stored x");
   testing::expect_vec_bitwise_equal(hit.record->y, p.y, "stored y");
+}
+
+// A probe owns its record: a later record() for the same job rewrites the
+// store's entry, never the coordinates a caller already holds.
+TEST(ExperienceStoreChaos, ProbeKeepsItsRecordAcrossALaterSave) {
+  ScratchDir d("probe_copy");
+  ExperienceStore store(store_opts(d.file("exp.snap")));
+  ASSERT_EQ(store.open(), SnapshotError::None);
+  const Netlist nl = testing::small_circuit(3, 300);
+  const Placement old_p = nl.snapshot();
+  ASSERT_TRUE(store.record(nl, old_p, 1.0, 5));
+
+  const ExperienceStore::Probe probe = store.lookup(nl);
+  ASSERT_EQ(probe.kind, ExperienceStore::MatchKind::Exact);
+  ASSERT_TRUE(probe.record.has_value());
+
+  Placement new_p = old_p;
+  for (CellId id : nl.movable_cells()) {
+    new_p.x[id] += 1.0;
+    new_p.y[id] += 1.0;
+  }
+  ASSERT_TRUE(store.record(nl, new_p, 2.0, 6));
+
+  testing::expect_vec_bitwise_equal(probe.record->x, old_p.x, "probe x");
+  testing::expect_vec_bitwise_equal(probe.record->y, old_p.y, "probe y");
+  EXPECT_EQ(probe.record->iterations, 5u);
+  EXPECT_EQ(store.lookup(nl).record->iterations, 6u);
 }
 
 TEST(ExperienceStoreChaos, TopologyMatchServesNearRepeatJobs) {
@@ -447,7 +474,7 @@ TEST(ExperienceStoreChaos, TopologyMatchServesNearRepeatJobs) {
   const Netlist resized = chain_variant(40.0);  // same connectivity
   const ExperienceStore::Probe hit = store.lookup(resized);
   EXPECT_EQ(hit.kind, ExperienceStore::MatchKind::Topology);
-  ASSERT_NE(hit.record, nullptr);
+  ASSERT_TRUE(hit.record.has_value());
   EXPECT_EQ(hit.record->key, netlist_job_hash(original));
 }
 

@@ -47,8 +47,7 @@ TEST(HealthMonitor, PlacementFiniteDetectsNanAndInf) {
 }
 
 TEST(HealthMonitor, FirstIterationIsNeverDivergent) {
-  const Netlist nl = testing::two_cell_chain();
-  HealthMonitor monitor(nl, HealthOptions{});
+  HealthMonitor monitor;
   // No accepted references yet: even an enormous first point is healthy.
   IterationStats st = healthy_stats();
   st.phi_lower = 1e30;
@@ -58,8 +57,7 @@ TEST(HealthMonitor, FirstIterationIsNeverDivergent) {
 }
 
 TEST(HealthMonitor, FlagsNonFiniteStatsAndLambda) {
-  const Netlist nl = testing::two_cell_chain();
-  HealthMonitor monitor(nl, HealthOptions{});
+  HealthMonitor monitor;
   IterationStats st = healthy_stats();
   st.lambda = kNan;
   EXPECT_EQ(monitor.check_stats(st), HealthFault::NonFiniteLambda);
@@ -72,26 +70,24 @@ TEST(HealthMonitor, FlagsNonFiniteStatsAndLambda) {
 }
 
 TEST(HealthMonitor, DetectsBlowupsAgainstAcceptedReferences) {
-  const Netlist nl = testing::two_cell_chain();
-  HealthOptions opts;  // ratios 50 / 20 / 100
-  HealthMonitor monitor(nl, opts);
+  HealthMonitor monitor;
   monitor.accept(healthy_stats());
 
   IterationStats st = healthy_stats();
-  st.phi_lower = 100.0 * opts.phi_blowup_ratio * 1.01;
+  st.phi_lower = 100.0 * kPhiBlowupRatio * 1.01;
   EXPECT_EQ(monitor.check_stats(st), HealthFault::ObjectiveBlowup);
 
   st = healthy_stats();
-  st.pi = 10.0 * opts.pi_blowup_ratio * 1.01;
+  st.pi = 10.0 * kPiBlowupRatio * 1.01;
   EXPECT_EQ(monitor.check_stats(st), HealthFault::PenaltyBlowup);
 
   st = healthy_stats();
-  st.lagrangian = 110.0 * opts.lagrangian_blowup_ratio * 1.01;
+  st.lagrangian = 110.0 * kLagrangianBlowupRatio * 1.01;
   EXPECT_EQ(monitor.check_stats(st), HealthFault::LagrangianBlowup);
 
   // Just under every threshold: healthy.
   st = healthy_stats();
-  st.phi_lower = 100.0 * opts.phi_blowup_ratio * 0.99;
+  st.phi_lower = 100.0 * kPhiBlowupRatio * 0.99;
   EXPECT_EQ(monitor.check_stats(st), HealthFault::None);
 }
 
@@ -220,6 +216,22 @@ TEST_F(HealthPlacer, RecoversFromInjectedNanIterate) {
   expect_usable(r);
 }
 
+// Two faulted iterations in a row roll back twice to the same checkpoint,
+// so the first rollback must leave the checkpoint intact for the second.
+TEST_F(HealthPlacer, ConsecutiveFaultsRollBackTwiceToOneCheckpoint) {
+  ComplxPlacer placer(nl_, cfg_);
+  FaultInjection faults;
+  faults.corrupt_iterate = [&](int iteration, Placement& p) {
+    if (iteration == 5 || iteration == 6) p.x[nl_.movable_cells()[0]] = kNan;
+  };
+  placer.set_fault_injection(faults);
+  const PlaceResult r = placer.place();
+  EXPECT_FALSE(r.failed);
+  EXPECT_EQ(r.recovered, 2);
+  EXPECT_EQ(r.health.nonfinite_iterate, 2u);
+  expect_usable(r);
+}
+
 TEST_F(HealthPlacer, RecoversFromForcedCgBreakdown) {
   ComplxPlacer placer(nl_, cfg_);
   FaultInjection faults;
@@ -261,7 +273,7 @@ TEST_F(HealthPlacer, PersistentFaultExhaustsRetriesButReturnsBestSoFar) {
   const PlaceResult r = placer.place();
   EXPECT_TRUE(r.failed);
   EXPECT_EQ(r.stop, StopReason::Diverged);
-  EXPECT_EQ(r.recovered, cfg_.recovery.max_retries);
+  EXPECT_EQ(r.recovered, kMaxRecoveryRetries);
   EXPECT_FALSE(r.failure.empty());
   EXPECT_GE(r.best_iteration, 0);
   // Despite every post-2 iterate being poisoned, the result is usable.
@@ -274,7 +286,9 @@ TEST_F(HealthPlacer, TimeLimitStopsEarlyWithUsablePlacement) {
   const PlaceResult r = placer.place();
   EXPECT_EQ(r.stop, StopReason::TimeLimit);
   EXPECT_FALSE(r.failed);
-  EXPECT_LT(r.trace.size(), 3u);
+  // The stop comes at the top of iteration 1, which never runs.
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_EQ(r.trace.size(), 1u);
   expect_usable(r);
 }
 
@@ -285,6 +299,8 @@ TEST_F(HealthPlacer, CancelFlagStopsWithUsablePlacement) {
   const PlaceResult r = placer.place();
   EXPECT_EQ(r.stop, StopReason::Cancelled);
   EXPECT_FALSE(r.failed);
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_EQ(r.trace.size(), 1u);
   expect_usable(r);
 }
 
@@ -307,7 +323,7 @@ TEST_F(HealthPlacer, WatchdogAddsZeroPerturbationToHealthyRuns) {
   // best-so-far checkpoint, which would make this comparison ill-posed.
   cfg_.max_iterations = 120;
   ComplxConfig off = cfg_;
-  off.health.enabled = false;
+  off.watchdog = false;
   const PlaceResult with = ComplxPlacer(nl_, cfg_).place();
   const PlaceResult without = ComplxPlacer(nl_, off).place();
   ASSERT_EQ(with.stop, StopReason::Converged);
