@@ -183,10 +183,11 @@ int main(int argc, char** argv) {
       const FleetRecord& r = records.back();
       if (!quiet)
         std::printf("[%2zu/%zu] %-28s ratio %.4f  overflow %5.2f%%  "
-                    "%s  %d iters%s  %.2fs\n",
+                    "%s  %d iters%s %s  %.2fs\n",
                     k + 1, designs.size(), r.name.c_str(), r.ratio,
                     r.overflow_percent, r.legal ? "legal" : "ILLEGAL",
-                    r.iterations, r.warm_started ? " (warm)" : "", r.wall_s);
+                    r.iterations, r.warm_started ? " (warm)" : "",
+                    to_string(r.stop), r.wall_s);
     }
     write_fleet_run_json(out_path, label, preset_name, opts, records);
     const FleetSummary s = summarize_fleet(records);

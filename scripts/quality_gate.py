@@ -36,8 +36,9 @@ Subcommands:
   warm     --cold cold.json --warm warm.json [--min-speedup 1.5]
            gate a warm-started rerun against the cold run that seeded its
            experience store: every paired design must actually warm-start,
-           the summed solver iterations must drop by >= the speedup factor,
-           and quality (the paired SPRT above, cold as baseline) must not
+           no design of either run may stop as "diverged", the summed
+           solver iterations must drop by >= the speedup factor, and
+           quality (the paired SPRT above, cold as baseline) must not
            REJECT — resuming from your own converged placement must save
            work without costing wirelength. Exit codes match `compare`.
 
@@ -179,17 +180,22 @@ def warm_gate(cold, warm, min_speedup=1.5, alpha=ALPHA, beta=BETA, p1=P1,
               eps=EPS):
     """Warm-vs-cold gate for a fleet rerun on exact-repeat designs.
 
-    Three conditions, all required for ACCEPT:
+    Four conditions, all required for ACCEPT:
       1. every paired design in the warm run reports warm_started (an exact
          repeat that misses the store means the hash or the store broke);
-      2. total solver iterations dropped by >= min_speedup;
-      3. the paired quality SPRT (cold as baseline) does not REJECT.
+      2. no design of either run stopped as "diverged" (its iteration count
+         says nothing about the work a resume saves);
+      3. total solver iterations dropped by >= min_speedup;
+      4. the paired quality SPRT (cold as baseline) does not REJECT.
     Returns a result dict shaped like compare_runs with extra warm fields.
     """
     pairs = pair_records(cold, warm)
     cold_started_warm = [b["name"] for b, _ in pairs
                          if b.get("warm_started", False)]
     missed = [c["name"] for _, c in pairs if not c.get("warm_started", False)]
+    diverged = [f"{run}:{r['name']}" for b, c in pairs
+                for run, r in (("cold", b), ("warm", c))
+                if r.get("stop") == "diverged"]
     cold_iters = sum(b["iterations"] for b, _ in pairs)
     warm_iters = sum(c["iterations"] for _, c in pairs)
     speedup = (float(cold_iters) / float(warm_iters)
@@ -205,6 +211,9 @@ def warm_gate(cold, warm, min_speedup=1.5, alpha=ALPHA, beta=BETA, p1=P1,
         problems.append(
             f"{len(missed)} design(s) did not warm-start ({missed[:4]}): "
             "exact repeats must hit the experience store")
+    if diverged:
+        problems.append(
+            f"{len(diverged)} design(s) diverged ({diverged[:4]})")
     if speedup < min_speedup:
         problems.append(
             f"iteration speedup {speedup:.2f}x < required {min_speedup:g}x "
@@ -228,6 +237,7 @@ def warm_gate(cold, warm, min_speedup=1.5, alpha=ALPHA, beta=BETA, p1=P1,
         "reason": reason,
         "pairs": len(pairs),
         "missed_warm_starts": missed,
+        "diverged": diverged,
         "iterations": {"cold": cold_iters, "warm": warm_iters},
         "speedup": speedup,
         "min_speedup": min_speedup,

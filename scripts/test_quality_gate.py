@@ -23,7 +23,7 @@ import quality_gate as qg
 
 
 def make_run(ratios, label="run", legal=None, names=None, iterations=None,
-             warm_started=False):
+             warm_started=False, stops=None):
     """A minimal schema-1 fleet run with the given suboptimality ratios."""
     designs = []
     for k, r in enumerate(ratios):
@@ -39,6 +39,8 @@ def make_run(ratios, label="run", legal=None, names=None, iterations=None,
             "iterations": iterations[k] if iterations else 12,
             "warm_started": warm_started,
             "wall_s": 0.0,
+            "stop": stops[k] if stops else "converged",
+            "recoveries": 0,
         })
     geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     return {
@@ -221,6 +223,21 @@ class WarmGateTest(unittest.TestCase):
             self.warm_run(n=n, ratios=[1.9] * n))
         self.assertEqual(result["decision"], qg.REJECT)
         self.assertIn("quality gate rejected", result["reason"])
+
+    def test_diverged_design_rejects(self):
+        n = 10
+        warm = make_run([1.5] * n, label="warm", iterations=[4] * n,
+                        warm_started=True,
+                        stops=["diverged"] + ["plateau"] * (n - 1))
+        result = qg.warm_gate(self.cold_run(n=n), warm)
+        self.assertEqual(result["decision"], qg.REJECT)
+        self.assertEqual(result["diverged"], ["warm:d0"])
+        self.assertIn("diverged", result["reason"])
+        cold = make_run([1.5] * n, label="cold", iterations=[12] * n,
+                        stops=["converged"] * (n - 1) + ["diverged"])
+        result = qg.warm_gate(cold, self.warm_run(n=n))
+        self.assertEqual(result["decision"], qg.REJECT)
+        self.assertEqual(result["diverged"], ["cold:d9"])
 
     def test_custom_min_speedup(self):
         result = qg.warm_gate(self.cold_run(iters=12),

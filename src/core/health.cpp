@@ -12,6 +12,7 @@ const char* to_string(StopReason r) {
     case StopReason::TimeLimit: return "time-limit";
     case StopReason::Cancelled: return "cancelled";
     case StopReason::Diverged: return "diverged";
+    case StopReason::RollbackCycle: return "rollback-cycle";
   }
   return "unknown";
 }
@@ -83,32 +84,32 @@ bool HealthMonitor::placement_finite(const Netlist& nl, const Placement& p) {
   return true;
 }
 
+HealthMonitor::HealthMonitor(const Netlist& nl)
+    : pi_bound_(static_cast<double>(nl.num_movable()) *
+                (nl.core().width() + nl.core().height())) {}
+
 HealthFault HealthMonitor::check_stats(const IterationStats& st) const {
   if (!std::isfinite(st.lambda)) return HealthFault::NonFiniteLambda;
   if (!std::isfinite(st.phi_lower) || !std::isfinite(st.phi_upper) ||
       !std::isfinite(st.pi) || !std::isfinite(st.lagrangian) ||
       !std::isfinite(st.overflow_ratio))
     return HealthFault::NonFiniteStats;
-  // Blow-up tests compare against references from accepted iterations only,
-  // so the very first iteration can never be flagged as divergent.
-  if (best_phi_ > 0.0 && std::isfinite(best_phi_) &&
-      st.phi_lower > kPhiBlowupRatio * best_phi_)
+  // Blow-up tests start with the first accepted iteration, so the initial
+  // state can never be flagged as divergent.
+  if (!accepted_) return HealthFault::None;
+  const bool phi_ref = last_phi_upper_ > 0.0;
+  if (phi_ref && st.phi_lower > kPhiBlowupRatio * last_phi_upper_)
     return HealthFault::ObjectiveBlowup;
-  if (max_pi_ > 0.0 && st.pi > kPiBlowupRatio * max_pi_)
-    return HealthFault::PenaltyBlowup;
-  if (best_lagrangian_ > 0.0 && std::isfinite(best_lagrangian_) &&
-      st.lagrangian > kLagrangianBlowupRatio * best_lagrangian_)
+  if (st.pi > kPiBlowupRatio * pi_bound_) return HealthFault::PenaltyBlowup;
+  if (phi_ref && st.lagrangian > kLagrangianBlowupRatio * last_phi_upper_)
     return HealthFault::LagrangianBlowup;
   return HealthFault::None;
 }
 
 void HealthMonitor::accept(const IterationStats& st) {
   ++stats_.checks;
-  if (std::isfinite(st.phi_lower) && st.phi_lower < best_phi_)
-    best_phi_ = st.phi_lower;
-  if (std::isfinite(st.lagrangian) && st.lagrangian < best_lagrangian_)
-    best_lagrangian_ = st.lagrangian;
-  if (std::isfinite(st.pi) && st.pi > max_pi_) max_pi_ = st.pi;
+  accepted_ = true;
+  last_phi_upper_ = st.phi_upper;
 }
 
 bool Checkpoint::offer(const Netlist& nl, const Placement& it,

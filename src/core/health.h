@@ -8,8 +8,10 @@
 // degrade gracefully instead of emitting NaN placements:
 //
 //  * HealthMonitor   — validates every iterate/projection for NaN/Inf and
-//                      detects divergence from the trace (Φ/Π/L blow-up
-//                      beyond fixed ratios, non-finite λ);
+//                      detects divergence from the trace (Φ/L beyond a
+//                      fixed ratio of the previous Φ_upper, the paper's
+//                      primal bound; Π beyond a fixed ratio of its in-core
+//                      bound; non-finite λ);
 //  * Checkpoint      — the best-so-far snapshot (anchors, iterate, λ, trace
 //                      index) ranked by (grid resolution, overflow_ratio,
 //                      then Φ_upper), so the run can always return the best
@@ -20,8 +22,9 @@
 //                      multiplier, or force a PCG breakdown, so recovery can
 //                      be proven end-to-end without compile-time switches.
 //
-// The recovery policy itself (rollback + λ backoff + CG relaxation) lives in
-// the driver (core/placer.cpp); this header defines its knobs.
+// The recovery policy itself (rollback + λ backoff + CG relaxation, the
+// rollback-cycle stop) lives in the placer loop (core/placer.cpp); this
+// header defines its knobs.
 #pragma once
 
 #include <cmath>
@@ -46,6 +49,8 @@ enum class StopReason {
   TimeLimit,      ///< wall-clock budget exhausted
   Cancelled,      ///< external cancel flag raised (e.g. SIGINT)
   Diverged,       ///< numerical failure and recovery retries exhausted
+  RollbackCycle,  ///< a new fault would roll back to a checkpoint an earlier
+                  ///< recovery already restarted from (a limit cycle)
 };
 const char* to_string(StopReason r);
 
@@ -56,9 +61,9 @@ enum class HealthFault {
   NonFiniteAnchors,   ///< NaN/Inf coordinate in the projection output
   NonFiniteLambda,    ///< multiplier overflowed or was corrupted
   NonFiniteStats,     ///< Φ/Π/L/overflow evaluated to NaN/Inf
-  ObjectiveBlowup,    ///< Φ_lower grew beyond ratio × best seen
-  PenaltyBlowup,      ///< Π grew beyond ratio × largest healthy value
-  LagrangianBlowup,   ///< L grew beyond ratio × best seen
+  ObjectiveBlowup,    ///< Φ_lower beyond ratio × last accepted Φ_upper
+  PenaltyBlowup,      ///< Π beyond ratio × the in-core bound
+  LagrangianBlowup,   ///< L beyond ratio × last accepted Φ_upper
   CgBreakdown,        ///< PCG reported pAp <= 0 (system not SPD)
 };
 const char* to_string(HealthFault f);
@@ -128,9 +133,9 @@ struct HealthStats {
 /// Divergence thresholds. The ratios are deliberately loose: the watchdog
 /// exists to catch runaway numerics, not to second-guess a noisy but
 /// convergent trajectory.
-inline constexpr double kPhiBlowupRatio = 50.0;  ///< Φ_lower vs smallest seen
-inline constexpr double kPiBlowupRatio = 20.0;   ///< Π vs largest healthy
-inline constexpr double kLagrangianBlowupRatio = 100.0;  ///< L vs smallest
+inline constexpr double kPhiBlowupRatio = 50.0;  ///< Φ_lower vs Φ_upper(k−1)
+inline constexpr double kPiBlowupRatio = 20.0;   ///< Π vs the in-core bound
+inline constexpr double kLagrangianBlowupRatio = 100.0;  ///< L vs Φ_upper(k−1)
 
 /// Rollback-and-backoff policy applied when the monitor flags a bad step:
 /// at most kMaxRecoveryRetries consecutive rollbacks, each multiplying the
@@ -138,6 +143,9 @@ inline constexpr double kLagrangianBlowupRatio = 100.0;  ///< L vs smallest
 /// consecutive PCG breakdown onward the CG tolerance is also multiplied by
 /// kRecoveryCgTolRelax and kRecoveryDiagShift is added to the system
 /// diagonal (Tikhonov regularization) to restore positive definiteness.
+/// A run of consecutive rollbacks is one recovery; a later recovery that
+/// would restart from the checkpoint the previous one restarted from would
+/// only repeat it, so the run stops with StopReason::RollbackCycle instead.
 inline constexpr int kMaxRecoveryRetries = 3;
 inline constexpr double kRecoveryLambdaBackoff = 0.5;
 inline constexpr double kRecoveryCgTolRelax = 10.0;
@@ -146,17 +154,30 @@ inline constexpr double kRecoveryDiagShift = 1e-6;
 /// Validates iterates and per-iteration statistics. All checks are
 /// read-only: on a healthy run the monitor perturbs nothing — the
 /// determinism suite holds bitwise with the watchdog enabled.
+///
+/// Blow-up references. The primal step minimizes L° = Φ + λ‖x − x°‖₁ over
+/// x, and x = x° is a feasible point with L° = Φ(x°) = Φ_upper, so a sane
+/// iterate satisfies Φ_lower(k) ≤ L°(k) ≲ Φ_upper(k−1), up to the B2B
+/// linearization error. Φ_lower and L are therefore compared with the
+/// Φ_upper of the last accepted iteration, a reference that moves with the
+/// trajectory instead of pinning to the collapsed λ = 0 solution. Π is the
+/// L1 distance between two in-core placements, so it never exceeds
+/// n_movable × (core width + core height) — a bound a resumed, already
+/// spread run cannot shrink.
 class HealthMonitor {
  public:
+  /// `nl` sizes the in-core bound on Π.
+  explicit HealthMonitor(const Netlist& nl);
+
   /// True iff every movable coordinate of `p` is finite.
   static bool placement_finite(const Netlist& nl, const Placement& p);
 
-  /// Examines one iteration's statistics against the references accumulated
-  /// from previously accepted iterations. Does not update references.
+  /// Examines one iteration's statistics against the last accepted
+  /// iteration. Before the first accept() only non-finite values are
+  /// flagged. Does not update references.
   HealthFault check_stats(const IterationStats& st) const;
 
-  /// Accepts a healthy iteration: folds its values into the divergence
-  /// references (best Φ/L, largest Π).
+  /// Accepts a healthy iteration: its Φ_upper becomes the blow-up reference.
   void accept(const IterationStats& st);
 
   const HealthStats& stats() const { return stats_; }
@@ -164,9 +185,9 @@ class HealthMonitor {
 
  private:
   HealthStats stats_;
-  double best_phi_ = std::numeric_limits<double>::infinity();
-  double best_lagrangian_ = std::numeric_limits<double>::infinity();
-  double max_pi_ = 0.0;
+  double pi_bound_;  ///< n_movable × (core width + core height)
+  bool accepted_ = false;
+  double last_phi_upper_ = 0.0;  ///< Φ_upper of the last accepted iteration
 };
 
 /// Best-so-far snapshot of the loop state, ranked by (grid resolution, then

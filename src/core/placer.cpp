@@ -323,9 +323,10 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // All monitor checks are read-only: a healthy run executes bitwise the
   // same arithmetic with the watchdog on or off.
   const bool watchdog = cfg_.watchdog;
-  HealthMonitor monitor;
+  HealthMonitor monitor(nl_);
   Checkpoint best;
   int consecutive_faults = 0;  // rollbacks since the last healthy iteration
+  int restarted_from = -1;     // checkpoint the last recovery restarted from
   int breakdown_streak = 0;    // consecutive CG-breakdown faults
   int pending_recoveries = 0;  // recoveries to stamp on the next trace row
 
@@ -368,14 +369,35 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   Placement prev_proj = proj.anchors;
   double prev_pi = proj.displacement_l1;
 
+  StopReason stop = StopReason::MaxIterations;
+
   // Restores the loop state from the best-so-far checkpoint and backs off
   // λ (halving per consecutive retry); from the second consecutive CG
   // breakdown also relaxes the CG tolerance and regularizes the diagonal.
-  // Returns false when the retry budget is spent.
+  // Returns false, with `stop` set, when the run must end instead: the
+  // retry budget is spent (Diverged), or this recovery would restart from
+  // the checkpoint the previous one restarted from — nothing healthy since
+  // has ranked better, so it would only repeat it (RollbackCycle).
   auto rollback = [&](int iter, HealthFault fault) -> bool {
     monitor.stats().count(fault);
-    if (!best.valid() || consecutive_faults >= kMaxRecoveryRetries)
+    if (best.valid() && consecutive_faults == 0 &&
+        best.trace_index == restarted_from) {
+      stop = StopReason::RollbackCycle;
+      log_warn("iter %d: %s — a second recovery from iteration %d would "
+               "repeat the first; stopping with that checkpoint",
+               iter, to_string(fault), best.trace_index);
       return false;
+    }
+    if (!best.valid() || consecutive_faults >= kMaxRecoveryRetries) {
+      result.failed = true;
+      stop = StopReason::Diverged;
+      result.failure = "iteration " + std::to_string(iter) + ": " +
+                       to_string(fault) + ": recovery retries exhausted (" +
+                       std::to_string(kMaxRecoveryRetries) + ")";
+      log_error("placement diverged: %s", result.failure.c_str());
+      return false;
+    }
+    if (consecutive_faults == 0) restarted_from = best.trace_index;
     ++consecutive_faults;
     ++result.recovered;
     ++pending_recoveries;
@@ -405,8 +427,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     return true;
   };
 
-  StopReason stop = StopReason::MaxIterations;
-
   // Warm plateau detector. Baseline = the resumed solution's projected
   // quality: an iteration must beat it (and then keep beating its own best)
   // by kResumePlateauTol to keep the run alive. Only resume() reads these,
@@ -415,15 +435,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
                              ? result.trace.back().phi_upper
                              : std::numeric_limits<double>::infinity();
   int warm_stall = 0;
-
-  auto give_up = [&](int iter, HealthFault fault) {
-    result.failed = true;
-    stop = StopReason::Diverged;
-    result.failure = "iteration " + std::to_string(iter) + ": " +
-                     to_string(fault) + ": recovery retries exhausted (" +
-                     std::to_string(kMaxRecoveryRetries) + ")";
-    log_error("placement diverged: %s", result.failure.c_str());
-  };
 
   // --- Primal-dual iterations --------------------------------------------
   int k = 1;
@@ -442,10 +453,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     double lambda_k = schedule.lambda();
     if (faults_.corrupt_lambda) lambda_k = faults_.corrupt_lambda(k, lambda_k);
     if (watchdog && !std::isfinite(lambda_k)) {
-      if (!rollback(k, HealthFault::NonFiniteLambda)) {
-        give_up(k, HealthFault::NonFiniteLambda);
-        break;
-      }
+      if (!rollback(k, HealthFault::NonFiniteLambda)) break;
       continue;
     }
 
@@ -463,10 +471,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
       else if (!HealthMonitor::placement_finite(nl_, p))
         fault = HealthFault::NonFiniteIterate;
       if (fault != HealthFault::None) {
-        if (!rollback(k, fault)) {
-          give_up(k, fault);
-          break;
-        }
+        if (!rollback(k, fault)) break;
         continue;
       }
     }
@@ -492,10 +497,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     }
 
     if (watchdog && !HealthMonitor::placement_finite(nl_, proj.anchors)) {
-      if (!rollback(k, HealthFault::NonFiniteAnchors)) {
-        give_up(k, HealthFault::NonFiniteAnchors);
-        break;
-      }
+      if (!rollback(k, HealthFault::NonFiniteAnchors)) break;
       continue;
     }
 
@@ -510,10 +512,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     if (watchdog) {
       const HealthFault fault = monitor.check_stats(st);
       if (fault != HealthFault::None) {
-        if (!rollback(k, fault)) {
-          give_up(k, fault);
-          break;
-        }
+        if (!rollback(k, fault)) break;
         continue;
       }
     }
@@ -571,17 +570,20 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
 
   // Which placement to return: a clean converged exit returns the final
   // iterate untouched (the watchdog adds zero perturbation to healthy
-  // runs). Every other exit — divergence, iteration exhaustion, warm
-  // plateau, time limit, cancellation — falls back to the best-so-far
-  // checkpoint when it ranks strictly better by (overflow, Φ_upper), and
-  // any exit whose final state is non-finite always does.
+  // runs). A fault stop (divergence, rollback cycle) leaves the loop with
+  // the faulted state in hand, so it always returns the checkpoint. Every
+  // other exit — iteration exhaustion, warm plateau, time limit,
+  // cancellation — falls back to the best-so-far checkpoint when it ranks
+  // strictly better by (overflow, Φ_upper), and any exit whose final state
+  // is non-finite always does.
   const IterationStats& last = result.trace.back();
   bool use_checkpoint = false;
   if (best.valid()) {
     const bool final_finite =
         HealthMonitor::placement_finite(nl_, p) &&
         HealthMonitor::placement_finite(nl_, proj.anchors);
-    if (!final_finite)
+    if (!final_finite || stop == StopReason::Diverged ||
+        stop == StopReason::RollbackCycle)
       use_checkpoint = true;
     else if (stop != StopReason::Converged &&
              Checkpoint::ranks_better(best.grid_bins, best.overflow,

@@ -147,8 +147,9 @@ struct ComplxConfig {
 
 struct PlaceResult {
   /// The returned iterate (x, y). Normally the last one; after an abnormal
-  /// stop (divergence, time limit, cancellation) it is the best-so-far
-  /// checkpoint, ranked by (grid resolution, overflow_ratio, then Φ_upper).
+  /// stop (divergence, rollback cycle, time limit, cancellation) it is the
+  /// best-so-far checkpoint, ranked by (grid resolution, overflow_ratio,
+  /// then Φ_upper).
   Placement lower_bound;
   Placement anchors;  ///< matching projection (x°, y°) — hand to legalizer
   std::vector<IterationStats> trace;
@@ -175,7 +176,8 @@ struct PlaceResult {
 /// converged and plateaued exits are the ideal, and iteration-capped runs
 /// still carry their best-so-far checkpoint (on hard designs that never
 /// meet the overflow criterion they are the only experience a rerun could
-/// resume). Failed, cancelled and timed-out runs are never recorded.
+/// resume). Failed, cancelled, timed-out and rollback-cycle runs are never
+/// recorded.
 bool recordable(const PlaceResult& r);
 
 class ComplxPlacer {

@@ -112,6 +112,8 @@ FleetRecord run_fleet_design(const PekoParams& params,
   r.iterations = gp.iterations;
   r.warm_started = gp.warm_started;
   r.wall_s = opts.record_timing ? timer.seconds() : 0.0;
+  r.stop = gp.stop;
+  r.recoveries = gp.recovered;
   return r;
 }
 
@@ -206,13 +208,14 @@ void write_fleet_run_json(const std::string& path, const std::string& label,
        "\"movable\": %zu, \"nets\": %zu, \"macros\": %zu, "
        "\"utilization\": %.17g, \"optimum_hpwl\": %.17g, \"hpwl\": %.17g, "
        "\"ratio\": %.17g, \"overflow_percent\": %.17g, \"legal\": %s, "
-       "\"iterations\": %d, \"warm_started\": %s, \"wall_s\": %.6g}%s\n",
+       "\"iterations\": %d, \"warm_started\": %s, \"wall_s\": %.6g, "
+       "\"stop\": \"%s\", \"recoveries\": %d}%s\n",
        json_escape(r.name).c_str(), static_cast<unsigned long long>(r.seed),
        r.cells,
        r.movable, r.nets, r.macros, r.utilization, r.optimum_hpwl, r.hpwl,
        r.ratio, r.overflow_percent, r.legal ? "true" : "false", r.iterations,
-       r.warm_started ? "true" : "false", r.wall_s,
-       k + 1 < records.size() ? "," : "");
+       r.warm_started ? "true" : "false", r.wall_s, to_string(r.stop),
+       r.recoveries, k + 1 < records.size() ? "," : "");
   }
   jf(f, "  ],\n");
   jf(f,

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/health.h"
 #include "gen/peko.h"
 
 namespace complx {
@@ -83,6 +84,8 @@ struct FleetRecord {
   int iterations = 0;
   bool warm_started = false;  ///< resumed from an experience-store record
   double wall_s = 0.0;  ///< full-flow wall time (0 when !record_timing)
+  StopReason stop = StopReason::Converged;  ///< why global placement ended
+  int recoveries = 0;  ///< watchdog rollbacks during global placement
 };
 
 /// Runs the full flow on one design and scores it against the closed-form

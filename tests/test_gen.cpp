@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
+#include "gen/fleet.h"
 #include "gen/generator.h"
 #include "gen/peko.h"
 #include "gen/suites.h"
@@ -354,6 +358,32 @@ TEST(Peko, AnchorsAreFixedAtOptimalPositions) {
   }
   EXPECT_EQ(fixed_cells, d.anchors);
   EXPECT_GT(d.anchors, 0u);
+}
+
+// Each fleet record ends with the global placement's stop reason and
+// recovery count as plain scalars: record scanners read from `{"name": ` to
+// the first `}`, so a record may hold no nested object.
+TEST(Fleet, JsonRecordEndsWithStopAndRecoveries) {
+  FleetRecord r;
+  r.name = "d0";
+  r.ratio = 1.5;
+  r.stop = StopReason::RollbackCycle;
+  r.recoveries = 2;
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "complx_fleet_record.json";
+  write_fleet_run_json(path.string(), "label", "gate", FleetRunOptions{},
+                       {r});
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::filesystem::remove(path);
+  const std::string json = text.str();
+  const size_t begin = json.find("{\"name\": ");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string record = json.substr(begin, json.find('}', begin) - begin);
+  const std::string tail = "\"stop\": \"rollback-cycle\", \"recoveries\": 2";
+  ASSERT_GE(record.size(), tail.size());
+  EXPECT_EQ(record.substr(record.size() - tail.size()), tail) << record;
 }
 
 }  // namespace

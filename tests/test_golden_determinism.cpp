@@ -366,6 +366,8 @@ TEST(GoldenDeterminism, FleetRecordThreadInvariant) {
     EXPECT_EQ(a.overflow_percent, b.overflow_percent) << "run " << k;
     EXPECT_EQ(a.legal, b.legal) << "run " << k;
     EXPECT_EQ(a.iterations, b.iterations) << "run " << k;
+    EXPECT_EQ(a.stop, b.stop) << "run " << k;
+    EXPECT_EQ(a.recoveries, b.recoveries) << "run " << k;
     EXPECT_EQ(a.wall_s, 0.0);
     EXPECT_EQ(b.wall_s, 0.0) << "run " << k;
   }

@@ -6,9 +6,11 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/health.h"
 #include "core/placer.h"
+#include "gen/fleet.h"
 #include "helpers.h"
 #include "legal/tetris.h"
 #include "util/log.h"
@@ -18,6 +20,12 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The largest Π of two in-core placements: the monitor's penalty reference.
+double in_core_pi_bound(const Netlist& nl) {
+  return static_cast<double>(nl.num_movable()) *
+         (nl.core().width() + nl.core().height());
+}
 
 IterationStats healthy_stats() {
   IterationStats st;
@@ -47,7 +55,7 @@ TEST(HealthMonitor, PlacementFiniteDetectsNanAndInf) {
 }
 
 TEST(HealthMonitor, FirstIterationIsNeverDivergent) {
-  HealthMonitor monitor;
+  HealthMonitor monitor(testing::two_cell_chain());
   // No accepted references yet: even an enormous first point is healthy.
   IterationStats st = healthy_stats();
   st.phi_lower = 1e30;
@@ -57,7 +65,7 @@ TEST(HealthMonitor, FirstIterationIsNeverDivergent) {
 }
 
 TEST(HealthMonitor, FlagsNonFiniteStatsAndLambda) {
-  HealthMonitor monitor;
+  HealthMonitor monitor(testing::two_cell_chain());
   IterationStats st = healthy_stats();
   st.lambda = kNan;
   EXPECT_EQ(monitor.check_stats(st), HealthFault::NonFiniteLambda);
@@ -70,24 +78,51 @@ TEST(HealthMonitor, FlagsNonFiniteStatsAndLambda) {
 }
 
 TEST(HealthMonitor, DetectsBlowupsAgainstAcceptedReferences) {
-  HealthMonitor monitor;
+  const Netlist nl = testing::two_cell_chain();
+  HealthMonitor monitor(nl);
+  const double pi_bound = in_core_pi_bound(nl);
+  // The reference is the last accepted Φ_upper (120), not its Φ_lower or L.
   monitor.accept(healthy_stats());
+  const double phi_upper = healthy_stats().phi_upper;
 
   IterationStats st = healthy_stats();
-  st.phi_lower = 100.0 * kPhiBlowupRatio * 1.01;
+  st.phi_lower = phi_upper * kPhiBlowupRatio * 1.01;
+  EXPECT_EQ(monitor.check_stats(st), HealthFault::ObjectiveBlowup);
+  st.phi_lower = phi_upper * kPhiBlowupRatio * 0.99;
+  EXPECT_EQ(monitor.check_stats(st), HealthFault::None);
+
+  st = healthy_stats();
+  st.pi = pi_bound * kPiBlowupRatio * 1.01;
+  EXPECT_EQ(monitor.check_stats(st), HealthFault::PenaltyBlowup);
+  st.pi = pi_bound * kPiBlowupRatio * 0.99;
+  EXPECT_EQ(monitor.check_stats(st), HealthFault::None);
+
+  st = healthy_stats();
+  st.lagrangian = phi_upper * kLagrangianBlowupRatio * 1.01;
+  EXPECT_EQ(monitor.check_stats(st), HealthFault::LagrangianBlowup);
+  st.lagrangian = phi_upper * kLagrangianBlowupRatio * 0.99;
+  EXPECT_EQ(monitor.check_stats(st), HealthFault::None);
+
+  // The reference follows the trajectory: a later accepted iteration with a
+  // larger Φ_upper admits a proportionally larger Φ_lower and L, which the
+  // smallest value seen so far (100 and 110) would have flagged.
+  IterationStats spread = healthy_stats();
+  spread.phi_upper = 1e4;
+  monitor.accept(spread);
+  st = healthy_stats();
+  st.phi_lower = 1e4 * kPhiBlowupRatio * 0.99;
+  st.lagrangian = 1e4 * kLagrangianBlowupRatio * 0.99;
+  EXPECT_EQ(monitor.check_stats(st), HealthFault::None);
+  st.phi_lower = 1e4 * kPhiBlowupRatio * 1.01;
   EXPECT_EQ(monitor.check_stats(st), HealthFault::ObjectiveBlowup);
 
+  // Π's bound is geometric: no accepted history can shrink it, so a
+  // resumed run whose healthy Π is tiny is not flagged for spreading.
+  IterationStats resumed = healthy_stats();
+  resumed.pi = 1e-9;
+  monitor.accept(resumed);
   st = healthy_stats();
-  st.pi = 10.0 * kPiBlowupRatio * 1.01;
-  EXPECT_EQ(monitor.check_stats(st), HealthFault::PenaltyBlowup);
-
-  st = healthy_stats();
-  st.lagrangian = 110.0 * kLagrangianBlowupRatio * 1.01;
-  EXPECT_EQ(monitor.check_stats(st), HealthFault::LagrangianBlowup);
-
-  // Just under every threshold: healthy.
-  st = healthy_stats();
-  st.phi_lower = 100.0 * kPhiBlowupRatio * 0.99;
+  st.pi = pi_bound * kPiBlowupRatio * 0.99;
   EXPECT_EQ(monitor.check_stats(st), HealthFault::None);
 }
 
@@ -280,6 +315,73 @@ TEST_F(HealthPlacer, PersistentFaultExhaustsRetriesButReturnsBestSoFar) {
   expect_usable(r);
 }
 
+// An anchor set pushed far outside the core makes Π exceed the in-core
+// bound on any run, resumed or not: detected, counted, rolled back.
+TEST_F(HealthPlacer, RecoversFromInjectedPenaltyBlowup) {
+  ComplxPlacer placer(nl_, cfg_);
+  const double shift = 2.0 * kPiBlowupRatio * in_core_pi_bound(nl_);
+  int projections = 0;
+  placer.set_post_projection_hook([&](Placement& anchors) {
+    if (++projections == 6)  // iteration 5 (the 1st call is iteration 0)
+      anchors.x[nl_.movable_cells()[0]] += shift;
+  });
+  const PlaceResult r = placer.place();
+  EXPECT_FALSE(r.failed);
+  EXPECT_EQ(r.recovered, 1);
+  EXPECT_EQ(r.health.penalty_blowups, 1u);
+  EXPECT_EQ(r.health.faults, 1u);
+  expect_usable(r);
+}
+
+// A recovery that would restart from the checkpoint an earlier recovery
+// already restarted from ends the run: without that stop a fault every few
+// iterations rolls back to one checkpoint until max_iterations.
+TEST_F(HealthPlacer, RepeatedRecoveryFromOneCheckpointStopsTheRun) {
+  cfg_.grid_coarsening = 1.0;  // finest grid from the start: rows rank by
+                               // overflow, not by resolution
+  cfg_.max_iterations = 60;
+  ComplxPlacer placer(nl_, cfg_);
+  constexpr int kFirstFault = 5;
+  FaultInjection faults;
+  faults.corrupt_iterate = [&](int iteration, Placement& p) {
+    if (iteration < kFirstFault) return;
+    if ((iteration - kFirstFault) % 3 == 0) {
+      p.x[nl_.movable_cells()[0]] = kNan;
+      return;
+    }
+    // Between the faults: a finite, healthy-looking iterate squeezed toward
+    // the core center, whose higher overflow never outranks the checkpoint.
+    const Point c = nl_.core().center();
+    for (CellId id : nl_.movable_cells()) {
+      p.x[id] = c.x + 0.5 * (p.x[id] - c.x);
+      p.y[id] = c.y + 0.5 * (p.y[id] - c.y);
+    }
+  };
+  placer.set_fault_injection(faults);
+  const PlaceResult r = placer.place();
+
+  EXPECT_EQ(r.stop, StopReason::RollbackCycle);
+  EXPECT_FALSE(r.failed);
+  EXPECT_EQ(r.recovered, 1);  // the first recovery; the second one stops
+  EXPECT_EQ(r.health.nonfinite_iterate, 2u);
+  EXPECT_EQ(r.iterations, kFirstFault + 3);
+  // The returned placement is the checkpoint: the best-ranked row accepted
+  // before the first fault (ties go to the later row).
+  const IterationStats* expected = nullptr;
+  for (const IterationStats& st : r.trace)
+    if (st.iteration < kFirstFault &&
+        (!expected ||
+         !Checkpoint::ranks_better(expected->grid_bins,
+                                   expected->overflow_ratio,
+                                   expected->phi_upper, st.grid_bins,
+                                   st.overflow_ratio, st.phi_upper)))
+      expected = &st;
+  ASSERT_NE(expected, nullptr);
+  EXPECT_EQ(r.best_iteration, expected->iteration);
+  EXPECT_EQ(r.final_overflow, expected->overflow_ratio);
+  expect_usable(r);
+}
+
 TEST_F(HealthPlacer, TimeLimitStopsEarlyWithUsablePlacement) {
   cfg_.time_limit_s = 1e-6;  // expires before the first loop iteration
   ComplxPlacer placer(nl_, cfg_);
@@ -337,6 +439,31 @@ TEST_F(HealthPlacer, WatchdogAddsZeroPerturbationToHealthyRuns) {
   testing::expect_placements_bitwise_equal(with.lower_bound,
                                            without.lower_bound);
   testing::expect_placements_bitwise_equal(with.anchors, without.anchors);
+}
+
+// A certified PEKO design from the smoke fleet. Its λ = 0 collapse has a
+// tiny Φ and L, so healthy spreading iterations used to exceed 50× / 100×
+// those running minima and roll back until the iteration cap; against the
+// last accepted Φ_upper the same run converges untouched.
+TEST(HealthPeko, SpreadingSmokeDesignConvergesWithoutRollbacks) {
+  set_log_level(LogLevel::Error);
+  const std::vector<PekoParams> designs = fleet_designs(FleetPreset::Smoke);
+  const PekoParams* params = nullptr;
+  for (const PekoParams& d : designs)
+    if (d.name.rfind("peko_c1024_", 0) == 0) {
+      params = &d;
+      break;
+    }
+  ASSERT_NE(params, nullptr);
+  const PekoDesign design = generate_peko(*params);
+  ComplxConfig cfg;
+  cfg.max_iterations = FleetRunOptions{}.max_iterations;
+  const PlaceResult r = ComplxPlacer(design.netlist, cfg).place();
+  set_log_level(LogLevel::Info);
+  EXPECT_EQ(r.recovered, 0);
+  EXPECT_EQ(r.health.faults, 0u);
+  EXPECT_EQ(r.stop, StopReason::Converged);
+  EXPECT_LT(r.iterations, cfg.max_iterations);
 }
 
 }  // namespace
