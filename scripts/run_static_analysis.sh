@@ -24,11 +24,9 @@ if [ ! -x "$LINT_BIN" ]; then
 fi
 if [ -x "$LINT_BIN" ]; then
   echo "== complx-lint =="
-  # Incremental cache (unchanged files replay their cached summaries; CI
-  # restores it across runs) plus both report formats: JSON for humans and
-  # scripts, SARIF 2.1.0 for the code-scanning upload.
-  if "$LINT_BIN" --cache "$BUILD_DIR/.complx_lint.cache" --stats \
-       --json "$BUILD_DIR/complx_lint.json" \
+  # Both report formats: JSON for humans and scripts, SARIF 2.1.0 for the
+  # code-scanning upload.
+  if "$LINT_BIN" --json "$BUILD_DIR/complx_lint.json" \
        --sarif "$BUILD_DIR/complx_lint.sarif" src apps; then
     status_lint=pass
   else

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "projection/lal.h"
+#include "qp/solver.h"
+
 namespace complx {
 
 const char* to_string(StopReason r) {
@@ -46,6 +49,21 @@ void HealthStats::count(HealthFault f) {
     case HealthFault::LagrangianBlowup: ++lagrangian_blowups; break;
     case HealthFault::CgBreakdown: ++cg_breakdowns; break;
   }
+}
+
+void SolverStats::add(const QpIterationResult& r) {
+  add(r.cg_x);
+  add(r.cg_y);
+  assembly_s += r.assembly_s;
+  solve_s += r.solve_s;
+}
+
+void SolverStats::add(const ProjectionTimers& t) {
+  ++projections;
+  proj_grid_build_s += t.grid_build_s;
+  proj_region_find_s += t.region_find_s;
+  proj_spread_s += t.spread_s;
+  proj_readback_s += t.readback_s;
 }
 
 SolverStats& SolverStats::operator+=(const SolverStats& o) {

@@ -36,10 +36,12 @@
 #include "core/trace.h"
 #include "linalg/cg.h"
 #include "netlist/netlist.h"
-#include "util/atomic_file.h"
 #include "util/fpcmp.h"
 
 namespace complx {
+
+struct ProjectionTimers;   // projection/lal.h
+struct QpIterationResult;  // qp/solver.h
 
 /// Why the primal-dual loop returned.
 enum class StopReason {
@@ -77,9 +79,8 @@ struct SolverStats {
   size_t total_cg_iterations = 0;
   double worst_residual = 0.0;    ///< max final ||b - Ax|| over all solves
 
-  // QP-workspace instrumentation (copied from QpWorkspaceStats by the
-  // driver). The assembly/solve split shows where each primal step's wall
-  // time went.
+  // Primal-step instrumentation (summed by add(const QpIterationResult&)).
+  // The assembly/solve split shows where each primal step's wall time went.
   //
   // pattern_hits/pattern_misses counted the retired CSR sparsity-pattern
   // cache. Nothing writes them any more; they stay, always zero, only
@@ -90,7 +91,7 @@ struct SolverStats {
   double solve_s = 0.0;     ///< PCG wall time
 
   // Feasibility-projection phase split, accumulated over every project()
-  // call (ProjectionTimers folded in by the driver). grid-build covers mote
+  // call by add(const ProjectionTimers&). grid-build covers mote
   // materialization plus the movable density deposit — the fixed blockage
   // field is cached inside LookAheadLegalizer and only rebuilt when the
   // grid resolution changes.
@@ -107,6 +108,12 @@ struct SolverStats {
     total_cg_iterations += r.iterations;
     if (r.residual_norm > worst_residual) worst_residual = r.residual_norm;
   }
+
+  /// Folds one primal step in: both axes' CG results and its timings.
+  void add(const QpIterationResult& r);
+
+  /// Folds one project() call in: counts it and sums its phase timers.
+  void add(const ProjectionTimers& t);
 
   /// Folds another run's statistics in (sums; worst_residual takes the max)
   /// — the multilevel V-cycle reports one SolverStats for all its levels.
@@ -241,16 +248,6 @@ struct FaultInjection {
   /// Return true to force the PCG solves of this iteration to report
   /// breakdown without solving (QP model only).
   std::function<bool(int iteration)> force_cg_breakdown;
-
-  /// I/O fault hooks (short writes, failed fsync/rename, ENOSPC, in-flight
-  /// bit flips) consumed by util/atomic_file and the snapshot store — the
-  /// file-system counterpart of the numeric hooks above.
-  IoFaultInjection io;
-
-  bool any() const {
-    return corrupt_iterate || corrupt_lambda || force_cg_breakdown ||
-           io.any();
-  }
 };
 
 }  // namespace complx

@@ -227,17 +227,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // spring lists. Bitwise-neutral (test_qp compares it against fresh
   // assembly).
   QpWorkspace qp_ws;
-  auto fold_workspace_stats = [&] {
-    result.solver.assembly_s = qp_ws.stats.assembly_s;
-    result.solver.solve_s = qp_ws.stats.solve_s;
-  };
-  auto fold_projection_stats = [&](const ProjectionTimers& t) {
-    ++result.solver.projections;
-    result.solver.proj_grid_build_s += t.grid_build_s;
-    result.solver.proj_region_find_s += t.region_find_s;
-    result.solver.proj_spread_s += t.spread_s;
-    result.solver.proj_readback_s += t.readback_s;
-  };
 
   // Primal minimizer: linearized-quadratic B2B by default, log-sum-exp via
   // nonlinear CG when configured (Section S1 instantiation). Returns true
@@ -256,8 +245,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     opts.cg.inject_breakdown = inject_breakdown;
     const QpIterationResult qr =
         solve_qp_iteration(nl_, vars, p, anchors, opts, qp_ws);
-    result.solver.add(qr.cg_x);
-    result.solver.add(qr.cg_y);
+    result.solver.add(qr);
     if (!qr.fully_converged())
       log_debug("cg non-converged (residual x=%.3g y=%.3g)",
                 qr.cg_x.residual_norm, qr.cg_y.residual_norm);
@@ -281,7 +269,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   lal.set_grid(static_cast<size_t>(bins), static_cast<size_t>(bins));
 
   ProjectionResult proj = lal.project(p);
-  fold_projection_stats(proj.timers);
+  result.solver.add(proj.timers);
   if (post_projection_) {
     post_projection_(proj.anchors);
     proj.displacement_l1 = movable_l1(nl_, p, proj.anchors);
@@ -353,7 +341,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
       result.final_lambda = schedule.lambda();
       result.final_overflow = result.trace.back().overflow_ratio;
       result.health = monitor.stats();
-      fold_workspace_stats();
       result.runtime_s = timer.seconds();
       return result;
     }
@@ -490,7 +477,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     }
 
     proj = lal.project(p);
-    fold_projection_stats(proj.timers);
+    result.solver.add(proj.timers);
     if (post_projection_) {
       post_projection_(proj.anchors);
       proj.displacement_l1 = movable_l1(nl_, p, proj.anchors);
@@ -612,7 +599,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
           : std::min(k, cfg_.max_iterations);
   result.stop = stop;
   result.health = monitor.stats();
-  fold_workspace_stats();
   result.runtime_s = timer.seconds();
   return result;
 }

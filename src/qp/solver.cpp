@@ -64,16 +64,15 @@ QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
         builder.add_anchor(id, tgt[id], wgt[id]);
     }
     builder.assemble(ws.solve);
-    ws.stats.assembly_s += assembly_timer.seconds();
+    result.assembly_s += assembly_timer.seconds();
 
     Timer solve_timer;
     const CgResult cg = builder.solve(p, opts.cg, ws.solve);
-    ws.stats.solve_s += solve_timer.seconds();
+    result.solve_s += solve_timer.seconds();
     // Cells cannot leave the placement region.
     clamp_axis(nl, axis == Axis::X ? p.x : p.y, axis);
     (axis == Axis::X ? result.cg_x : result.cg_y) = cg;
   }
-  ++ws.stats.iterations;
   return result;
 }
 

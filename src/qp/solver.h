@@ -34,16 +34,11 @@ struct QpOptions {
 
 struct QpIterationResult {
   CgResult cg_x, cg_y;
+  double assembly_s = 0.0;  ///< net model + stamping + CSR build, both axes
+  double solve_s = 0.0;     ///< PCG wall time, both axes
 
   bool breakdown() const { return cg_x.breakdown || cg_y.breakdown; }
   bool fully_converged() const { return cg_x.converged && cg_y.converged; }
-};
-
-/// Instrumentation of solve_qp_iteration, accumulated across iterations.
-struct QpWorkspaceStats {
-  size_t iterations = 0;    ///< solve_qp_iteration calls
-  double assembly_s = 0.0;  ///< net model + stamping + CSR build
-  double solve_s = 0.0;     ///< PCG wall time
 };
 
 /// Iteration-persistent state for solve_qp_iteration: one buffer set that
@@ -59,15 +54,15 @@ struct QpWorkspace {
   SolveWorkspace solve;
   std::vector<PinSpring> springs;  ///< B2B / clique buffer
   std::vector<StarSpring> stars;   ///< star-model buffer
-  QpWorkspaceStats stats;
 };
 
 /// Solves min Φ_Q(x, y) (+ anchor penalties) linearized at `p`, writing the
 /// minimizer back into `p`. The axes run one after the other: the x solve
 /// writes only p.x and the y system reads only p.y, so both linearize at
 /// the entry point without a copy of it. All per-iteration buffers come
-/// from `ws`, and `ws.stats` is updated. The workspace carries no numeric
-/// state between calls: the result depends on the arguments only.
+/// from `ws`; the result carries this call's timings. The workspace carries
+/// no numeric state between calls: the placement depends on the arguments
+/// only.
 QpIterationResult solve_qp_iteration(const Netlist& nl, const VarMap& vars,
                                      Placement& p, const AnchorSet* anchors,
                                      const QpOptions& opts, QpWorkspace& ws);

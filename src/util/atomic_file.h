@@ -30,8 +30,9 @@
 namespace complx {
 
 /// Test-only I/O fault hooks (the file-system analogue of the numerical
-/// FaultInjection in core/health.h, which embeds one of these). Production
-/// configs leave every member empty.
+/// FaultInjection in core/health.h), passed to writes through
+/// AtomicWriteOptions::faults and ExperienceStore::Options::faults.
+/// Production configs leave every member empty.
 struct IoFaultInjection {
   /// Maps an intended write length to the length actually written; return
   /// a smaller value to simulate a torn/short write (e.g. ENOSPC mid-file).
@@ -45,11 +46,6 @@ struct IoFaultInjection {
   /// May mutate the serialized bytes before they are written (bit flips,
   /// truncation, garbage) — corruption the *reader* must then catch.
   std::function<void(std::string& bytes)> corrupt_bytes;
-
-  bool any() const {
-    return short_write || fail_fsync || fail_rename || fail_open ||
-           corrupt_bytes;
-  }
 };
 
 struct AtomicWriteOptions {

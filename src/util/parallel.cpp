@@ -147,13 +147,6 @@ void ThreadPool::parallel_for(size_t n, size_t chunk,
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::invoke(const std::vector<std::function<void()>>& tasks) {
-  parallel_for(tasks.size(), 1,
-               [&](size_t begin, size_t end) {
-                 for (size_t i = begin; i < end; ++i) tasks[i]();
-               });
-}
-
 // ---------------------------------------------------------------------------
 // Global pool.
 // ---------------------------------------------------------------------------

@@ -116,9 +116,6 @@ class ThreadPool {
   void parallel_for(size_t n, size_t chunk,
                     const std::function<void(size_t, size_t)>& body);
 
-  /// Runs the given independent tasks concurrently (caller participates).
-  void invoke(const std::vector<std::function<void()>>& tasks);
-
   /// True while the current thread is executing inside a parallel region
   /// (worker chunk or caller participation). Used to reject nesting.
   static bool in_parallel_region();

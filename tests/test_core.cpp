@@ -6,6 +6,7 @@
 
 #include "core/placer.h"
 #include "helpers.h"
+#include "multilevel/mlplacer.h"
 #include "wl/hpwl.h"
 
 namespace complx {
@@ -195,6 +196,38 @@ TEST(ComplxPlacer, LseModelInstantiationWorks) {
   const double scatter = hpwl(nl, nl.snapshot());
   EXPECT_LT(hpwl(nl, res.anchors), scatter);
   EXPECT_LT(res.final_overflow, 0.5);
+}
+
+// SolverStats counts one projection per trace row and two linear solves
+// (x and y) per primal step, and every phase timer it sums has run.
+void expect_solver_stats_count_every_step(const PlaceResult& res) {
+  ASSERT_EQ(res.health.faults, 0u) << "the design must place without faults";
+  const SolverStats& s = res.solver;
+  EXPECT_EQ(s.projections, res.trace.size());
+  EXPECT_EQ(s.solves % 2, 0u);
+  EXPECT_GE(s.solves, 2u * static_cast<size_t>(res.iterations));
+  EXPECT_GT(s.assembly_s, 0.0);
+  EXPECT_GT(s.solve_s, 0.0);
+  EXPECT_GT(s.proj_grid_build_s + s.proj_region_find_s + s.proj_spread_s +
+                s.proj_readback_s,
+            0.0);
+}
+
+TEST(Placer, SolverStatsCountEverySolveAndProjection) {
+  Netlist nl = complx::testing::small_circuit(86, 3000);
+  {
+    SCOPED_TRACE("flat");
+    expect_solver_stats_count_every_step(
+        ComplxPlacer(nl, fast_config()).place());
+  }
+  {
+    SCOPED_TRACE("multilevel");
+    MultilevelConfig cfg;
+    cfg.coarsest_cells = 1000;
+    const MultilevelResult ml = MultilevelPlacer(nl, cfg).place();
+    ASSERT_GE(ml.level_sizes.size(), 2u);
+    expect_solver_stats_count_every_step(ml.place);
+  }
 }
 
 }  // namespace

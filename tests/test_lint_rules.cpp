@@ -373,8 +373,9 @@ TEST(LintReport, RuleCatalogIsExactlyTheRuleSet) {
 }
 
 TEST(LintReport, UnreadableFileYieldsIoFinding) {
-  const auto findings = lint_file("/nonexistent_dir_xyz/f.cpp");
+  const auto findings = analyze_paths({"/nonexistent_dir_xyz/f.cpp"});
   ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "/nonexistent_dir_xyz/f.cpp");
   EXPECT_EQ(findings[0].rule, "IO");
 }
 

@@ -112,13 +112,6 @@ TEST(ThreadPool, NestedCallsAreRejectedToInlineExecution) {
   EXPECT_FALSE(ThreadPool::in_parallel_region());
 }
 
-TEST(ThreadPool, InvokeRunsAllTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.invoke({[&] { ++ran; }, [&] { ++ran; }, [&] { ++ran; }});
-  EXPECT_EQ(ran.load(), 3);
-}
-
 TEST(ThreadPool, ChunkZeroThrows) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.parallel_for(10, 0, [](size_t, size_t) {}),

@@ -217,7 +217,6 @@ TEST(QpWorkspace, MultiIterationTrajectoryMatchesFreshBitwise) {
     solve_qp_iteration(nl, vars, fresh, nullptr, opts, fresh_ws);
     expect_bitwise_equal(nl, cached, fresh);
   }
-  EXPECT_EQ(ws.stats.iterations, 5u);
 }
 
 // ------------------------------------------------------ live-net assembly ----

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -954,14 +953,6 @@ FileSummary summarize_source(const std::string& path,
 std::vector<Finding> lint_source(const std::string& path,
                                  const std::string& content) {
   return analyze_sources({{path, content}});
-}
-
-std::vector<Finding> lint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {{normalized(path), 0, "IO", "cannot read file"}};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return lint_source(path, buf.str());
 }
 
 }  // namespace complx::lint

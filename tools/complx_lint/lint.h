@@ -97,38 +97,18 @@ struct AnalyzeOptions {
   /// Contents of the layer declaration (layers.toml). Empty disables the
   /// A1/A2 include passes.
   std::string layers_toml;
-  /// Run the cross-file determinism-taint pass (rule T1).
-  bool taint = true;
-  /// Path of the incremental cache file. Empty disables caching. The cache
-  /// maps content hashes to per-file summaries so unchanged files skip
-  /// tokenization and per-file rules entirely; it is written atomically
-  /// (temp + rename) and produces byte-identical findings on warm runs.
-  std::string cache_path;
-  /// Worker threads for the per-file pass; 0 = the process-wide default
-  /// (util/parallel.h global_threads()).
-  std::size_t threads = 0;
 };
 
-/// Instrumentation from one analyze_sources run.
-struct AnalyzeStats {
-  std::size_t files = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  double analyze_s = 0.0;  ///< per-file + cross-file pass wall time
-};
-
-/// The full multi-pass analysis: per-file rules on every file (parallel,
-/// cache-accelerated), then the cross-file passes (A1/A2 layering, T1
-/// taint) over the whole set. Findings are sorted by (file, line, rule).
+/// The full multi-pass analysis, one serial pass: per-file rules on every
+/// file, then the cross-file passes (A1/A2 layering, T1 taint) over the
+/// whole set. Findings are sorted by (file, line, rule).
 std::vector<Finding> analyze_sources(const std::vector<SourceFile>& files,
-                                     const AnalyzeOptions& opts = {},
-                                     AnalyzeStats* stats = nullptr);
+                                     const AnalyzeOptions& opts = {});
 
-/// analyze_sources over files read from disk. Unreadable files yield an
-/// "IO" finding rather than a crash.
+/// Reads `paths` from disk and runs analyze_sources over them. An
+/// unreadable file yields an "IO" finding rather than a crash.
 std::vector<Finding> analyze_paths(const std::vector<std::string>& paths,
-                                   const AnalyzeOptions& opts = {},
-                                   AnalyzeStats* stats = nullptr);
+                                   const AnalyzeOptions& opts = {});
 
 /// Lints one translation unit given its contents: the per-file rules plus
 /// the degenerate single-file taint pass. `path` is used both for
@@ -136,9 +116,5 @@ std::vector<Finding> analyze_paths(const std::vector<std::string>& paths,
 /// N2 applies only under core/, linalg/ and qp/).
 std::vector<Finding> lint_source(const std::string& path,
                                  const std::string& content);
-
-/// Reads and lints a file from disk. Unreadable files yield an "IO"
-/// finding rather than a crash.
-std::vector<Finding> lint_file(const std::string& path);
 
 }  // namespace complx::lint

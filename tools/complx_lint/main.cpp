@@ -18,8 +18,6 @@
 #include "lint.h"
 #include "report.h"
 #include "util/atomic_file.h"
-#include "util/parallel.h"
-#include "util/parse_num.h"
 
 namespace fs = std::filesystem;
 using complx::lint::Finding;
@@ -46,12 +44,6 @@ int usage(const char* argv0) {
       "                  (default: tools/complx_lint/layers.toml under the\n"
       "                  first PATH's repo, when present; --layers none "
       "disables)\n"
-      "  --cache FILE    incremental cache (content-hash keyed, written "
-      "atomically)\n"
-      "  --no-taint      skip the cross-file T1 determinism-taint pass\n"
-      "  --threads N     worker threads for the per-file pass\n"
-      "  --stats         print files/cache-hit/timing/thread summary to "
-      "stderr\n"
       "  --quiet         summary line only\n"
       "  --list-rules    print the rule catalog and exit\n",
       argv0);
@@ -98,10 +90,9 @@ bool write_report(const std::string& path, const std::string& content) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> roots;
-  std::string json_path, sarif_path, layers_path, cache_path;
-  bool quiet = false, stats_out = false, taint = true;
+  std::string json_path, sarif_path, layers_path;
+  bool quiet = false;
   bool layers_explicit = false;
-  std::size_t threads = 0;
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) return nullptr;
@@ -116,10 +107,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--quiet") {
       quiet = true;
-    } else if (arg == "--stats") {
-      stats_out = true;
-    } else if (arg == "--no-taint") {
-      taint = false;
     } else if (arg == "--json") {
       const char* v = need_value(i);
       if (!v) return usage(argv[0]);
@@ -133,19 +120,6 @@ int main(int argc, char** argv) {
       if (!v) return usage(argv[0]);
       layers_path = v;
       layers_explicit = true;
-    } else if (arg == "--cache") {
-      const char* v = need_value(i);
-      if (!v) return usage(argv[0]);
-      cache_path = v;
-    } else if (arg == "--threads") {
-      const char* v = need_value(i);
-      if (!v) return usage(argv[0]);
-      try {
-        threads = complx::parse_uint64("--threads", v, 0, 65536);
-      } catch (const complx::ParseError& e) {
-        std::fprintf(stderr, "complx-lint: %s\n", e.what());
-        return usage(argv[0]);
-      }
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -180,9 +154,6 @@ int main(int argc, char** argv) {
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   complx::lint::AnalyzeOptions opts;
-  opts.taint = taint;
-  opts.cache_path = cache_path;
-  opts.threads = threads;
   if (!layers_explicit) layers_path = default_layers_file(roots.front());
   if (!layers_path.empty() && layers_path != "none") {
     std::ifstream in(layers_path, std::ios::binary);
@@ -196,9 +167,7 @@ int main(int argc, char** argv) {
     opts.layers_toml = buf.str();
   }
 
-  complx::lint::AnalyzeStats stats;
-  const std::vector<Finding> all =
-      complx::lint::analyze_paths(files, opts, &stats);
+  const std::vector<Finding> all = complx::lint::analyze_paths(files, opts);
 
   std::map<std::string, size_t> per_rule;
   for (const Finding& f : all) {
@@ -214,14 +183,6 @@ int main(int argc, char** argv) {
   if (!sarif_path.empty() &&
       !write_report(sarif_path, complx::lint::render_sarif(all)))
     return 2;
-
-  if (stats_out) {
-    std::fprintf(stderr,
-                 "complx-lint: stats files=%zu cache_hits=%zu "
-                 "cache_misses=%zu analyze_ms=%.2f threads=%zu\n",
-                 stats.files, stats.cache_hits, stats.cache_misses,
-                 stats.analyze_s * 1e3, complx::global_threads());
-  }
 
   std::string breakdown;
   for (const auto& [rule, count] : per_rule)
