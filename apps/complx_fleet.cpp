@@ -31,12 +31,15 @@
 // and the warm-start gate pairs a cold --save-experience run with a
 // subsequent --warm-start rerun (quality_gate.py warm).
 //
-// Exit-code contract (mirrors complx_place):
+// Exit-code contract (complx_place's, without its 3):
 //   0    success (all records legal)
 //   1    usage error
 //   2    fatal error or illegal records
 //   4    degraded experience store (fleet itself succeeded)
 //   130  interrupted (SIGINT); records completed so far are written first
+// A design whose global placement diverged does not change the exit code:
+// it shows in its record's "stop" field, and quality_gate.py warm fails on
+// it.
 // complx-lint: allow(P1): the SIGINT flag must be async-signal-safe; a plain
 // bool or anything mutex-based would be UB inside a signal handler.
 #include <atomic>

@@ -57,7 +57,10 @@
 //   4    degraded experience store: the placement SUCCEEDED and was written,
 //        but the snapshot store was corrupt on load (quarantined to
 //        <file>.corrupt, run proceeded cold) or could not be saved
-//   130  interrupted (SIGINT); the best-so-far placement is written first
+//   130  interrupted (SIGINT), during global placement (its best-so-far
+//        checkpoint is used) or after it; DP and orientation passes not yet
+//        started are skipped, no experience is recorded, and the placement
+//        is written first
 // complx-lint: allow(P1): the SIGINT flag must be async-signal-safe; a plain
 // bool or anything mutex-based would be UB inside a signal handler.
 #include <atomic>
@@ -103,12 +106,19 @@ void usage() {
 }
 
 // SIGINT raises the cooperative cancel flag; the placer stops at the next
-// iteration boundary and returns its best-so-far checkpoint, which main()
-// writes out before exiting 130. A second ^C kills the process the default
-// way (the handler restores SIG_DFL).
+// iteration boundary and returns its best-so-far checkpoint; main() skips
+// the DP and orientation passes not yet started, writes the placement and
+// exits 130. A second ^C kills the process the default way (the handler
+// restores SIG_DFL).
 // complx-lint: allow(P1): set from the SIGINT handler, read by the placer's
 // cooperative cancel hook; control flow only, never numeric data.
 std::atomic<bool> g_interrupted{false};
+
+bool interrupted() {
+  // complx-lint: allow(P1): relaxed poll of the SIGINT flag; control flow
+  // only.
+  return g_interrupted.load(std::memory_order_relaxed);
+}
 
 void handle_sigint(int) {
   // complx-lint: allow(P1): relaxed is enough — a single flag, one writer
@@ -260,8 +270,9 @@ int main(int argc, char** argv) {
     PlaceResult gp;
     if (eco_window) {
       EcoResult eco = eco_replace(nl, {.window = *eco_window, .config = cfg});
+      const bool full_solve = eco.frozen_cells == 0 && eco.dirty_cells > 0;
       std::printf("eco: %zu dirty / %zu frozen movables%s\n", eco.dirty_cells,
-                  eco.frozen_cells, eco.full_solve ? " (full solve)" : "");
+                  eco.frozen_cells, full_solve ? " (full solve)" : "");
       gp = std::move(eco.place);
     } else if (start) {
       gp = ComplxPlacer(nl, cfg).resume(*start);
@@ -269,17 +280,17 @@ int main(int argc, char** argv) {
       AutoPlaceOptions aopts;
       aopts.multilevel_threshold = static_cast<size_t>(ml_threshold);
       MultilevelResult ml = place_auto(nl, cfg, aopts);
-      if (!ml.level_sizes.empty()) {
-        std::printf("multilevel: %zu level(s),", ml.level_sizes.size() - 1);
-        for (const size_t cells : ml.level_sizes) std::printf(" %zu", cells);
+      if (!ml.levels.empty()) {
+        std::printf("multilevel: %zu level(s),", ml.levels.size() - 1);
+        for (const LevelOutcome& l : ml.levels) std::printf(" %zu", l.cells);
         std::printf(" cells, stops");
-        for (const StopReason s : ml.level_stops)
-          std::printf(" %s", to_string(s));
+        for (const LevelOutcome& l : ml.levels)
+          std::printf(" %s", to_string(l.stop));
         std::printf(", %.1fs\n", ml.place.runtime_s);
       }
       gp = std::move(ml.place);
     }
-    if (gp.warm_started)
+    if (start)
       std::printf("warm start: resumed from experience store %s\n",
                   snapshot_path.c_str());
     std::printf("global placement: %d iterations (%s), lambda %.3f, "
@@ -316,7 +327,7 @@ int main(int argc, char** argv) {
                    "warning: stopped early (%s); using best-so-far "
                    "checkpoint from iteration %d\n",
                    to_string(gp.stop), gp.best_iteration);
-    if (gp.failed)
+    if (gp.stop == StopReason::Diverged)
       std::fprintf(stderr, "error: %s\n", gp.failure.c_str());
     if (!trace_path.empty()) write_trace_csv(trace_path, gp.trace);
 
@@ -334,14 +345,13 @@ int main(int argc, char** argv) {
                      legal.failed);
         return 2;
       }
-      // After ^C the user wants the checkpoint on disk, not minutes of DP.
-      if (gp.stop == StopReason::Cancelled) run_dp = orient = false;
-      if (run_dp) {
+      // After ^C the user wants the placement on disk, not minutes of DP.
+      if (run_dp && !interrupted()) {
         const DetailedResult dp = DetailedPlacer(nl).refine(p);
         std::printf("detailed placement: %.4g -> %.4g\n", dp.initial_hpwl,
                     dp.final_hpwl);
       }
-      if (orient) {
+      if (orient && !interrupted()) {
         const OrientationResult orient_res = optimize_orientation(nl, p);
         std::printf("orientation: %zu cells flipped, HPWL %.4g -> %.4g\n",
                     orient_res.flipped, orient_res.initial_hpwl,
@@ -378,7 +388,7 @@ int main(int argc, char** argv) {
     }
     // Record the best usable global placement (the anchors a warm start
     // resumes from). A save failure marks the store degraded, never aborts.
-    if (experience && save_experience && recordable(gp) &&
+    if (experience && save_experience && recordable(gp) && !interrupted() &&
         experience->record(nl, gp.anchors, weighted_hpwl(nl, gp.anchors),
                            gp.iterations))
       std::printf("experience saved to %s (%zu record(s))\n",
@@ -388,8 +398,8 @@ int main(int argc, char** argv) {
     // time these non-zero codes are returned. Degraded store (4) ranks
     // below divergence (3) and interruption (130) — those already imply the
     // run itself went wrong.
-    if (gp.failed) return 3;
-    if (gp.stop == StopReason::Cancelled) return 130;
+    if (gp.stop == StopReason::Diverged) return 3;
+    if (interrupted()) return 130;
     if (experience && experience->degraded()) {
       std::fprintf(stderr, "warning: experience store degraded: %s\n",
                    experience->degraded_reason().c_str());

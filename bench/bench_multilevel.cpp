@@ -50,7 +50,7 @@ int main() {
     std::printf("%-10s %8zu | %12.0f %8.1f | %12.0f %8.1f %7zu   "
                 "(ML HPWL %+5.2f%%)\n",
                 prm.name.c_str(), nl.num_cells(), hpwl(nl, pf), flat_t,
-                hpwl(nl, pm), ml_t, ml.level_sizes.size() - 1,
+                hpwl(nl, pm), ml_t, ml.levels.size() - 1,
                 100.0 * (hpwl(nl, pm) - hpwl(nl, pf)) / hpwl(nl, pf));
   }
   return 0;

@@ -51,7 +51,6 @@ EcoResult eco_replace(Netlist& nl, const EcoOptions& opts) {
     // The window covers every movable cell: this IS a full solve. Run the
     // ordinary path so the result is bitwise identical to place() — no
     // freezing, no warm-start override, no special-cased commit.
-    result.full_solve = true;
     ComplxPlacer placer(nl, opts.config);
     result.place = placer.place();
     if (opts.apply) nl.apply(result.place.anchors);

@@ -49,8 +49,8 @@ struct EcoResult {
   /// iterations, and both placements are the netlist's unchanged one.
   PlaceResult place;
   size_t dirty_cells = 0;   ///< movable cells inside the window
-  size_t frozen_cells = 0;  ///< movable cells temporarily fixed
-  bool full_solve = false;  ///< window covered every movable → plain place()
+  size_t frozen_cells = 0;  ///< movable cells temporarily fixed; 0 with
+                            ///< dirty cells means a plain place() ran
 };
 
 /// Re-places the movable cells inside opts.window. The netlist is

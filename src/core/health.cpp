@@ -31,6 +31,7 @@ const char* to_string(HealthFault f) {
     case HealthFault::PenaltyBlowup: return "penalty blow-up";
     case HealthFault::LagrangianBlowup: return "lagrangian blow-up";
     case HealthFault::CgBreakdown: return "cg breakdown";
+    case HealthFault::kCount: break;
   }
   return "unknown";
 }
@@ -38,17 +39,7 @@ const char* to_string(HealthFault f) {
 void HealthStats::count(HealthFault f) {
   if (f == HealthFault::None) return;
   ++faults;
-  switch (f) {
-    case HealthFault::None: break;
-    case HealthFault::NonFiniteIterate: ++nonfinite_iterate; break;
-    case HealthFault::NonFiniteAnchors: ++nonfinite_anchors; break;
-    case HealthFault::NonFiniteLambda: ++nonfinite_lambda; break;
-    case HealthFault::NonFiniteStats: ++nonfinite_stats; break;
-    case HealthFault::ObjectiveBlowup: ++objective_blowups; break;
-    case HealthFault::PenaltyBlowup: ++penalty_blowups; break;
-    case HealthFault::LagrangianBlowup: ++lagrangian_blowups; break;
-    case HealthFault::CgBreakdown: ++cg_breakdowns; break;
-  }
+  ++by_kind[static_cast<size_t>(f)];
 }
 
 void SolverStats::add(const QpIterationResult& r) {
@@ -83,16 +74,8 @@ SolverStats& SolverStats::operator+=(const SolverStats& o) {
 }
 
 HealthStats& HealthStats::operator+=(const HealthStats& o) {
-  checks += o.checks;
   faults += o.faults;
-  nonfinite_iterate += o.nonfinite_iterate;
-  nonfinite_anchors += o.nonfinite_anchors;
-  nonfinite_lambda += o.nonfinite_lambda;
-  nonfinite_stats += o.nonfinite_stats;
-  objective_blowups += o.objective_blowups;
-  penalty_blowups += o.penalty_blowups;
-  lagrangian_blowups += o.lagrangian_blowups;
-  cg_breakdowns += o.cg_breakdowns;
+  for (size_t k = 0; k < by_kind.size(); ++k) by_kind[k] += o.by_kind[k];
   return *this;
 }
 
@@ -125,7 +108,6 @@ HealthFault HealthMonitor::check_stats(const IterationStats& st) const {
 }
 
 void HealthMonitor::accept(const IterationStats& st) {
-  ++stats_.checks;
   accepted_ = true;
   last_phi_upper_ = st.phi_upper;
 }

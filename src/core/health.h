@@ -27,6 +27,7 @@
 // header defines its knobs.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <functional>
@@ -67,6 +68,7 @@ enum class HealthFault {
   PenaltyBlowup,      ///< Π beyond ratio × the in-core bound
   LagrangianBlowup,   ///< L beyond ratio × last accepted Φ_upper
   CgBreakdown,        ///< PCG reported pAp <= 0 (system not SPD)
+  kCount,             ///< number of values above; not a fault, keep last
 };
 const char* to_string(HealthFault f);
 
@@ -122,18 +124,15 @@ struct SolverStats {
 
 /// Event counters kept by the watchdog (exposed on PlaceResult).
 struct HealthStats {
-  size_t checks = 0;             ///< iterations examined
-  size_t faults = 0;             ///< total faults detected
-  size_t nonfinite_iterate = 0;
-  size_t nonfinite_anchors = 0;
-  size_t nonfinite_lambda = 0;
-  size_t nonfinite_stats = 0;
-  size_t objective_blowups = 0;
-  size_t penalty_blowups = 0;
-  size_t lagrangian_blowups = 0;
-  size_t cg_breakdowns = 0;
+  size_t faults = 0;  ///< total faults detected (the sum of by_kind)
+  /// Faults per kind, indexed by HealthFault; the None slot stays 0.
+  std::array<size_t, static_cast<size_t>(HealthFault::kCount)> by_kind{};
 
+  /// Counts one detected fault; None counts nothing.
   void count(HealthFault f);
+  size_t operator[](HealthFault f) const {
+    return by_kind[static_cast<size_t>(f)];
+  }
   HealthStats& operator+=(const HealthStats& o);
 };
 

@@ -195,9 +195,8 @@ PlaceResult ComplxPlacer::resume(const Placement& stored) {
 }
 
 bool recordable(const PlaceResult& r) {
-  return !r.failed && (r.stop == StopReason::Converged ||
-                       r.stop == StopReason::Plateau ||
-                       r.stop == StopReason::MaxIterations);
+  return r.stop == StopReason::Converged || r.stop == StopReason::Plateau ||
+         r.stop == StopReason::MaxIterations;
 }
 
 PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
@@ -213,7 +212,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // grid (the stored solution is already spread — coarse re-projection
   // would shred it), lowers the iteration floor and arms the plateau stop.
   const bool warm = initial != nullptr;
-  result.warm_started = resume;
   Placement p = warm ? *initial : nl_.snapshot();
   if (!warm) init_at_center(nl_, p);
   const VarMap vars(nl_);
@@ -332,7 +330,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
       f0 = monitor.check_stats(result.trace.back());
     if (f0 != HealthFault::None) {
       monitor.stats().count(f0);
-      result.failed = true;
       result.stop = StopReason::Diverged;
       result.failure = std::string("initial state: ") + to_string(f0);
       log_error("placement aborted: %s", result.failure.c_str());
@@ -376,7 +373,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
       return false;
     }
     if (!best.valid() || consecutive_faults >= kMaxRecoveryRetries) {
-      result.failed = true;
       stop = StopReason::Diverged;
       result.failure = "iteration " + std::to_string(iter) + ": " +
                        to_string(fault) + ": recovery retries exhausted (" +

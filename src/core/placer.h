@@ -166,18 +166,17 @@ struct PlaceResult {
   HealthStats health;   ///< watchdog fault counters
   int recovered = 0;    ///< rollback-and-backoff recoveries performed
   int best_iteration = -1;  ///< trace iteration the placements come from
-  bool warm_started = false;  ///< run by resume() from a stored placement
-  bool failed = false;  ///< recovery retries exhausted; placements are the
-                        ///< best-so-far checkpoint, `failure` explains why
-  std::string failure;  ///< structured failure description (empty when ok)
+  /// Why the run failed: set exactly when stop == Diverged (the placements
+  /// are then the best-so-far checkpoint), empty otherwise.
+  std::string failure;
 };
 
 /// True when `r`'s anchors are worth recording in an experience store:
 /// converged and plateaued exits are the ideal, and iteration-capped runs
 /// still carry their best-so-far checkpoint (on hard designs that never
 /// meet the overflow criterion they are the only experience a rerun could
-/// resume). Failed, cancelled, timed-out and rollback-cycle runs are never
-/// recorded.
+/// resume). Diverged, cancelled, timed-out and rollback-cycle runs are
+/// never recorded.
 bool recordable(const PlaceResult& r);
 
 class ComplxPlacer {
@@ -231,7 +230,7 @@ class ComplxPlacer {
   /// best-so-far checkpoint, which is never worse than the stored solution.
   /// A repeat of a job that exhausted its iteration budget thus re-attains
   /// the stored quality in a handful of iterations instead of burning the
-  /// whole budget again. Sets PlaceResult::warm_started.
+  /// whole budget again.
   PlaceResult resume(const Placement& stored);
 
   /// Force-balance estimate of the converged multiplier: at the optimum the

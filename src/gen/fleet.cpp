@@ -110,7 +110,7 @@ FleetRecord run_fleet_design(const PekoParams& params,
   r.overflow_percent = dm.overflow_percent;
   r.legal = TetrisLegalizer::is_legal(nl, p);
   r.iterations = gp.iterations;
-  r.warm_started = gp.warm_started;
+  r.warm_started = start.has_value();
   r.wall_s = opts.record_timing ? timer.seconds() : 0.0;
   r.stop = gp.stop;
   r.recoveries = gp.recovered;

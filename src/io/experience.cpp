@@ -27,7 +27,6 @@ SnapshotError ExperienceStore::open() {
   if (in.bad()) {
     // Read error (not absence): treat like a truncated image.
     ++stats_.loads;
-    ++stats_.load_failures;
     stats_.count(SnapshotError::Truncated);
     mark_degraded("read failed for " + opts_.path);
     return SnapshotError::Truncated;
@@ -149,7 +148,6 @@ bool ExperienceStore::record(const Netlist& nl, const Placement& placement,
     records_.erase(victim);
   }
 
-  if (!opts_.persist) return true;
   ++save_count_;
   std::vector<SnapshotRecord> flat;
   flat.reserve(records_.size());

@@ -48,7 +48,6 @@ class ExperienceStore {
  public:
   struct Options {
     std::string path;       ///< snapshot file (created on first save)
-    bool persist = true;    ///< false: in-memory only (tests)
     bool fsync = true;      ///< passed through to the atomic writer
     size_t max_records = 4096;  ///< eviction bound (fewest saves go first)
     /// Write-side fault hooks for the chaos suite; null in production.
@@ -84,9 +83,9 @@ class ExperienceStore {
   std::optional<Placement> resume_point(const Netlist& nl) const
       COMPLX_EXCLUDES(mu_);
 
-  /// Records a converged placement for this job and, when persist is on,
-  /// rewrites the store atomically. Returns false (and marks the store
-  /// degraded) if the save failed; the in-memory record is kept either way.
+  /// Records a converged placement for this job and rewrites the store
+  /// atomically. Returns false (and marks the store degraded) if the save
+  /// failed; the in-memory record is kept either way.
   bool record(const Netlist& nl, const Placement& placement, double hpwl,
               int iterations);
 

@@ -146,21 +146,19 @@ const char* to_string(SnapshotError e) {
     case SnapshotError::IndexCrc: return "index-crc";
     case SnapshotError::UnsortedKeys: return "unsorted-keys";
     case SnapshotError::BadRecord: return "bad-record";
+    case SnapshotError::kCount: break;
   }
   return "unknown";
 }
 
 void SnapshotStats::count(SnapshotError e) {
-  switch (e) {
-    case SnapshotError::None: break;
-    case SnapshotError::Truncated: ++truncated; break;
-    case SnapshotError::BadMagic: ++bad_magic; break;
-    case SnapshotError::VersionSkew: ++version_skew; break;
-    case SnapshotError::BadHeader: ++bad_header; break;
-    case SnapshotError::IndexCrc: ++index_crc; break;
-    case SnapshotError::UnsortedKeys: ++unsorted_keys; break;
-    case SnapshotError::BadRecord: ++bad_record; break;
-  }
+  if (e != SnapshotError::None) ++failures[static_cast<size_t>(e)];
+}
+
+size_t SnapshotStats::load_failures() const {
+  size_t n = 0;
+  for (const size_t f : failures) n += f;
+  return n;
 }
 
 // ---- serialization ---------------------------------------------------
@@ -361,10 +359,7 @@ SnapshotParseResult parse_snapshot(std::string_view bytes,
     return ok;
   }();
 
-  if (result.error != SnapshotError::None) {
-    ++stats.load_failures;
-    stats.count(result.error);
-  }
+  stats.count(result.error);
   return result;
 }
 

@@ -34,6 +34,7 @@
 // their IEEE-754 bit patterns (bitwise round-trip, enforced by tests).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -74,6 +75,7 @@ enum class SnapshotError {
   IndexCrc,      ///< index section CRC mismatch (bit flip in an entry)
   UnsortedKeys,  ///< duplicate or non-ascending keys — probe contract void
   BadRecord,     ///< entry points outside the payload / zero cells
+  kCount,        ///< number of values above; not an error, keep last
 };
 const char* to_string(SnapshotError e);
 
@@ -81,18 +83,19 @@ const char* to_string(SnapshotError e);
 /// Exposed through ExperienceStore::stats() so operators can see WHY a
 /// store degraded to cold starts.
 struct SnapshotStats {
-  size_t loads = 0;           ///< parse attempts
-  size_t load_failures = 0;   ///< parses that returned != None
-  size_t truncated = 0;
-  size_t bad_magic = 0;
-  size_t version_skew = 0;
-  size_t bad_header = 0;
-  size_t index_crc = 0;
-  size_t unsorted_keys = 0;
-  size_t bad_record = 0;
-  size_t record_crc = 0;      ///< records dropped for a payload CRC mismatch
+  size_t loads = 0;       ///< parse attempts
+  /// Failed loads per corruption class, indexed by SnapshotError; the None
+  /// slot stays 0.
+  std::array<size_t, static_cast<size_t>(SnapshotError::kCount)> failures{};
+  size_t record_crc = 0;  ///< records dropped for a payload CRC mismatch
 
+  /// Counts one failed load; None counts nothing.
   void count(SnapshotError e);
+  size_t operator[](SnapshotError e) const {
+    return failures[static_cast<size_t>(e)];
+  }
+  /// Loads that failed, whatever the class.
+  size_t load_failures() const;
 };
 
 /// One decoded record: the converged placement of a job plus metadata.

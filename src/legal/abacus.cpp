@@ -79,8 +79,7 @@ struct Segment {
 
 }  // namespace
 
-AbacusLegalizer::AbacusLegalizer(const Netlist& nl, AbacusOptions opts)
-    : nl_(nl), opts_(opts) {}
+AbacusLegalizer::AbacusLegalizer(const Netlist& nl) : nl_(nl) {}
 
 LegalizeResult AbacusLegalizer::legalize(Placement& p) const {
   LegalizeResult result;
@@ -92,67 +91,10 @@ LegalizeResult AbacusLegalizer::legalize(Placement& p) const {
   const double row_h = rows.front().height;
   const double y0 = rows.front().y;
 
-  // ---- macros via the Tetris spiral (shared behaviour), then blockages ---
-  // Delegate the whole macro phase by running Tetris on a macro-only view
-  // is overkill; instead reuse Tetris for everything if macros exist is
-  // wasteful too. Simplest correct approach: place macros greedily exactly
-  // like Tetris does, then treat them as blockages.
-  std::vector<Rect> blockages;
-  for (const Cell& c : nl_.cells())
-    if (!c.movable()) blockages.push_back(c.bounds());
-
-  std::vector<CellId> macros, std_cells;
-  for (CellId id : nl_.movable_cells())
-    (nl_.cell(id).is_macro() ? macros : std_cells).push_back(id);
-  // Ties broken by id: std::sort is unstable, so equal keys would otherwise
-  // leave the placement order (and thus the result) implementation-defined.
-  std::sort(macros.begin(), macros.end(), [&](CellId a, CellId b) {
-    const double aa = nl_.cell(a).area(), ab = nl_.cell(b).area();
-    if (aa > ab) return true;
-    if (ab > aa) return false;
-    return a < b;
-  });
-  const Rect& core = nl_.core();
-  for (CellId id : macros) {
-    const Cell& c = nl_.cell(id);
-    const double tx = p.x[id] - c.width / 2.0;
-    const double ty = p.y[id] - c.height / 2.0;
-    bool placed = false;
-    for (int radius = 0; radius < 400 && !placed; ++radius) {
-      for (int dy = -radius; dy <= radius && !placed; ++dy) {
-        for (int dx = -radius; dx <= radius && !placed; ++dx) {
-          if (std::max(std::abs(dx), std::abs(dy)) != radius) continue;
-          double x = std::clamp(tx + dx * row_h, core.xl,
-                                std::max(core.xl, core.xh - c.width));
-          x = core.xl + std::floor((x - core.xl) /
-                                   rows.front().site_width) *
-                            rows.front().site_width;
-          double y = y0 + std::round((ty + dy * row_h - y0) / row_h) * row_h;
-          y = std::clamp(y, core.yl, std::max(core.yl, core.yh - c.height));
-          y = y0 + std::round((y - y0) / row_h) * row_h;
-          const Rect cand{x, y, x + c.width, y + c.height};
-          bool clash = false;
-          for (const Rect& r : blockages)
-            if (r.overlaps(cand)) {
-              clash = true;
-              break;
-            }
-          if (!clash) {
-            blockages.push_back(cand);
-            const double disp = std::abs(x - tx) + std::abs(y - ty);
-            result.total_displacement += disp;
-            result.max_displacement =
-                std::max(result.max_displacement, disp);
-            p.x[id] = cand.center().x;
-            p.y[id] = cand.center().y;
-            ++result.placed;
-            placed = true;
-          }
-        }
-      }
-    }
-    if (!placed) ++result.failed;
-  }
+  // ---- macros by the shared spiral search, then blockages ----------------
+  MacroPhase phase = place_macros(nl_, p, result);
+  const std::vector<Rect>& blockages = phase.blockages;
+  std::vector<CellId>& std_cells = phase.std_cells;
 
   // ---- segments per row from blockages ------------------------------------
   std::vector<std::vector<Segment>> segs(rows.size());
@@ -202,7 +144,7 @@ LegalizeResult AbacusLegalizer::legalize(Placement& p) const {
     double best_cost = std::numeric_limits<double>::infinity();
     long best_row = -1;
     size_t best_seg = 0;
-    int radius = std::max(1, opts_.row_search_radius);
+    int radius = kRowSearchRadius;
     while (true) {
       for (long dj = -radius; dj <= radius; ++dj) {
         const long j = target_row + dj;

@@ -9,8 +9,8 @@
 //
 // This is the displacement-optimal counterpart to the greedy Tetris
 // legalizer (legal/tetris.h); bench_ablation_legalizer compares them.
-// Movable macros are delegated to the Tetris spiral search and act as
-// blockages here.
+// Movable macros are placed by the macro phase the two share
+// (place_macros, legal/tetris.h) and act as blockages here.
 #pragma once
 
 #include "legal/tetris.h"
@@ -18,13 +18,9 @@
 
 namespace complx {
 
-struct AbacusOptions {
-  int row_search_radius = 8;  ///< initial rows examined above/below target
-};
-
 class AbacusLegalizer {
  public:
-  explicit AbacusLegalizer(const Netlist& nl, AbacusOptions opts = {});
+  explicit AbacusLegalizer(const Netlist& nl);
 
   /// Rewrites `p` with legal, site-aligned positions (fixed cells
   /// untouched). Returns the same statistics as the Tetris legalizer.
@@ -32,7 +28,6 @@ class AbacusLegalizer {
 
  private:
   const Netlist& nl_;
-  AbacusOptions opts_;
 };
 
 }  // namespace complx

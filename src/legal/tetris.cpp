@@ -112,8 +112,79 @@ class RowSpace {
 
 }  // namespace
 
-TetrisLegalizer::TetrisLegalizer(const Netlist& nl, LegalizeOptions opts)
-    : nl_(nl), opts_(opts) {}
+MacroPhase place_macros(const Netlist& nl, Placement& p,
+                        LegalizeResult& result) {
+  const std::vector<Row>& rows = nl.rows();
+  const double row_h = rows.front().height;
+  const double y0 = rows.front().y;
+  const double site_w = rows.front().site_width;
+
+  MacroPhase phase;
+  for (const Cell& c : nl.cells())
+    if (!c.movable()) phase.blockages.push_back(c.bounds());
+  std::vector<CellId> macros;
+  for (CellId id : nl.movable_cells())
+    (nl.cell(id).is_macro() ? macros : phase.std_cells).push_back(id);
+  // Ties broken by id: std::sort is unstable, so equal keys would otherwise
+  // leave the placement order (and thus the result) implementation-defined.
+  std::sort(macros.begin(), macros.end(), [&](CellId a, CellId b) {
+    const double aa = nl.cell(a).area(), ab = nl.cell(b).area();
+    if (aa > ab) return true;
+    if (ab > aa) return false;
+    return a < b;
+  });
+
+  const Rect& core = nl.core();
+  for (CellId id : macros) {
+    const Cell& c = nl.cell(id);
+    const double tx = p.x[id] - c.width / 2.0;
+    const double ty = p.y[id] - c.height / 2.0;
+    bool placed = false;
+    Rect spot;
+    // Expanding lattice search around the target, step = one row height.
+    for (int radius = 0; radius < 400 && !placed; ++radius) {
+      for (int dy = -radius; dy <= radius && !placed; ++dy) {
+        for (int dx = -radius; dx <= radius && !placed; ++dx) {
+          if (std::max(std::abs(dx), std::abs(dy)) != radius) continue;
+          double x = tx + dx * row_h;
+          double y = y0 + std::round((ty + dy * row_h - y0) / row_h) * row_h;
+          x = std::clamp(x, core.xl, std::max(core.xl, core.xh - c.width));
+          x = core.xl + std::floor((x - core.xl) / site_w) * site_w;
+          y = std::clamp(y, core.yl, std::max(core.yl, core.yh - c.height));
+          y = y0 + std::round((y - y0) / row_h) * row_h;
+          const Rect cand{x, y, x + c.width, y + c.height};
+          bool clash = false;
+          for (const Rect& r : phase.blockages)
+            if (r.overlaps(cand)) {
+              clash = true;
+              break;
+            }
+          if (!clash) {
+            spot = cand;
+            placed = true;
+          }
+        }
+      }
+    }
+    if (!placed) {
+      ++result.failed;
+      const std::string_view nm = nl.cell_name(id);
+      log_warn("legalizer: macro %.*s could not be placed",
+               static_cast<int>(nm.size()), nm.data());
+      continue;
+    }
+    phase.blockages.push_back(spot);
+    const double disp = std::abs(spot.xl - tx) + std::abs(spot.yl - ty);
+    result.total_displacement += disp;
+    result.max_displacement = std::max(result.max_displacement, disp);
+    p.x[id] = spot.center().x;
+    p.y[id] = spot.center().y;
+    ++result.placed;
+  }
+  return phase;
+}
+
+TetrisLegalizer::TetrisLegalizer(const Netlist& nl) : nl_(nl) {}
 
 LegalizeResult TetrisLegalizer::legalize(Placement& p) const {
   LegalizeResult result;
@@ -133,8 +204,11 @@ LegalizeResult TetrisLegalizer::legalize(Placement& p) const {
     const long k = std::lround((y - y0) / row_h);
     return std::clamp<long>(k, 0, static_cast<long>(rows.size()) - 1);
   };
-  auto block_rect = [&](const Rect& r) {
-    if (r.yh <= y0 || r.yl >= rows.back().y + row_h) return;
+
+  // ---- fixed cells and movable macros become row blockages ---------------
+  MacroPhase phase = place_macros(nl_, p, result);
+  for (const Rect& r : phase.blockages) {
+    if (r.yh <= y0 || r.yl >= rows.back().y + row_h) continue;
     const long j0 = row_index_of(r.yl + 1e-9);
     const long j1 = row_index_of(r.yh - 1e-9);
     for (long j = j0; j <= j1; ++j) {
@@ -143,79 +217,8 @@ LegalizeResult TetrisLegalizer::legalize(Placement& p) const {
       if (r.yl < row.y + row.height - 1e-9 && r.yh > row.y + 1e-9)
         spaces[static_cast<size_t>(j)].block(r.xl, r.xh);
     }
-  };
-
-  for (const Cell& c : nl_.cells())
-    if (!c.movable()) block_rect(c.bounds());
-
-  // ---- movable macros: largest first, spiral search ----------------------
-  std::vector<CellId> macros, std_cells;
-  for (CellId id : nl_.movable_cells()) {
-    (nl_.cell(id).is_macro() ? macros : std_cells).push_back(id);
   }
-  // Ties broken by id: std::sort is unstable, so equal keys would otherwise
-  // leave the placement order (and thus the result) implementation-defined.
-  std::sort(macros.begin(), macros.end(), [&](CellId a, CellId b) {
-    const double aa = nl_.cell(a).area(), ab = nl_.cell(b).area();
-    if (aa > ab) return true;
-    if (ab > aa) return false;
-    return a < b;
-  });
-
-  // Track placed macro rectangles for overlap checks.
-  std::vector<Rect> placed_macros;
-  for (const Cell& c : nl_.cells())
-    if (!c.movable()) placed_macros.push_back(c.bounds());
-
-  const Rect& core = nl_.core();
-  for (CellId id : macros) {
-    const Cell& c = nl_.cell(id);
-    const double tx = p.x[id] - c.width / 2.0;
-    const double ty = p.y[id] - c.height / 2.0;
-    bool placed = false;
-    Rect spot;
-    // Expanding lattice search around the target, step = one row height.
-    for (int radius = 0; radius < 400 && !placed; ++radius) {
-      for (int dy = -radius; dy <= radius && !placed; ++dy) {
-        for (int dx = -radius; dx <= radius && !placed; ++dx) {
-          if (std::max(std::abs(dx), std::abs(dy)) != radius) continue;
-          const double site_w = rows.front().site_width;
-          double x = tx + dx * row_h;
-          double y = y0 + std::round((ty + dy * row_h - y0) / row_h) * row_h;
-          x = std::clamp(x, core.xl, std::max(core.xl, core.xh - c.width));
-          x = core.xl + std::floor((x - core.xl) / site_w) * site_w;
-          y = std::clamp(y, core.yl, std::max(core.yl, core.yh - c.height));
-          y = y0 + std::round((y - y0) / row_h) * row_h;
-          const Rect cand{x, y, x + c.width, y + c.height};
-          bool clash = false;
-          for (const Rect& r : placed_macros)
-            if (r.overlaps(cand)) {
-              clash = true;
-              break;
-            }
-          if (!clash) {
-            spot = cand;
-            placed = true;
-          }
-        }
-      }
-    }
-    if (!placed) {
-      ++result.failed;
-      const std::string_view nm = nl_.cell_name(id);
-      log_warn("legalizer: macro %.*s could not be placed",
-               static_cast<int>(nm.size()), nm.data());
-      continue;
-    }
-    placed_macros.push_back(spot);
-    block_rect(spot);
-    const double disp = std::abs(spot.xl - tx) + std::abs(spot.yl - ty);
-    result.total_displacement += disp;
-    result.max_displacement = std::max(result.max_displacement, disp);
-    p.x[id] = spot.center().x;
-    p.y[id] = spot.center().y;
-    ++result.placed;
-  }
+  std::vector<CellId>& std_cells = phase.std_cells;
 
   // ---- standard cells: x-sorted greedy fill ------------------------------
   std::sort(std_cells.begin(), std_cells.end(), [&](CellId a, CellId b) {
@@ -233,7 +236,7 @@ LegalizeResult TetrisLegalizer::legalize(Placement& p) const {
     double best_cost = std::numeric_limits<double>::infinity();
     double best_x = 0.0;
     long best_row = -1;
-    int radius = std::max(1, opts_.row_search_radius);
+    int radius = kRowSearchRadius;
     while (true) {
       for (long dj = -radius; dj <= radius; ++dj) {
         const long j = target_row + dj;

@@ -14,11 +14,10 @@
 
 namespace complx {
 
-struct LegalizeOptions {
-  /// Rows to search above/below the target row before giving up on a
-  /// low-displacement spot (the search widens automatically if needed).
-  int row_search_radius = 8;
-};
+/// Rows both row legalizers (this one and legal/abacus.h) search above and
+/// below a standard cell's target row before widening the search (doubling
+/// until every row is covered).
+inline constexpr int kRowSearchRadius = 8;
 
 struct LegalizeResult {
   size_t placed = 0;
@@ -27,9 +26,23 @@ struct LegalizeResult {
   double max_displacement = 0.0;
 };
 
+/// What the macro phase leaves for the standard-cell phase.
+struct MacroPhase {
+  std::vector<Rect> blockages;    ///< fixed cells, then the placed macros
+  std::vector<CellId> std_cells;  ///< movable standard cells, netlist order
+};
+
+/// The macro phase both row legalizers share: movable macros, largest area
+/// first (ties by id), each take the first conflict-free row- and
+/// site-aligned spot of an expanding square lattice (step one row height)
+/// around their target. Writes their centers into `p` and counts them, and
+/// their displacement, into `result`. `nl` must have rows.
+MacroPhase place_macros(const Netlist& nl, Placement& p,
+                        LegalizeResult& result);
+
 class TetrisLegalizer {
  public:
-  explicit TetrisLegalizer(const Netlist& nl, LegalizeOptions opts = {});
+  explicit TetrisLegalizer(const Netlist& nl);
 
   /// Rewrites `p` with legal center positions. Fixed cells untouched.
   LegalizeResult legalize(Placement& p) const;
@@ -41,7 +54,6 @@ class TetrisLegalizer {
 
  private:
   const Netlist& nl_;
-  LegalizeOptions opts_;
 };
 
 }  // namespace complx

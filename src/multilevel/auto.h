@@ -26,7 +26,7 @@ struct AutoPlaceOptions {
 };
 
 /// Places `nl` with flat ComPLx when nl.num_movable() < multilevel_threshold
-/// (level_sizes empty) and with the coarsening V-cycle otherwise. Either way
+/// (`levels` empty) and with the coarsening V-cycle otherwise. Either way
 /// `.place` is the full PlaceResult contract (see MultilevelResult).
 MultilevelResult place_auto(const Netlist& nl, const ComplxConfig& cfg,
                             const AutoPlaceOptions& opts = {});

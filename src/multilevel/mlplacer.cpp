@@ -26,7 +26,7 @@ MultilevelResult MultilevelPlacer::place() {
   // levels[0] is the original netlist; each entry owns its coarse netlist.
   std::vector<CoarseLevel> levels;
   const Netlist* current = &nl_;
-  result.level_sizes.push_back(nl_.num_cells());
+  result.levels.push_back({nl_.num_cells()});
   for (int l = 0; l < cfg_.max_levels; ++l) {
     if (current->num_movable() <= cfg_.coarsest_cells) break;
     ClusterOptions copts = cfg_.clustering;
@@ -34,7 +34,7 @@ MultilevelResult MultilevelPlacer::place() {
     CoarseLevel next = coarsen(*current, copts);
     // Stop if matching found nothing to merge (ratio ~1).
     if (next.netlist.num_cells() >= current->num_cells() * 95 / 100) break;
-    result.level_sizes.push_back(next.netlist.num_cells());
+    result.levels.push_back({next.netlist.num_cells()});
     levels.push_back(std::move(next));
     current = &levels.back().netlist;
   }
@@ -45,7 +45,6 @@ MultilevelResult MultilevelPlacer::place() {
   // level's granularity. Each run gets what is left of the shared deadline
   // (exhausted = the smallest positive limit; 0 means none). A time-limit,
   // cancelled or diverged level is carried down without re-solving.
-  result.level_stops.resize(result.level_sizes.size());
   for (size_t l = levels.size() + 1; l-- > 0;) {
     const Netlist& level = l == 0 ? nl_ : levels[l - 1].netlist;
     const bool refine = l < levels.size();
@@ -58,7 +57,7 @@ MultilevelResult MultilevelPlacer::place() {
       out.anchors = seed;
       out.lower_bound =
           interpolate(level, levels[l].fine_to_coarse, out.lower_bound);
-      result.level_stops[l] = out.stop;
+      result.levels[l].stop = out.stop;
       continue;
     }
     // Stale now: freed before this level allocates its own.
@@ -86,7 +85,7 @@ MultilevelResult MultilevelPlacer::place() {
     r.iterations += out.iterations;
     r.recovered += out.recovered;
     out = std::move(r);
-    result.level_stops[l] = out.stop;
+    result.levels[l].stop = out.stop;
   }
 
   out.runtime_s = timer.seconds();

@@ -23,18 +23,23 @@ struct MultilevelConfig {
   ClusterOptions clustering;
 };
 
+/// One level of the V-cycle: its netlist's cell count and why its run
+/// stopped. A level carried down without re-solving records the stop it
+/// inherited.
+struct LevelOutcome {
+  size_t cells = 0;
+  StopReason stop = StopReason::Converged;
+};
+
 /// The V-cycle as one PlaceResult (DESIGN.md §4.10): counters summed over
 /// the levels, their traces concatenated coarsest first, the end state of the
 /// last level that ran. The levels share one deadline.
 struct MultilevelResult {
   PlaceResult place;
-  /// Cells per level, fine -> coarse (levels used = size() - 1). Empty
-  /// when place_auto took the flat path.
-  std::vector<size_t> level_sizes;
-  /// Stop reason per level_sizes entry (index 0 is the input netlist, so
-  /// level_stops[0] == place.stop). A level carried down without re-solving
-  /// records the stop it inherited.
-  std::vector<StopReason> level_stops;
+  /// Per level, fine -> coarse (levels used = size() - 1); levels[0] is the
+  /// input netlist, so levels[0].stop == place.stop. Empty when place_auto
+  /// took the flat path.
+  std::vector<LevelOutcome> levels;
 };
 
 class MultilevelPlacer {

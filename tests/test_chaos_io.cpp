@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -175,7 +176,22 @@ TEST(SnapshotFormat, RoundTripIsBitwise) {
   testing::expect_vec_bitwise_equal(got.x, want.x, "record x");
   testing::expect_vec_bitwise_equal(got.y, want.y, "record y");
   EXPECT_EQ(stats.loads, 1u);
-  EXPECT_EQ(stats.load_failures, 0u);
+  EXPECT_EQ(stats.load_failures(), 0u);
+}
+
+// One counter slot per SnapshotError value, and every value below kCount
+// has its own name: a new corruption class needs only its enumerator and
+// its to_string case.
+static_assert(std::tuple_size_v<decltype(SnapshotStats::failures)> ==
+              static_cast<size_t>(SnapshotError::kCount));
+
+TEST(SnapshotFormat, EveryErrorClassHasItsOwnName) {
+  std::set<std::string> names;
+  for (size_t k = 0; k < static_cast<size_t>(SnapshotError::kCount); ++k) {
+    const std::string name = to_string(static_cast<SnapshotError>(k));
+    EXPECT_NE(name, "unknown") << k;
+    EXPECT_TRUE(names.insert(name).second) << name;
+  }
 }
 
 TEST(SnapshotFormat, SerializeRejectsLogicErrors) {
@@ -308,17 +324,13 @@ TEST(SnapshotCorruption, EveryWholeFileClassIsDetected) {
     EXPECT_TRUE(out.records.empty()) << c.name;
     EXPECT_FALSE(out.detail.empty()) << c.name;
     EXPECT_EQ(stats.loads, 1u) << c.name;
-    EXPECT_EQ(stats.load_failures, 1u) << c.name;
-    SnapshotStats expected_one;
-    expected_one.count(c.want);
+    EXPECT_EQ(stats.load_failures(), 1u) << c.name;
     // The counter for exactly this class must be the one that moved.
-    EXPECT_EQ(stats.truncated, expected_one.truncated) << c.name;
-    EXPECT_EQ(stats.bad_magic, expected_one.bad_magic) << c.name;
-    EXPECT_EQ(stats.version_skew, expected_one.version_skew) << c.name;
-    EXPECT_EQ(stats.bad_header, expected_one.bad_header) << c.name;
-    EXPECT_EQ(stats.index_crc, expected_one.index_crc) << c.name;
-    EXPECT_EQ(stats.unsorted_keys, expected_one.unsorted_keys) << c.name;
-    EXPECT_EQ(stats.bad_record, expected_one.bad_record) << c.name;
+    for (size_t k = 0; k < stats.failures.size(); ++k) {
+      const auto e = static_cast<SnapshotError>(k);
+      EXPECT_EQ(stats[e], e == c.want ? 1u : 0u)
+          << c.name << ": " << to_string(e);
+    }
   }
 }
 
@@ -337,7 +349,7 @@ TEST(SnapshotCorruption, PayloadBitFlipDropsOnlyThatRecord) {
   ASSERT_EQ(out.records.size(), 1u);
   EXPECT_EQ(out.records[0].key, 22u);  // the undamaged record survives
   EXPECT_EQ(stats.record_crc, 1u);
-  EXPECT_EQ(stats.load_failures, 0u);
+  EXPECT_EQ(stats.load_failures(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -492,7 +504,7 @@ TEST(ExperienceStoreChaos, CorruptStoreQuarantinesDegradesAndSelfHeals) {
   EXPECT_TRUE(store.degraded());
   EXPECT_FALSE(store.degraded_reason().empty());
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.stats().bad_magic, 1u);
+  EXPECT_EQ(store.stats()[SnapshotError::BadMagic], 1u);
   // Evidence preserved, live path cleared.
   EXPECT_TRUE(fs::exists(path + ".corrupt"));
   EXPECT_FALSE(fs::exists(path));
@@ -592,8 +604,8 @@ TEST(ExperienceStoreChaos, InFlightCorruptionIsCaughtAtNextOpen) {
 }
 
 TEST(ExperienceStoreChaos, EvictionDropsLeastSavedRecordFirst) {
-  ExperienceStore::Options opts;  // in-memory only
-  opts.persist = false;
+  ScratchDir d("evict");
+  ExperienceStore::Options opts = store_opts(d.file("exp.snap"));
   opts.max_records = 2;
   ExperienceStore store(opts);
 
@@ -624,21 +636,22 @@ ComplxConfig chaos_config() {
 TEST(ExperienceWarmStart, ExactRepeatResumesAndConvergesFaster) {
   const Netlist nl = testing::small_circuit(71, 1200);
   const PlaceResult cold = ComplxPlacer(nl, chaos_config()).place();
-  ASSERT_FALSE(cold.failed) << cold.failure;
+  ASSERT_NE(cold.stop, StopReason::Diverged) << cold.failure;
   ASSERT_EQ(cold.stop, StopReason::Converged);
-  EXPECT_FALSE(cold.warm_started);
 
-  ExperienceStore::Options opts;
-  opts.persist = false;
-  ExperienceStore store(opts);
+  ScratchDir d("exact_repeat");
+  ExperienceStore store(store_opts(d.file("exp.snap")));
   ASSERT_TRUE(store.record(nl, cold.anchors,
                            weighted_hpwl(nl, cold.anchors), cold.iterations));
 
   const std::optional<Placement> start = store.resume_point(nl);
   ASSERT_TRUE(start.has_value());
   const PlaceResult warm = ComplxPlacer(nl, chaos_config()).resume(*start);
-  ASSERT_FALSE(warm.failed) << warm.failure;
-  EXPECT_TRUE(warm.warm_started);
+  ASSERT_NE(warm.stop, StopReason::Diverged) << warm.failure;
+  // The cold run starts on a coarse grid; the resumed one starts at the
+  // finest and stays there.
+  EXPECT_LT(cold.trace.front().grid_bins, warm.trace.front().grid_bins);
+  EXPECT_EQ(warm.trace.front().grid_bins, warm.trace.back().grid_bins);
   EXPECT_LT(warm.iterations, cold.iterations)
       << "an exact repeat must need fewer solver iterations than cold";
   EXPECT_LT(warm.final_overflow, 0.25);
@@ -648,9 +661,8 @@ TEST(ExperienceWarmStart, MissIsBitwiseIdenticalToColdStart) {
   const Netlist other = testing::small_circuit(11, 600);
   const Netlist nl = testing::small_circuit(12, 600);
 
-  ExperienceStore::Options opts;
-  opts.persist = false;
-  ExperienceStore store(opts);
+  ScratchDir d("miss");
+  ExperienceStore store(store_opts(d.file("exp.snap")));
   ASSERT_TRUE(store.record(other, other.snapshot(), 1.0, 5));
   ASSERT_EQ(store.lookup(nl).kind, ExperienceStore::MatchKind::Miss);
 
@@ -662,7 +674,7 @@ TEST(ExperienceWarmStart, MissIsBitwiseIdenticalToColdStart) {
   const PlaceResult probed = start ? placer.resume(*start) : placer.place();
   const PlaceResult cold = ComplxPlacer(nl, chaos_config()).place();
 
-  EXPECT_FALSE(probed.warm_started);
+  EXPECT_EQ(probed.trace.front().grid_bins, cold.trace.front().grid_bins);
   EXPECT_EQ(probed.iterations, cold.iterations);
   testing::expect_placements_bitwise_equal(probed.anchors, cold.anchors);
   testing::expect_placements_bitwise_equal(probed.lower_bound,
@@ -679,9 +691,8 @@ TEST(ExperienceStore, ResumePointKeepsThisNetlistsFixedCells) {
     stored.x[id] += 1.5;
     stored.y[id] -= 2.5;
   }
-  ExperienceStore::Options opts;
-  opts.persist = false;
-  ExperienceStore store(opts);
+  ScratchDir d("resume_point");
+  ExperienceStore store(store_opts(d.file("exp.snap")));
   ASSERT_TRUE(store.record(nl, stored, 1.0, 7));
 
   Netlist moved = nl;

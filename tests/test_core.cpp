@@ -225,7 +225,7 @@ TEST(Placer, SolverStatsCountEverySolveAndProjection) {
     MultilevelConfig cfg;
     cfg.coarsest_cells = 1000;
     const MultilevelResult ml = MultilevelPlacer(nl, cfg).place();
-    ASSERT_GE(ml.level_sizes.size(), 2u);
+    ASSERT_GE(ml.levels.size(), 2u);
     expect_solver_stats_count_every_step(ml.place);
   }
 }

@@ -55,7 +55,8 @@ TEST(CorruptCorpus, SnapshotFilesMapToDocumentedErrors) {
         << c.file << ": got " << to_string(out.error) << " (" << out.detail
         << ")";
     EXPECT_TRUE(out.records.empty()) << c.file;
-    EXPECT_EQ(stats.load_failures, 1u) << c.file;
+    EXPECT_EQ(stats.load_failures(), 1u) << c.file;
+    EXPECT_EQ(stats[c.want], 1u) << c.file;
   }
 }
 

@@ -7,8 +7,10 @@
 //      and pin offsets of outside cells compare equal byte for byte.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <optional>
+#include <string>
 
 #include "core/eco.h"
 #include "helpers.h"
@@ -23,6 +25,11 @@ ComplxConfig fast_config() {
   cfg.max_iterations = 12;
   cfg.min_iterations = 4;
   return cfg;
+}
+
+/// An ECO that re-solved every movable cell with a plain place().
+bool full_solve(const EcoResult& e) {
+  return e.frozen_cells == 0 && e.dirty_cells > 0;
 }
 
 uint64_t bits(double v) {
@@ -40,7 +47,7 @@ TEST(Eco, FullWindowIsBitwiseIdenticalToFullSolve) {
   opts.window = {-1e30, -1e30, 1e30, 1e30};
   opts.config = fast_config();
   const EcoResult eco = eco_replace(eco_nl, opts);
-  EXPECT_TRUE(eco.full_solve);
+  EXPECT_TRUE(full_solve(eco));
   EXPECT_EQ(eco.dirty_cells, eco_nl.num_movable());
   EXPECT_EQ(eco.frozen_cells, 0u);
 
@@ -88,7 +95,7 @@ TEST(Eco, PartialWindowLeavesOutsideCellsBitExact) {
   }
 
   const EcoResult eco = eco_replace(nl, opts);
-  EXPECT_FALSE(eco.full_solve);
+  EXPECT_FALSE(full_solve(eco));
   EXPECT_GT(eco.dirty_cells, 0u);
   EXPECT_GT(eco.frozen_cells, 0u);
   EXPECT_EQ(eco.dirty_cells + eco.frozen_cells, nl.num_movable());
@@ -119,7 +126,7 @@ TEST(Eco, EmptyWindowTouchesNothingAndRunsNoSolve) {
   opts.config = fast_config();
   const EcoResult eco = eco_replace(nl, opts);
   EXPECT_EQ(eco.dirty_cells, 0u);
-  EXPECT_FALSE(eco.full_solve);
+  EXPECT_FALSE(full_solve(eco));
   EXPECT_EQ(eco.place.iterations, 0);
   for (CellId id = 0; id < nl.num_cells(); ++id) {
     EXPECT_EQ(bits(nl.cell(id).x), before[id].first) << id;
@@ -138,7 +145,7 @@ TEST(Eco, ApplyFalseLeavesNetlistUntouched) {
   opts.config = fast_config();
   opts.apply = false;
   const EcoResult eco = eco_replace(nl, opts);
-  EXPECT_TRUE(eco.full_solve);
+  EXPECT_TRUE(full_solve(eco));
   EXPECT_GT(eco.place.iterations, 0);
   for (CellId id = 0; id < nl.num_cells(); ++id) {
     EXPECT_EQ(bits(nl.cell(id).x), before[id].first) << id;
@@ -155,14 +162,16 @@ TEST(EcoChaos, WarmStartSnapshotFeedsEcoPass) {
   Netlist nl = testing::small_circuit(25, 300);
 
   ExperienceStore::Options so;
-  so.persist = false;  // in-memory store: no disk dependency in this test
+  so.path = ::testing::TempDir() + "complx_eco_warm.snap";
+  so.fsync = false;  // test scratch; durability is test_chaos_io's concern
+  std::remove(so.path.c_str());
   ExperienceStore store(so);
   ASSERT_EQ(store.open(), SnapshotError::None);
 
   // Produce and record a converged placement.
   ComplxConfig cfg = fast_config();
   const PlaceResult cold = ComplxPlacer(nl, cfg).place();
-  ASSERT_FALSE(cold.failed);
+  ASSERT_NE(cold.stop, StopReason::Diverged) << cold.failure;
   ASSERT_TRUE(store.record(nl, cold.anchors,
                            weighted_hpwl(nl, cold.anchors),
                            cold.iterations));
@@ -171,8 +180,9 @@ TEST(EcoChaos, WarmStartSnapshotFeedsEcoPass) {
   const std::optional<Placement> start = store.resume_point(nl);
   ASSERT_TRUE(start.has_value());
   const PlaceResult resumed = ComplxPlacer(nl, cfg).resume(*start);
-  EXPECT_TRUE(resumed.warm_started);
-  EXPECT_FALSE(resumed.failed);
+  // A resume starts at the finest grid, which the cold run refined to.
+  EXPECT_GT(resumed.trace.front().grid_bins, cold.trace.front().grid_bins);
+  EXPECT_NE(resumed.stop, StopReason::Diverged) << resumed.failure;
   nl.apply(resumed.anchors);
 
   // Partial ECO on the resumed placement: outside cells bit-exact.
@@ -190,7 +200,7 @@ TEST(EcoChaos, WarmStartSnapshotFeedsEcoPass) {
                 part.window.contains(Point{snap.x[id], snap.y[id]});
   }
   const EcoResult eco = eco_replace(nl, part);
-  EXPECT_FALSE(eco.place.failed);
+  EXPECT_NE(eco.place.stop, StopReason::Diverged) << eco.place.failure;
   for (CellId id = 0; id < nl.num_cells(); ++id) {
     if (dirty[id]) continue;
     EXPECT_EQ(bits(nl.cell(id).x), before[id].first) << id;

@@ -3,9 +3,12 @@
 // non-finite placement and recovers to its best-so-far checkpoint.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/health.h"
@@ -134,8 +137,29 @@ TEST(HealthStats, CountsPerKind) {
   hs.count(HealthFault::CgBreakdown);
   hs.count(HealthFault::NonFiniteLambda);
   EXPECT_EQ(hs.faults, 3u);
-  EXPECT_EQ(hs.cg_breakdowns, 2u);
-  EXPECT_EQ(hs.nonfinite_lambda, 1u);
+  EXPECT_EQ(hs[HealthFault::CgBreakdown], 2u);
+  EXPECT_EQ(hs[HealthFault::NonFiniteLambda], 1u);
+  EXPECT_EQ(hs[HealthFault::None], 0u);
+  HealthStats sum = hs;
+  sum += hs;
+  EXPECT_EQ(sum.faults, 6u);
+  EXPECT_EQ(sum[HealthFault::CgBreakdown], 4u);
+  EXPECT_EQ(sum[HealthFault::NonFiniteLambda], 2u);
+}
+
+// One counter slot per HealthFault value, and every value below kCount has
+// its own name: a new fault kind needs only its enumerator and its
+// to_string case.
+static_assert(std::tuple_size_v<decltype(HealthStats::by_kind)> ==
+              static_cast<size_t>(HealthFault::kCount));
+
+TEST(HealthStats, EveryFaultKindHasItsOwnName) {
+  std::set<std::string> names;
+  for (size_t k = 0; k < static_cast<size_t>(HealthFault::kCount); ++k) {
+    const std::string name = to_string(static_cast<HealthFault>(k));
+    EXPECT_NE(name, "unknown") << k;
+    EXPECT_TRUE(names.insert(name).second) << name;
+  }
 }
 
 TEST(SolverStats, AggregatesCgResults) {
@@ -226,6 +250,8 @@ class HealthPlacer : public ::testing::Test {
   // The contract on every exit path: finite coordinates, and the anchors
   // must survive legalization (the "legalizable best-so-far" guarantee).
   void expect_usable(const PlaceResult& r) {
+    // `failure` explains a divergence and is set for nothing else.
+    EXPECT_EQ(r.failure.empty(), r.stop != StopReason::Diverged) << r.failure;
     EXPECT_TRUE(HealthMonitor::placement_finite(nl_, r.lower_bound));
     EXPECT_TRUE(HealthMonitor::placement_finite(nl_, r.anchors));
     Placement legal = r.anchors;
@@ -244,9 +270,9 @@ TEST_F(HealthPlacer, RecoversFromInjectedNanIterate) {
   };
   placer.set_fault_injection(faults);
   const PlaceResult r = placer.place();
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, 1);
-  EXPECT_EQ(r.health.nonfinite_iterate, 1u);
+  EXPECT_EQ(r.health[HealthFault::NonFiniteIterate], 1u);
   EXPECT_EQ(r.trace.back().recoveries, 0);  // a later healthy row
   expect_usable(r);
 }
@@ -261,9 +287,9 @@ TEST_F(HealthPlacer, ConsecutiveFaultsRollBackTwiceToOneCheckpoint) {
   };
   placer.set_fault_injection(faults);
   const PlaceResult r = placer.place();
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, 2);
-  EXPECT_EQ(r.health.nonfinite_iterate, 2u);
+  EXPECT_EQ(r.health[HealthFault::NonFiniteIterate], 2u);
   expect_usable(r);
 }
 
@@ -277,9 +303,9 @@ TEST_F(HealthPlacer, RecoversFromForcedCgBreakdown) {
   };
   placer.set_fault_injection(faults);
   const PlaceResult r = placer.place();
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, 2);
-  EXPECT_EQ(r.health.cg_breakdowns, 2u);
+  EXPECT_EQ(r.health[HealthFault::CgBreakdown], 2u);
   EXPECT_GE(r.solver.breakdowns, 2u);  // both axes of each faulted solve
   expect_usable(r);
 }
@@ -292,9 +318,9 @@ TEST_F(HealthPlacer, RecoversFromLambdaOverflow) {
   };
   placer.set_fault_injection(faults);
   const PlaceResult r = placer.place();
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, 1);
-  EXPECT_EQ(r.health.nonfinite_lambda, 1u);
+  EXPECT_EQ(r.health[HealthFault::NonFiniteLambda], 1u);
   expect_usable(r);
 }
 
@@ -306,7 +332,6 @@ TEST_F(HealthPlacer, PersistentFaultExhaustsRetriesButReturnsBestSoFar) {
   };
   placer.set_fault_injection(faults);
   const PlaceResult r = placer.place();
-  EXPECT_TRUE(r.failed);
   EXPECT_EQ(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, kMaxRecoveryRetries);
   EXPECT_FALSE(r.failure.empty());
@@ -326,9 +351,9 @@ TEST_F(HealthPlacer, RecoversFromInjectedPenaltyBlowup) {
       anchors.x[nl_.movable_cells()[0]] += shift;
   });
   const PlaceResult r = placer.place();
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, 1);
-  EXPECT_EQ(r.health.penalty_blowups, 1u);
+  EXPECT_EQ(r.health[HealthFault::PenaltyBlowup], 1u);
   EXPECT_EQ(r.health.faults, 1u);
   expect_usable(r);
 }
@@ -361,9 +386,9 @@ TEST_F(HealthPlacer, RepeatedRecoveryFromOneCheckpointStopsTheRun) {
   const PlaceResult r = placer.place();
 
   EXPECT_EQ(r.stop, StopReason::RollbackCycle);
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, 1);  // the first recovery; the second one stops
-  EXPECT_EQ(r.health.nonfinite_iterate, 2u);
+  EXPECT_EQ(r.health[HealthFault::NonFiniteIterate], 2u);
   EXPECT_EQ(r.iterations, kFirstFault + 3);
   // The returned placement is the checkpoint: the best-ranked row accepted
   // before the first fault (ties go to the later row).
@@ -387,7 +412,7 @@ TEST_F(HealthPlacer, TimeLimitStopsEarlyWithUsablePlacement) {
   ComplxPlacer placer(nl_, cfg_);
   const PlaceResult r = placer.place();
   EXPECT_EQ(r.stop, StopReason::TimeLimit);
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   // The stop comes at the top of iteration 1, which never runs.
   EXPECT_EQ(r.iterations, 0);
   EXPECT_EQ(r.trace.size(), 1u);
@@ -400,7 +425,7 @@ TEST_F(HealthPlacer, CancelFlagStopsWithUsablePlacement) {
   ComplxPlacer placer(nl_, cfg_);
   const PlaceResult r = placer.place();
   EXPECT_EQ(r.stop, StopReason::Cancelled);
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.iterations, 0);
   EXPECT_EQ(r.trace.size(), 1u);
   expect_usable(r);
@@ -409,7 +434,7 @@ TEST_F(HealthPlacer, CancelFlagStopsWithUsablePlacement) {
 TEST_F(HealthPlacer, HealthyRunConvergesWithZeroFaults) {
   ComplxPlacer placer(nl_, cfg_);
   const PlaceResult r = placer.place();
-  EXPECT_FALSE(r.failed);
+  EXPECT_NE(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, 0);
   EXPECT_EQ(r.health.faults, 0u);
   EXPECT_GT(r.solver.solves, 0u);

@@ -81,8 +81,8 @@ TEST(Multilevel, PlacesLegalizably) {
   cfg.coarsest_cells = 1000;
   MultilevelPlacer placer(nl, cfg);
   const MultilevelResult res = placer.place();
-  ASSERT_GE(res.level_sizes.size(), 2u);
-  EXPECT_LT(res.level_sizes.back(), res.level_sizes.front());
+  ASSERT_GE(res.levels.size(), 2u);
+  EXPECT_LT(res.levels.back().cells, res.levels.front().cells);
 
   Placement p = res.place.anchors;
   const LegalizeResult legal = TetrisLegalizer(nl).legalize(p);
@@ -116,10 +116,10 @@ TEST(Multilevel, ReportsEveryLevelInOnePlaceResult) {
   MultilevelConfig cfg;
   cfg.coarsest_cells = 1000;
   const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
-  ASSERT_GE(res.level_sizes.size(), 2u);
+  ASSERT_GE(res.levels.size(), 2u);
   EXPECT_GT(res.place.solver.solves, 0u);
   EXPECT_GT(res.place.iterations, 0);
-  EXPECT_EQ(levels_placed(res.place), res.level_sizes.size());
+  EXPECT_EQ(levels_placed(res.place), res.levels.size());
   for (size_t i = 1; i < res.place.trace.size(); ++i)
     EXPECT_LE(res.place.trace[i - 1].elapsed_s, res.place.trace[i].elapsed_s)
         << i;
@@ -133,12 +133,12 @@ TEST(Multilevel, CancelStopsTheCycleWithFiniteFineAnchors) {
   cfg.coarsest_cells = 1000;
   cfg.coarse.cancel = &cancel;
   const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
-  ASSERT_GE(res.level_sizes.size(), 2u);
+  ASSERT_GE(res.levels.size(), 2u);
   EXPECT_EQ(res.place.stop, StopReason::Cancelled);
   EXPECT_EQ(levels_placed(res.place), 1u);  // finer levels not re-solved
   // Every carried level records the stop it inherited.
-  EXPECT_EQ(res.level_stops, std::vector<StopReason>(res.level_sizes.size(),
-                                                     StopReason::Cancelled));
+  for (const LevelOutcome& l : res.levels)
+    EXPECT_EQ(l.stop, StopReason::Cancelled) << l.cells;
   ASSERT_EQ(res.place.anchors.x.size(), nl.num_cells());
   ASSERT_EQ(res.place.lower_bound.x.size(), nl.num_cells());
   for (CellId id : nl.movable_cells()) {
@@ -149,18 +149,17 @@ TEST(Multilevel, CancelStopsTheCycleWithFiniteFineAnchors) {
 
 TEST(Multilevel, LevelStopsShowACappedCoarsestLevel) {
   // A coarsest level cut off by its iteration cap must say so in
-  // level_stops, whatever the finer levels (and so the V-cycle) stop on.
+  // its LevelOutcome, whatever the finer levels (and so the V-cycle) stop on.
   Netlist nl = complx::testing::small_circuit(420, 4000);
   MultilevelConfig cfg;
   cfg.coarsest_cells = 1000;
   cfg.coarse.max_iterations = 3;
   cfg.coarse.min_iterations = 1;
   const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
-  ASSERT_GE(res.level_sizes.size(), 2u);
-  ASSERT_EQ(res.level_stops.size(), res.level_sizes.size());
-  EXPECT_EQ(res.level_stops.back(), StopReason::MaxIterations);
-  EXPECT_EQ(res.level_stops.front(), res.place.stop);
-  EXPECT_EQ(levels_placed(res.place), res.level_sizes.size());
+  ASSERT_GE(res.levels.size(), 2u);
+  EXPECT_EQ(res.levels.back().stop, StopReason::MaxIterations);
+  EXPECT_EQ(res.levels.front().stop, res.place.stop);
+  EXPECT_EQ(levels_placed(res.place), res.levels.size());
 }
 
 TEST(Multilevel, SharedDeadlineStopsTheCycle) {
@@ -178,7 +177,7 @@ TEST(Multilevel, SmallDesignSkipsCoarsening) {
   MultilevelConfig cfg;
   cfg.coarsest_cells = 2500;  // already below threshold
   const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
-  EXPECT_EQ(res.level_sizes.size(), 1u);
+  EXPECT_EQ(res.levels.size(), 1u);
   EXPECT_GT(hpwl(nl, res.place.anchors), 0.0);
 }
 
@@ -188,8 +187,7 @@ TEST(PlaceAuto, SmallDesignTakesFlatPath) {
   cfg.max_iterations = 15;
   AutoPlaceOptions opts;  // default threshold is far above 500 movables
   const MultilevelResult r = place_auto(nl, cfg, opts);
-  EXPECT_TRUE(r.level_sizes.empty());
-  EXPECT_TRUE(r.level_stops.empty());
+  EXPECT_TRUE(r.levels.empty());
   EXPECT_GT(r.place.iterations, 0);
   EXPECT_GT(hpwl(nl, r.place.anchors), 0.0);
 }
@@ -215,8 +213,8 @@ TEST(PlaceAuto, ThresholdZeroForcesMultilevel) {
   opts.multilevel_threshold = 0;
   opts.multilevel.coarsest_cells = 800;
   const MultilevelResult r = place_auto(nl, cfg, opts);
-  ASSERT_GE(r.level_sizes.size(), 2u);
-  EXPECT_GT(r.level_sizes.front(), r.level_sizes.back());
+  ASSERT_GE(r.levels.size(), 2u);
+  EXPECT_GT(r.levels.front().cells, r.levels.back().cells);
   EXPECT_GT(hpwl(nl, r.place.anchors), 0.0);
 }
 
