@@ -58,9 +58,9 @@
 //        but the snapshot store was corrupt on load (quarantined to
 //        <file>.corrupt, run proceeded cold) or could not be saved
 //   130  interrupted (SIGINT), during global placement (its best-so-far
-//        checkpoint is used) or after it; DP and orientation passes not yet
-//        started are skipped, no experience is recorded, and the placement
-//        is written first
+//        checkpoint is used) or after it; a running DP pass stops at its
+//        next check between moves, passes not yet started are skipped, no
+//        experience is recorded, and the placement is written first
 // complx-lint: allow(P1): the SIGINT flag must be async-signal-safe; a plain
 // bool or anything mutex-based would be UB inside a signal handler.
 #include <atomic>
@@ -106,10 +106,10 @@ void usage() {
 }
 
 // SIGINT raises the cooperative cancel flag; the placer stops at the next
-// iteration boundary and returns its best-so-far checkpoint; main() skips
-// the DP and orientation passes not yet started, writes the placement and
-// exits 130. A second ^C kills the process the default way (the handler
-// restores SIG_DFL).
+// iteration boundary and returns its best-so-far checkpoint, and so does a
+// running DP pass at its next check; main() skips the passes not yet
+// started, writes the placement and exits 130. A second ^C kills the
+// process the default way (the handler restores SIG_DFL).
 // complx-lint: allow(P1): set from the SIGINT handler, read by the placer's
 // cooperative cancel hook; control flow only, never numeric data.
 std::atomic<bool> g_interrupted{false};
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   bool orient = false, stats = false;
   bool warm_start = false, save_experience = false;
   std::optional<Rect> eco_window;
-  int64_t ml_threshold = 1000000;
+  AutoPlaceOptions aopts;
   int max_iters = 0;
   int threads = 0;
   double time_limit = 0.0;
@@ -195,7 +195,8 @@ int main(int argc, char** argv) {
       else if (arg == "--warm-start") warm_start = true;
       else if (arg == "--save-experience") save_experience = true;
       else if (arg == "--ml-threshold")
-        ml_threshold = parse_int64(arg, next(), 0, int64_t{1} << 40);
+        aopts.multilevel_threshold = static_cast<size_t>(
+            parse_int64(arg, next(), 0, int64_t{1} << 40));
       else if (arg == "--eco-window") eco_window = parse_window(arg, next());
       else if (arg[0] == '-') {
         std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
@@ -277,8 +278,6 @@ int main(int argc, char** argv) {
     } else if (start) {
       gp = ComplxPlacer(nl, cfg).resume(*start);
     } else {
-      AutoPlaceOptions aopts;
-      aopts.multilevel_threshold = static_cast<size_t>(ml_threshold);
       MultilevelResult ml = place_auto(nl, cfg, aopts);
       if (!ml.levels.empty()) {
         std::printf("multilevel: %zu level(s),", ml.levels.size() - 1);
@@ -347,9 +346,11 @@ int main(int argc, char** argv) {
       }
       // After ^C the user wants the placement on disk, not minutes of DP.
       if (run_dp && !interrupted()) {
-        const DetailedResult dp = DetailedPlacer(nl).refine(p);
-        std::printf("detailed placement: %.4g -> %.4g\n", dp.initial_hpwl,
-                    dp.final_hpwl);
+        const DetailedResult dp =
+            DetailedPlacer(nl).refine(p, &g_interrupted);
+        std::printf("detailed placement: %.4g -> %.4g%s\n", dp.initial_hpwl,
+                    dp.final_hpwl,
+                    dp.cancelled ? " (interrupted, pass cut short)" : "");
       }
       if (orient && !interrupted()) {
         const OrientationResult orient_res = optimize_orientation(nl, p);

@@ -19,6 +19,7 @@
 #include "legal/tetris.h"
 #include "linalg/sparse.h"
 #include "projection/lal.h"
+#include "projection/spreader.h"
 #include "qp/solver.h"
 #include "util/parallel.h"
 #include "util/rng.h"

@@ -57,11 +57,10 @@ inline FlowMetrics run_complx_flow(const Netlist& nl, const ComplxConfig& cfg,
 }
 
 /// FastPlace-style baseline flow with the same post-processing.
-inline FlowMetrics run_baseline_flow(const Netlist& nl,
-                                     const FastPlaceConfig& cfg = {}) {
+inline FlowMetrics run_baseline_flow(const Netlist& nl) {
   Timer timer;
   FlowMetrics m;
-  FastPlaceStylePlacer placer(nl, cfg);
+  FastPlaceStylePlacer placer(nl);
   FastPlaceResult gp = placer.place();
   Placement p = std::move(gp.placement);
   TetrisLegalizer(nl).legalize(p);

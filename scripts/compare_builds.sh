@@ -7,13 +7,19 @@
 #   * complx_fleet --preset gate --warm-start, each build on its own copy of
 #     one store seeded by a cold --save-experience gate fleet of <base-build>;
 #   * complx_place .pl files on a generated 6k-cell design with two macros:
-#     flat, multilevel (--ml-threshold 0), a partial --eco-window, and a flat
-#     --warm-start hit on a store seeded by <base-build>'s flat run.
+#     flat, multilevel (--ml-threshold 0), a partial --eco-window, a flat
+#     --warm-start hit on a store seeded by <base-build>'s flat run, the
+#     LSE/NLCG primal step with orientation (--lse --orient, whose --svg
+#     rendering is compared too) and the SimPL schedule (--simpl);
+#   * the stdout of examples/routability_driven and examples/timing_driven,
+#     the end-to-end users of RUDY, cell inflation, the global router and
+#     STA (both print only deterministic metrics).
 #
 # Usage: scripts/compare_builds.sh <base-build> <cand-build>
 #   <base-build>, <cand-build>: CMake build trees holding apps/complx_fleet,
-#   apps/complx_gen and apps/complx_place. Passing one tree twice checks
-#   that its placements are reproducible run to run.
+#   apps/complx_gen, apps/complx_place, examples/routability_driven and
+#   examples/timing_driven. Passing one tree twice checks that its outputs
+#   are reproducible run to run.
 # Exit code 0 iff every output matches; otherwise 1, naming the first file
 # that differs (or the job that did not do what it should). The outputs go
 # to a temporary directory, removed on success and kept on failure.
@@ -33,8 +39,9 @@ fail() {
 }
 
 for b in "$base" "$cand"; do
-  for app in complx_fleet complx_gen complx_place; do
-    [ -x "$b/apps/$app" ] || fail "missing $b/apps/$app"
+  for app in apps/complx_fleet apps/complx_gen apps/complx_place \
+             examples/routability_driven examples/timing_driven; do
+    [ -x "$b/$app" ] || fail "missing $b/$app"
   done
 done
 
@@ -45,6 +52,15 @@ run() {
   if [ "$side" = base ]; then dir=$base; else dir=$cand; fi
   "$dir/apps/$app" "$@" > "$work/$side/$log.log" 2>&1 ||
     fail "$side: $app $* failed (log: $work/$side/$log.log)"
+}
+
+# Runs example $2 of build $1, its stdout to $work/$1/$2.txt.
+run_example() {
+  local side=$1 ex=$2
+  local dir
+  if [ "$side" = base ]; then dir=$base; else dir=$cand; fi
+  "$dir/examples/$ex" > "$work/$side/$ex.txt" 2> "$work/$side/$ex.log" ||
+    fail "$side: examples/$ex failed (log: $work/$side/$ex.log)"
 }
 
 mkdir -p "$work/base" "$work/cand" "$work/seed"
@@ -80,6 +96,12 @@ for side in base cand; do
     --eco-window 300,300,700,700 --out "$out/eco.pl"
   run "$side" warm complx_place "$design" --quiet \
     --snapshot "$out/place.snap" --warm-start --out "$out/warm.pl"
+  run "$side" lse complx_place "$design" --quiet --lse --orient \
+    --svg "$out/lse.svg" --out "$out/lse.pl"
+  run "$side" simpl complx_place "$design" --quiet --simpl \
+    --out "$out/simpl.pl"
+  run_example "$side" routability_driven
+  run_example "$side" timing_driven
 
   # A job that silently fell back to another path would compare equal and
   # prove nothing.
@@ -89,9 +111,12 @@ for side in base cand; do
   grep -q 'warm start' "$out/warm.log" || fail "$side: warm run missed"
   grep -q '"warm_started": true' "$out/gate_warm.json" ||
     fail "$side: warm gate fleet resumed no design"
+  grep -q '^orientation: [1-9]' "$out/lse.log" ||
+    fail "$side: lse run flipped no cell"
 done
 
-for f in gate.json smoke.json gate_warm.json flat.pl ml.pl eco.pl warm.pl; do
+for f in gate.json smoke.json gate_warm.json flat.pl ml.pl eco.pl warm.pl \
+         lse.pl lse.svg simpl.pl routability_driven.txt timing_driven.txt; do
   cmp -s "$work/base/$f" "$work/cand/$f" ||
     fail "$f differs ($work/base/$f vs $work/cand/$f)"
 done

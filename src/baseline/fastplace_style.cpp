@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "density/grid.h"
+#include "qp/solver.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -11,11 +12,16 @@ namespace complx {
 
 namespace {
 
+constexpr int kMinIterations = 80;     // raised to 2.5 × bins on big grids
+constexpr double kForceRamp = 0.001;   // anchor weight = ramp · iteration
+constexpr double kShiftDamping = 0.8;  // fraction of a computed shift applied
+constexpr int kShiftRounds = 4;        // diffusion rounds per iteration
+
 /// One FastPlace cell-shifting pass along an axis: for every bin row
 /// (column), compute shifted virtual bin boundaries that equalize
 /// utilization, then remap cell coordinates piecewise-linearly.
 void cell_shift_axis(const Netlist& nl, const DensityGrid& grid, Placement& p,
-                     bool shift_x, double damping) {
+                     bool shift_x) {
   const size_t nx = grid.bins_x(), ny = grid.bins_y();
   const size_t lanes = shift_x ? ny : nx;
   const size_t bins = shift_x ? nx : ny;
@@ -50,7 +56,7 @@ void cell_shift_axis(const Netlist& nl, const DensityGrid& grid, Placement& p,
       const double lo_b = lo + static_cast<double>(k - 1) * bin_w;
       const double hi_b = lo + static_cast<double>(k + 1) * bin_w;
       const double target = (uk1 * lo_b + uk * hi_b) / (uk + uk1);
-      nb[k] = orig + damping * (target - orig);
+      nb[k] = orig + kShiftDamping * (target - orig);
     }
     // Keep boundaries monotone.
     for (size_t k = 1; k <= bins; ++k)
@@ -72,25 +78,18 @@ void cell_shift_axis(const Netlist& nl, const DensityGrid& grid, Placement& p,
 
 }  // namespace
 
-FastPlaceStylePlacer::FastPlaceStylePlacer(const Netlist& nl,
-                                           const FastPlaceConfig& cfg)
-    : nl_(nl), cfg_(cfg) {
-  if (cfg_.bins == 0) {
-    const size_t b = static_cast<size_t>(
-        std::sqrt(static_cast<double>(nl.num_movable()) / 4.0));
-    cfg_.bins = std::clamp<size_t>(b, 8, 256);
-  }
-  // The diffusion front advances a bounded number of bins per iteration, so
-  // the iteration budget must scale with the grid diameter. (This is the
-  // Θ(n^1.38)-ish scaling the paper attributes to FastPlace, reproduced.)
-  cfg_.max_iterations = std::max<int>(
-      cfg_.max_iterations, static_cast<int>(2.5 * static_cast<double>(cfg_.bins)));
-}
-
 FastPlaceResult FastPlaceStylePlacer::place() {
   Timer timer;
   FastPlaceResult result;
   Placement p = nl_.snapshot();
+
+  const size_t bins = std::clamp<size_t>(static_cast<size_t>(std::sqrt(
+      static_cast<double>(nl_.num_movable()) / 4.0)), 8, 256);
+  // The diffusion front advances a bounded number of bins per iteration, so
+  // the iteration budget must scale with the grid diameter. (This is the
+  // Θ(n^1.38)-ish scaling the paper attributes to FastPlace, reproduced.)
+  const int max_iterations = std::max<int>(
+      kMinIterations, static_cast<int>(2.5 * static_cast<double>(bins)));
 
   // Initialize at core center with jitter (same convention as ComPLx).
   {
@@ -103,45 +102,46 @@ FastPlaceResult FastPlaceStylePlacer::place() {
     }
   }
   const VarMap vars(nl_);
+  const QpOptions qp;  // FastPlace's solver settings are ComPLx's defaults
   QpWorkspace qp_ws;
 
   // Initial wirelength-only iterations.
   for (int i = 0; i < 3; ++i)
-    solve_qp_iteration(nl_, vars, p, nullptr, cfg_.qp, qp_ws);
+    solve_qp_iteration(nl_, vars, p, nullptr, qp, qp_ws);
 
   const double gamma = nl_.target_density();
   AnchorSet anchors(nl_.num_cells());
 
   int k = 1;
-  for (; k <= cfg_.max_iterations; ++k) {
-    DensityGrid grid(nl_, cfg_.bins, cfg_.bins);
+  for (; k <= max_iterations; ++k) {
+    DensityGrid grid(nl_, bins, bins);
     grid.build(p);
     result.final_overflow =
         grid.total_overflow(gamma) / std::max(nl_.movable_area(), 1e-12);
-    if (result.final_overflow < cfg_.stop_overflow) break;
+    if (result.final_overflow < kFastPlaceStopOverflow) break;
 
     // Cell shifting in both directions, several rounds per iteration: one
     // boundary update moves cells at most ~one bin, so deep piles need
     // repeated diffusion before the next quadratic solve.
-    for (int round = 0; round < cfg_.shift_rounds; ++round) {
-      DensityGrid gx(nl_, cfg_.bins, cfg_.bins);
+    for (int round = 0; round < kShiftRounds; ++round) {
+      DensityGrid gx(nl_, bins, bins);
       gx.build(p);
-      cell_shift_axis(nl_, gx, p, /*shift_x=*/true, cfg_.shift_damping);
-      DensityGrid gy(nl_, cfg_.bins, cfg_.bins);
+      cell_shift_axis(nl_, gx, p, /*shift_x=*/true);
+      DensityGrid gy(nl_, bins, bins);
       gy.build(p);
-      cell_shift_axis(nl_, gy, p, /*shift_x=*/false, cfg_.shift_damping);
+      cell_shift_axis(nl_, gy, p, /*shift_x=*/false);
     }
 
     // Spreading forces: anchor each cell at its shifted position with a
     // weight that ramps up over iterations.
-    const double w = cfg_.force_ramp * static_cast<double>(k);
+    const double w = kForceRamp * static_cast<double>(k);
     for (CellId id : nl_.movable_cells()) {
       anchors.target_x[id] = p.x[id];
       anchors.target_y[id] = p.y[id];
       anchors.weight_x[id] = w;
       anchors.weight_y[id] = w;
     }
-    solve_qp_iteration(nl_, vars, p, &anchors, cfg_.qp, qp_ws);
+    solve_qp_iteration(nl_, vars, p, &anchors, qp, qp_ws);
   }
 
   result.placement = std::move(p);

@@ -10,20 +10,11 @@
 #pragma once
 
 #include "netlist/netlist.h"
-#include "qp/solver.h"
 
 namespace complx {
 
-struct FastPlaceConfig {
-  QpOptions qp;
-  int max_iterations = 80;
-  double stop_overflow = 0.18;
-  size_t bins = 0;  ///< 0 = auto (~ cells per bin target)
-  /// Spreading-force weight ramp: anchor weight = ramp · iteration.
-  double force_ramp = 0.001;
-  double shift_damping = 0.8;  ///< fraction of computed shift applied
-  int shift_rounds = 4;        ///< diffusion rounds per placement iteration
-};
+/// The placer stops once the density overflow ratio falls below this.
+inline constexpr double kFastPlaceStopOverflow = 0.18;
 
 struct FastPlaceResult {
   Placement placement;
@@ -34,12 +25,11 @@ struct FastPlaceResult {
 
 class FastPlaceStylePlacer {
  public:
-  FastPlaceStylePlacer(const Netlist& nl, const FastPlaceConfig& cfg);
+  explicit FastPlaceStylePlacer(const Netlist& nl) : nl_(nl) {}
   FastPlaceResult place();
 
  private:
   const Netlist& nl_;
-  FastPlaceConfig cfg_;
 };
 
 }  // namespace complx

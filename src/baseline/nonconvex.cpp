@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "density/penalty.h"
 #include "nlcg/nlcg.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -30,8 +31,9 @@ NonconvexResult NonconvexPlacer::place() {
     }
   }
 
-  const LseWl wirelength(nl_, cfg_.lse_gamma_rows * nl_.row_height());
-  const DensityPenalty density(nl_, cfg_.density);
+  constexpr double kLseGammaRows = 3.0;  // wirelength smoothing, row heights
+  const LseWl wirelength(nl_, kLseGammaRows * nl_.row_height());
+  const DensityPenalty density(nl_, DensityPenaltyOptions{});
 
   // Pure wirelength warm-up.
   {
@@ -40,7 +42,9 @@ NonconvexResult NonconvexPlacer::place() {
     minimize_smooth_placement(nl_, wirelength, p, nullptr, opts);
   }
 
-  // λ_d normalization from gradient magnitudes at the warm-up point.
+  // λ_d normalization at the warm-up point: the density gradient starts at
+  // this fraction of the wirelength gradient (APlace-style).
+  constexpr double kInitialGradientRatio = 0.25;
   Vec gx, gy, dgx, dgy;
   wirelength.value_and_grad(p, gx, gy);
   density.value_and_grad(p, dgx, dgy);
@@ -50,7 +54,7 @@ NonconvexResult NonconvexPlacer::place() {
     d_norm += std::abs(dgx[id]) + std::abs(dgy[id]);
   }
   double lambda_d = d_norm > 1e-12
-                        ? cfg_.initial_gradient_ratio * wl_norm / d_norm
+                        ? kInitialGradientRatio * wl_norm / d_norm
                         : 1.0;
 
   const DensityAugmentedWl combined(wirelength, density, lambda_d);
@@ -61,7 +65,7 @@ NonconvexResult NonconvexPlacer::place() {
     opts.max_iterations = cfg_.nlcg_iterations;
     minimize_smooth_placement(nl_, combined, p, nullptr, opts);
     result.final_overflow = density.overflow_ratio(p);
-    if (result.final_overflow < cfg_.stop_overflow) break;
+    if (result.final_overflow < kNonconvexStopOverflow) break;
     lambda_d *= 2.0;  // the classic penalty ramp
   }
 

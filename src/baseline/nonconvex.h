@@ -11,20 +11,16 @@
 // bench_nonconvex measures exactly that trade on common designs.
 #pragma once
 
-#include "density/penalty.h"
 #include "netlist/netlist.h"
 
 namespace complx {
 
+/// The λ_d ramp stops once the density overflow ratio falls below this.
+inline constexpr double kNonconvexStopOverflow = 0.12;
+
 struct NonconvexConfig {
-  double lse_gamma_rows = 3.0;  ///< wirelength smoothing (row heights)
-  DensityPenaltyOptions density;  ///< the cosine-bell density penalty
   int max_rounds = 24;
   int nlcg_iterations = 60;  ///< per round
-  double stop_overflow = 0.12;
-  /// Initial λ_d chosen so the density gradient is this fraction of the
-  /// wirelength gradient (APlace-style normalization).
-  double initial_gradient_ratio = 0.25;
 };
 
 struct NonconvexResult {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "nlcg/nlcg.h"
+#include "route/inflate.h"
 #include "util/log.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -468,8 +469,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
         (k % std::max(1, cfg_.routability.period)) == 0) {
       CongestionMap congestion(nl_, cfg_.routability.rudy);
       congestion.build(p);
-      lal.set_inflation(
-          compute_inflation(nl_, p, congestion, cfg_.routability.inflation));
+      lal.set_inflation(compute_inflation(nl_, p, congestion));
     }
 
     proj = lal.project(p);

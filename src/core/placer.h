@@ -30,7 +30,6 @@
 #include "core/trace.h"
 #include "projection/lal.h"
 #include "qp/solver.h"
-#include "route/inflate.h"
 #include "route/rudy.h"
 
 namespace complx {
@@ -42,7 +41,6 @@ struct RoutabilityOptions {
   bool enabled = false;
   int period = 4;  ///< iterations between congestion updates
   RudyOptions rudy;
-  InflationOptions inflation;
 };
 
 /// How the anchor (spreading) force depends on a cell's distance to its

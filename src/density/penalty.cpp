@@ -9,6 +9,7 @@ namespace complx {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
+constexpr double kSmoothing = 2.0;  // bell radius in bins
 
 /// Cosine bell: weight(u) = (1 + cos(π·u))/2 for |u| <= 1, else 0.
 /// Smooth, compactly supported, integrates nicely over bins.
@@ -53,8 +54,8 @@ DensityPenalty::DensityPenalty(const Netlist& nl,
   }
   bw_ = nl.core().width() / static_cast<double>(bins_);
   bh_ = nl.core().height() / static_cast<double>(bins_);
-  radius_ = opts.smoothing * bw_;
-  radius_y_ = opts.smoothing * bh_;
+  radius_ = kSmoothing * bw_;
+  radius_y_ = kSmoothing * bh_;
 
   // Capacity from the exact grid (fixed blockage subtracted), γ-scaled. The
   // grid is kept — overflow_ratio re-deposits movable area into it per call

@@ -29,9 +29,8 @@ struct DensityStats {
 };
 
 struct DensityPenaltyOptions {
-  size_t bins = 0;          ///< 0 = auto (~sqrt(movables/4))
-  double smoothing = 2.0;   ///< bell radius in bins
-  DensityOptions grid;      ///< query mode of the internal DensityGrid
+  size_t bins = 0;      ///< 0 = auto (~sqrt(movables/4))
+  DensityOptions grid;  ///< query mode of the internal DensityGrid
 };
 
 /// A differentiable density model: a scalar penalty with its gradient in

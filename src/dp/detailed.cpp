@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/log.h"
 #include "wl/hpwl.h"
 #include "wl/incremental.h"
 
@@ -216,8 +215,17 @@ void optimal_region(const Netlist& nl, const Placement& p, CellId id,
 DetailedPlacer::DetailedPlacer(const Netlist& nl, DetailedOptions opts)
     : nl_(nl), opts_(opts) {}
 
-DetailedResult DetailedPlacer::refine(Placement& p) const {
+DetailedResult DetailedPlacer::refine(Placement& p,
+                                      // complx-lint: allow(P1): see header.
+                                      const std::atomic<bool>* cancel) const {
   DetailedResult result;
+  // Latches result.cancelled once the cancel flag is seen raised.
+  const auto stop = [&] {
+    // complx-lint: allow(P1): relaxed poll of the cancel flag; control flow.
+    if (cancel && cancel->load(std::memory_order_relaxed))
+      result.cancelled = true;
+    return result.cancelled;
+  };
   result.initial_hpwl = hpwl(nl_, p);
   if (nl_.rows().empty()) {
     result.final_hpwl = result.initial_hpwl;
@@ -231,12 +239,13 @@ DetailedResult DetailedPlacer::refine(Placement& p) const {
   std::vector<NetId> scratch;
   double current = result.initial_hpwl;
 
-  for (int pass = 0; pass < opts_.max_passes; ++pass) {
+  for (int pass = 0; pass < opts_.max_passes && !stop(); ++pass) {
     double pass_start = current;
 
     // ---- global / vertical swap ---------------------------------------
     if (opts_.global_swap) {
       for (CellId id : nl_.movable_cells()) {
+        if (stop()) break;
         const Cell& c = nl_.cell(id);
         if (c.is_macro() || view.row_of_cell(id) < 0) continue;
         double ox, oy;
@@ -310,16 +319,18 @@ DetailedResult DetailedPlacer::refine(Placement& p) const {
 
     // ---- local reordering ----------------------------------------------
     if (opts_.local_reorder) {
-      const int w = std::max(2, opts_.reorder_window);
-      for (long j = 0; j < static_cast<long>(view.num_rows()); ++j) {
+      constexpr int kWindow = 3;  // cells per window; all orders are tried
+      for (long j = 0; j < static_cast<long>(view.num_rows()) && !stop();
+           ++j) {
         const auto& rc = view.row_cells(j);
-        if (static_cast<int>(rc.size()) < w) continue;
-        for (size_t start = 0; start + static_cast<size_t>(w) <= rc.size();
-             ++start) {
+        if (static_cast<int>(rc.size()) < kWindow) continue;
+        for (size_t start = 0;
+             start + static_cast<size_t>(kWindow) <= rc.size(); ++start) {
+          if (stop()) break;
           // Window cells and the free span they may occupy.
           std::vector<CellId> win(rc.begin() + static_cast<long>(start),
                                   rc.begin() + static_cast<long>(start) +
-                                      w);
+                                      kWindow);
           const RowView::Gap left =
               view.gap_around(j, start, view.left_x(win[0]), win[0]);
           double span_lo = std::max(left.lo, view.left_x(win[0]));
@@ -335,7 +346,7 @@ DetailedResult DetailedPlacer::refine(Placement& p) const {
           // Evaluate permutations by packing from span_lo; only the window
           // cells' coordinates are saved and restored.
           std::vector<double> save_x(win.size()), save_y(win.size());
-          for (int k = 0; k < w; ++k) {
+          for (int k = 0; k < kWindow; ++k) {
             save_x[static_cast<size_t>(k)] = p.x[win[static_cast<size_t>(k)]];
             save_y[static_cast<size_t>(k)] = p.y[win[static_cast<size_t>(k)]];
           }
@@ -373,7 +384,7 @@ DetailedResult DetailedPlacer::refine(Placement& p) const {
                 best_x = xs;
               }
               // Restore.
-              for (int k = 0; k < w; ++k) {
+              for (int k = 0; k < kWindow; ++k) {
                 p.x[win[static_cast<size_t>(k)]] =
                     save_x[static_cast<size_t>(k)];
               }
@@ -394,13 +405,14 @@ DetailedResult DetailedPlacer::refine(Placement& p) const {
 
     // ---- row shift (L1 clumping per row) --------------------------------
     if (opts_.row_shift) {
-      for (long j = 0; j < static_cast<long>(view.num_rows()); ++j) {
+      for (long j = 0; j < static_cast<long>(view.num_rows()) && !stop();
+           ++j) {
         const std::vector<CellId> rc = view.row_cells(j);  // copy: stable
         if (rc.size() < 2) continue;
         // Preferred positions (medians) and clumping within free spans.
         // Process contiguous runs between blockages independently.
         size_t run_start = 0;
-        while (run_start < rc.size()) {
+        while (run_start < rc.size() && !stop()) {
           // Extend run while consecutive cells share a free span (no
           // blockage between them).
           size_t run_end = run_start;
@@ -500,8 +512,10 @@ DetailedResult DetailedPlacer::refine(Placement& p) const {
       }
     }
 
+    if (result.cancelled) break;  // a cut-short pass is not counted
     ++result.passes;
-    if (pass_start - current < opts_.min_relative_gain * pass_start) break;
+    constexpr double kMinRelativeGain = 5e-4;  // a smaller gain ends DP
+    if (pass_start - current < kMinRelativeGain * pass_start) break;
   }
 
   result.final_hpwl = hpwl(nl_, p);

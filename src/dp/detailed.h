@@ -16,6 +16,8 @@
 //                    net intervals, clusters merge when they collide.
 #pragma once
 
+// complx-lint: allow(P1): the type of the async-signal-safe cancel flag.
+#include <atomic>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -24,17 +26,16 @@ namespace complx {
 
 struct DetailedOptions {
   int max_passes = 4;
-  double min_relative_gain = 5e-4;  ///< stop when a pass improves less
   bool global_swap = true;
   bool local_reorder = true;
   bool row_shift = true;
-  int reorder_window = 3;
 };
 
 struct DetailedResult {
   double initial_hpwl = 0.0;
   double final_hpwl = 0.0;
-  int passes = 0;
+  int passes = 0;          ///< completed passes
+  bool cancelled = false;  ///< the cancel flag cut a pass short
 };
 
 class DetailedPlacer {
@@ -43,8 +44,11 @@ class DetailedPlacer {
 
   /// Refines a legal placement in place. Behaviour on an illegal input is
   /// best-effort (moves that would create overlap are rejected), but callers
-  /// should legalize first.
-  DetailedResult refine(Placement& p) const;
+  /// should legalize first. A raised `cancel` flag (complx_place's SIGINT
+  /// flag) stops it at its next check between moves, so `p` stays legal.
+  DetailedResult refine(Placement& p,
+                        // complx-lint: allow(P1): control flow only.
+                        const std::atomic<bool>* cancel = nullptr) const;
 
  private:
   const Netlist& nl_;

@@ -7,8 +7,7 @@
 
 namespace complx {
 
-OrientationResult optimize_orientation(Netlist& nl, const Placement& p,
-                                       int max_passes) {
+OrientationResult optimize_orientation(Netlist& nl, const Placement& p) {
   OrientationResult result;
   result.initial_hpwl = hpwl(nl, p);
 
@@ -20,7 +19,8 @@ OrientationResult optimize_orientation(Netlist& nl, const Placement& p,
     return s;
   };
 
-  for (int pass = 0; pass < max_passes; ++pass) {
+  constexpr int kMaxPasses = 3;
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     size_t flips_this_pass = 0;
     for (CellId id : nl.movable_cells()) {
       const Cell& c = nl.cell(id);

@@ -18,9 +18,8 @@ struct OrientationResult {
 };
 
 /// Greedy sweeps over movable standard cells: flip when the incident-net
-/// HPWL strictly improves; repeat until a pass makes no flips (or the pass
-/// limit is hit). MUTATES the netlist's pin offsets and orientation flags.
-OrientationResult optimize_orientation(Netlist& nl, const Placement& p,
-                                       int max_passes = 3);
+/// HPWL strictly improves; repeat until a pass makes no flips (at most three
+/// passes). MUTATES the netlist's pin offsets and orientation flags.
+OrientationResult optimize_orientation(Netlist& nl, const Placement& p);
 
 }  // namespace complx

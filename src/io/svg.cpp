@@ -8,6 +8,7 @@ namespace complx {
 
 void write_placement_svg(const Netlist& nl, const Placement& p,
                          const std::string& path, const SvgOptions& opts) {
+  constexpr double kImageWidthPx = 1000.0;
   AtomicFileWriter writer(path);
   std::ostream& out = writer.stream();
 
@@ -16,7 +17,7 @@ void write_placement_svg(const Netlist& nl, const Placement& p,
   const double margin = 0.04 * std::max(frame.width(), frame.height());
   frame = {frame.xl - margin, frame.yl - margin, frame.xh + margin,
            frame.yh + margin};
-  const double scale = opts.image_width_px / frame.width();
+  const double scale = kImageWidthPx / frame.width();
   const double h_px = frame.height() * scale;
 
   // SVG y grows downward; flip so chip y grows upward.
@@ -24,8 +25,8 @@ void write_placement_svg(const Netlist& nl, const Placement& p,
   auto Y = [&](double y) { return h_px - (y - frame.yl) * scale; };
 
   out << "<svg xmlns='http://www.w3.org/2000/svg' width='"
-      << opts.image_width_px << "' height='" << h_px << "' viewBox='0 0 "
-      << opts.image_width_px << " " << h_px << "'>\n";
+      << kImageWidthPx << "' height='" << h_px << "' viewBox='0 0 "
+      << kImageWidthPx << " " << h_px << "'>\n";
   out << "<rect width='100%' height='100%' fill='#ffffff'/>\n";
 
   auto rect = [&](const Rect& r, const char* fill, const char* stroke,
@@ -39,10 +40,8 @@ void write_placement_svg(const Netlist& nl, const Placement& p,
   // Core outline.
   rect(nl.core(), "none", "#222222", 1.0);
 
-  if (opts.draw_fixed) {
-    for (const Cell& c : nl.cells())
-      if (!c.movable()) rect(c.bounds(), "#9aa0a6", "#5f6368", 0.8);
-  }
+  for (const Cell& c : nl.cells())
+    if (!c.movable()) rect(c.bounds(), "#9aa0a6", "#5f6368", 0.8);
 
   for (CellId id : nl.movable_cells()) {
     const Cell& c = nl.cell(id);
@@ -57,10 +56,8 @@ void write_placement_svg(const Netlist& nl, const Placement& p,
     }
   }
 
-  if (opts.draw_regions) {
-    for (const Region& reg : nl.regions())
-      rect(reg.box, "none", "#d93025", 1.0);
-  }
+  for (const Region& reg : nl.regions())
+    rect(reg.box, "none", "#d93025", 1.0);
 
   out << "</svg>\n";
   writer.commit();

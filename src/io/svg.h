@@ -11,9 +11,6 @@
 namespace complx {
 
 struct SvgOptions {
-  double image_width_px = 1000.0;
-  bool draw_fixed = true;
-  bool draw_regions = true;
   /// Optional per-cell highlight flags (e.g. a critical path or a region
   /// group); highlighted cells draw in accent color. Empty = none.
   std::vector<char> highlight;

@@ -11,6 +11,8 @@
 namespace complx {
 
 CoarseLevel coarsen(const Netlist& fine, const ClusterOptions& opts) {
+  constexpr uint32_t kMaxNetDegree = 16;   // bigger nets ignored for affinity
+  constexpr double kMaxClusterRows = 4.0;  // merge area cap, in rows²
   const size_t n = fine.num_cells();
 
   // ---- affinity: for each standard cell, its heaviest neighbour ----------
@@ -24,7 +26,7 @@ CoarseLevel coarsen(const Netlist& fine, const ClusterOptions& opts) {
       if (!fine.cell(id).is_macro()) order.push_back(id);
     rng.shuffle(order);
 
-    const double area_cap = opts.max_cluster_rows * fine.row_height() *
+    const double area_cap = kMaxClusterRows * fine.row_height() *
                             fine.row_height();
     // Dense scratch instead of a hash map: per-candidate sums accumulate in
     // net-traversal order and the winner scan below is order-independent,
@@ -43,7 +45,7 @@ CoarseLevel coarsen(const Netlist& fine, const ClusterOptions& opts) {
       touched.clear();
       for (NetId e : fine.nets_of_cell(id)) {
         const Net& net = fine.net(e);
-        if (net.num_pins < 2 || net.num_pins > opts.max_net_degree) continue;
+        if (net.num_pins < 2 || net.num_pins > kMaxNetDegree) continue;
         const double w =
             net.weight / static_cast<double>(net.num_pins - 1);
         for (uint32_t k = 0; k < net.num_pins; ++k) {

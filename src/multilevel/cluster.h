@@ -16,9 +16,7 @@
 namespace complx {
 
 struct ClusterOptions {
-  uint32_t max_net_degree = 16;  ///< bigger nets ignored for affinity
-  double max_cluster_rows = 4.0;  ///< stop merging beyond this area (rows²)
-  uint64_t seed = 1;              ///< visit order randomization
+  uint64_t seed = 1;  ///< visit order randomization
 };
 
 struct CoarseLevel {

@@ -8,6 +8,9 @@ namespace complx {
 NlcgResult minimize_nlcg(
     const std::function<double(const Vec&, Vec&)>& value_and_grad, Vec& v,
     const NlcgOptions& opts) {
+  constexpr double kArmijoC = 1e-4;   // Armijo sufficient decrease
+  constexpr double kBacktrack = 0.5;  // step shrink per backtrack
+  constexpr int kMaxBacktracks = 30;  // shrinks before the search gives up
   NlcgResult result;
   const size_t n = v.size();
   Vec g(n), g_prev(n), d(n), trial(n), g_trial(n);
@@ -36,17 +39,17 @@ NlcgResult minimize_nlcg(
     double t = step;
     double f_new = f;
     bool accepted = false;
-    for (int bt = 0; bt < opts.max_backtracks; ++bt) {
+    for (int bt = 0; bt < kMaxBacktracks; ++bt) {
       for (size_t i = 0; i < n; ++i) trial[i] = v[i] + t * d[i];
       f_new = value_and_grad(trial, g_trial);
       // A non-finite trial value (overflowed exponentials, poisoned
       // gradient) is treated as a failed step, never accepted.
       if (std::isfinite(f_new) &&
-          f_new <= f + opts.armijo_c * t * dir_slope) {
+          f_new <= f + kArmijoC * t * dir_slope) {
         accepted = true;
         break;
       }
-      t *= opts.backtrack;
+      t *= kBacktrack;
     }
     if (!accepted) break;  // line search failed: local flatness
 
@@ -55,7 +58,7 @@ NlcgResult minimize_nlcg(
     g.swap(g_trial);
     f = f_new;
     // Allow the next line search to grow again.
-    step = std::min(opts.initial_step, t / opts.backtrack);
+    step = std::min(opts.initial_step, t / kBacktrack);
 
     // Polak–Ribière+ with automatic restart.
     double num = 0.0;

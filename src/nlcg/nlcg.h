@@ -21,9 +21,6 @@ struct NlcgOptions {
   int max_iterations = 100;
   double grad_tolerance = 1e-3;  ///< stop when ||g||∞ < tol · scale
   double initial_step = 1.0;
-  double armijo_c = 1e-4;
-  double backtrack = 0.5;
-  int max_backtracks = 30;
 };
 
 struct NlcgResult {

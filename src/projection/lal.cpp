@@ -6,6 +6,8 @@
 
 #include "projection/region_finder.h"
 #include "projection/regions.h"
+#include "projection/shredder.h"
+#include "projection/spreader.h"
 #include "util/log.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -40,8 +42,6 @@ LookAheadLegalizer::LookAheadLegalizer(const Netlist& nl,
     opts_.bins_x = b;
     opts_.bins_y = b;
   }
-  opts_.spreader.gamma = opts_.gamma;
-  opts_.shredder.gamma = opts_.gamma;
 }
 
 size_t LookAheadLegalizer::auto_bins(const Netlist& nl) {
@@ -93,7 +93,7 @@ ProjectionResult LookAheadLegalizer::project(const Placement& p,
   // 1. Materialize motes: one per standard cell, a lattice per macro.
   std::vector<Mote> motes;
   motes.reserve(nl_.num_movable());
-  MacroShredder shredder(nl_, opts_.shredder);
+  MacroShredder shredder(nl_, opts_.gamma);
   // Shred bookkeeping: [first, last) mote range per macro.
   struct MacroRange {
     CellId id;
@@ -154,7 +154,7 @@ ProjectionResult LookAheadLegalizer::project(const Placement& p,
   // chunk=1 lets the pool process whole regions concurrently; the writes
   // land in disjoint motes and each region's spread is serial internally,
   // so the result is bitwise identical at any thread count.
-  Spreader spreader(grid, opts_.spreader);
+  Spreader spreader(grid, SpreaderOptions{opts_.gamma});
   parallel_for(
       regions.size(),
       [&](size_t begin, size_t end) {

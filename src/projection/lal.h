@@ -9,15 +9,12 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "density/grid.h"
 #include "netlist/netlist.h"
 #include "projection/alignment.h"
 #include "projection/mote.h"
-#include "projection/shredder.h"
-#include "projection/spreader.h"
 
 namespace complx {
 
@@ -25,8 +22,6 @@ struct ProjectionOptions {
   double gamma = 1.0;  ///< target utilization (ISPD 2006: 0.5 / 0.8 / 0.9)
   size_t bins_x = 0;   ///< 0 = derive from design size
   size_t bins_y = 0;
-  SpreaderOptions spreader;  ///< gamma is overwritten from this struct
-  ShredderOptions shredder;  ///< gamma is overwritten from this struct
   DensityOptions density;    ///< grid query mode (prefix sums on/off)
   /// Alignment groups enforced by the projection (after density spreading
   /// and region snapping).

@@ -10,13 +10,13 @@ namespace {
 constexpr double kShredRows = 2.0;
 }  // namespace
 
-MacroShredder::MacroShredder(const Netlist& nl, const ShredderOptions& opts)
-    : nl_(nl), opts_(opts) {}
+MacroShredder::MacroShredder(const Netlist& nl, double gamma)
+    : nl_(nl), gamma_(gamma) {}
 
 std::vector<Mote> MacroShredder::shred(CellId id, double cx, double cy) const {
   const Cell& c = nl_.cell(id);
   const double tile = kShredRows * nl_.row_height();
-  const double scale = std::sqrt(std::clamp(opts_.gamma, 0.01, 1.0));
+  const double scale = std::sqrt(std::clamp(gamma_, 0.01, 1.0));
 
   // Number of tiles per dimension (at least one); tiles evenly cover the
   // macro so the shred lattice is uniform.

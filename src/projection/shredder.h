@@ -13,13 +13,11 @@
 
 namespace complx {
 
-struct ShredderOptions {
-  double gamma = 1.0;  ///< target utilization (√γ size compensation)
-};
-
 class MacroShredder {
  public:
-  MacroShredder(const Netlist& nl, const ShredderOptions& opts);
+  /// `gamma` is the target utilization the shreds are shrunk for (√γ size
+  /// compensation).
+  MacroShredder(const Netlist& nl, double gamma);
 
   /// Tiles macro `id` (centered at (cx, cy)) into shreds. The shreds' total
   /// area equals γ × macro area by construction of the √γ scaling.
@@ -32,7 +30,7 @@ class MacroShredder {
 
  private:
   const Netlist& nl_;
-  ShredderOptions opts_;
+  double gamma_;
 };
 
 }  // namespace complx

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/log.h"
-
 namespace complx {
 
 GlobalRouter::GlobalRouter(const Netlist& nl, const RouterOptions& opts)
@@ -119,13 +117,11 @@ double GlobalRouter::route_connection(const Connection& c) {
 
   const size_t xlo = std::min(c.ax, c.bx), xhi = std::max(c.ax, c.bx);
   const size_t ylo = std::min(c.ay, c.by), yhi = std::max(c.ay, c.by);
-  const int z = std::max(1, opts_.z_patterns);
-  for (int t = 0; t <= z + 1; ++t) {
-    const size_t mx =
-        xlo + (xhi - xlo) * static_cast<size_t>(t) / static_cast<size_t>(z + 1);
+  constexpr size_t kZPatterns = 3;  // intermediate bends per direction
+  for (size_t t = 0; t <= kZPatterns + 1; ++t) {
+    const size_t mx = xlo + (xhi - xlo) * t / (kZPatterns + 1);
     consider(mx, true);
-    const size_t my =
-        ylo + (yhi - ylo) * static_cast<size_t>(t) / static_cast<size_t>(z + 1);
+    const size_t my = ylo + (yhi - ylo) * t / (kZPatterns + 1);
     consider(my, false);
   }
 

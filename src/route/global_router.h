@@ -33,7 +33,6 @@ struct RouterOptions {
   double overflow_penalty = 2.0;
   double history_increment = 0.5;
   uint32_t max_net_degree = 64;  ///< larger nets are skipped (clock-like)
-  int z_patterns = 3;            ///< intermediate bends tried per direction
 };
 
 struct RouteStats {

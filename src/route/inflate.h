@@ -11,10 +11,10 @@
 
 namespace complx {
 
+inline constexpr double kMaxInflation = 2.0;  ///< area factor cap per cell
+
 struct InflationOptions {
-  double max_factor = 2.0;   ///< area inflation cap per cell
-  double exponent = 1.0;     ///< factor = min(max, congestion^exponent)
-  double threshold = 1.0;    ///< congestion below this → no inflation
+  double threshold = 1.0;  ///< congestion below this → no inflation
 };
 
 /// Per-cell AREA inflation factors (>= 1) for placement `p` under the given

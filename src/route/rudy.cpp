@@ -43,7 +43,9 @@ void CongestionMap::deposit_net_range(const Placement& p, size_t begin,
                                       size_t end, std::vector<double>& h_out,
                                       std::vector<double>& v_out) const {
   const NetlistView v = nl_.view();
-  const double min_ext = opts_.min_extent_rows * nl_.row_height();
+  // Degenerate (zero-extent) nets get this minimal bbox, in row heights.
+  constexpr double kMinExtentRows = 1.0;
+  const double min_ext = kMinExtentRows * nl_.row_height();
   for (size_t e = begin; e < end; ++e) {
     const Net& net = v.nets[e];
     if (net.num_pins < 2) continue;

@@ -23,8 +23,6 @@ struct RudyOptions {
   /// Routing supply: track length available per unit chip area, per
   /// direction. The absolute value only shifts the congestion scale.
   double supply_per_area = 0.35;
-  /// Degenerate (zero-extent) nets get this minimal bbox, in row heights.
-  double min_extent_rows = 1.0;
 };
 
 class CongestionMap {

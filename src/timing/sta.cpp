@@ -80,7 +80,7 @@ double TimingGraph::edge_delay(const Placement& p, PinId driver,
   const Pin& s = nl_.pin(sink);
   const double dist = std::abs(p.x[d.cell] + d.dx - p.x[s.cell] - s.dx) +
                       std::abs(p.y[d.cell] + d.dy - p.y[s.cell] - s.dy);
-  return opts_.cell_delay + opts_.wire_delay_per_unit * dist;
+  return kCellDelay + opts_.wire_delay_per_unit * dist;
 }
 
 TimingReport TimingGraph::analyze(const Placement& p) const {

@@ -2,7 +2,7 @@
 //
 // Conventions: the FIRST pin of every net is its driver; remaining pins are
 // sinks. Register cells begin and end timing paths. Edge delay from driver
-// to sink is  cell_delay + wire_delay_per_unit · (Manhattan pin distance) —
+// to sink is  kCellDelay + wire_delay_per_unit · (Manhattan pin distance) —
 // the linear-delay model that net-weighting placement literature assumes
 // (paper Section 5, "Extensions for timing- and power-driven placement").
 //
@@ -16,8 +16,9 @@
 
 namespace complx {
 
+inline constexpr double kCellDelay = 1.0;  ///< lumped delay of every cell
+
 struct TimingOptions {
-  double cell_delay = 1.0;
   double wire_delay_per_unit = 0.01;
   /// Clock period; 0 = auto (1.05 × the max arrival of the initial run).
   double period = 0.0;

@@ -10,25 +10,23 @@ namespace {
 
 TEST(FastPlaceStyle, ConvergesBelowOverflowTarget) {
   Netlist nl = complx::testing::small_circuit(111, 1000);
-  FastPlaceConfig cfg;
-  cfg.max_iterations = 120;
-  FastPlaceStylePlacer placer(nl, cfg);
+  FastPlaceStylePlacer placer(nl);
   const FastPlaceResult res = placer.place();
-  EXPECT_LT(res.final_overflow, cfg.stop_overflow + 0.05);
+  EXPECT_LT(res.final_overflow, kFastPlaceStopOverflow + 0.05);
   EXPECT_GT(res.iterations, 1);
 }
 
 TEST(FastPlaceStyle, BeatsRandomScatterOnHpwl) {
   Netlist nl = complx::testing::small_circuit(112, 1000);
   const double scatter = hpwl(nl, nl.snapshot());
-  FastPlaceStylePlacer placer(nl, {});
+  FastPlaceStylePlacer placer(nl);
   const FastPlaceResult res = placer.place();
   EXPECT_LT(hpwl(nl, res.placement), 0.8 * scatter);
 }
 
 TEST(FastPlaceStyle, CellsStayInCore) {
   Netlist nl = complx::testing::small_circuit(113, 600);
-  FastPlaceStylePlacer placer(nl, {});
+  FastPlaceStylePlacer placer(nl);
   const FastPlaceResult res = placer.place();
   for (CellId id : nl.movable_cells()) {
     EXPECT_TRUE(nl.core().contains(
@@ -39,7 +37,7 @@ TEST(FastPlaceStyle, CellsStayInCore) {
 
 TEST(FastPlaceStyle, SpreadsThePile) {
   Netlist nl = complx::testing::small_circuit(114, 1200);
-  FastPlaceStylePlacer placer(nl, {});
+  FastPlaceStylePlacer placer(nl);
   const FastPlaceResult res = placer.place();
   DensityGrid g(nl, 16, 16);
   g.build(res.placement);
@@ -50,8 +48,8 @@ TEST(FastPlaceStyle, SpreadsThePile) {
 
 TEST(FastPlaceStyle, DeterministicAcrossRuns) {
   Netlist nl = complx::testing::small_circuit(115, 500);
-  const FastPlaceResult a = FastPlaceStylePlacer(nl, {}).place();
-  const FastPlaceResult b = FastPlaceStylePlacer(nl, {}).place();
+  const FastPlaceResult a = FastPlaceStylePlacer(nl).place();
+  const FastPlaceResult b = FastPlaceStylePlacer(nl).place();
   ASSERT_EQ(a.placement.size(), b.placement.size());
   for (size_t i = 0; i < a.placement.size(); ++i)
     EXPECT_DOUBLE_EQ(a.placement.x[i], b.placement.x[i]);

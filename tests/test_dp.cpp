@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/placer.h"
 #include "dp/detailed.h"
 #include "helpers.h"
@@ -97,6 +99,34 @@ TEST(Detailed, EachPassClassHelpsAlone) {
     EXPECT_LE(hpwl(nl, p), before * (1 + 1e-9)) << "pass class " << which;
     EXPECT_TRUE(TetrisLegalizer::is_legal(nl, p)) << "pass class " << which;
   }
+}
+
+TEST(Detailed, RaisedCancelFlagLeavesPlacementUntouched) {
+  // A flag raised before the call stops refine() at its first check: no
+  // pass runs and not a coordinate moves.
+  Netlist nl = complx::testing::small_circuit(107, 800);
+  Placement p = nl.snapshot();
+  TetrisLegalizer(nl).legalize(p);
+  const Placement before = p;
+  const std::atomic<bool> cancel{true};
+  const DetailedResult res = DetailedPlacer(nl).refine(p, &cancel);
+  EXPECT_EQ(res.passes, 0);
+  EXPECT_TRUE(res.cancelled);
+  EXPECT_EQ(res.final_hpwl, res.initial_hpwl);
+  EXPECT_EQ(p.x, before.x);
+  EXPECT_EQ(p.y, before.y);
+
+  // A lowered flag changes nothing: the run matches one without a flag.
+  const std::atomic<bool> idle{false};
+  Placement q = before;
+  Placement r = before;
+  const DetailedResult with_flag = DetailedPlacer(nl).refine(q, &idle);
+  const DetailedResult without = DetailedPlacer(nl).refine(r);
+  EXPECT_FALSE(with_flag.cancelled);
+  EXPECT_GT(with_flag.passes, 0);
+  EXPECT_EQ(with_flag.passes, without.passes);
+  EXPECT_EQ(q.x, r.x);
+  EXPECT_EQ(q.y, r.y);
 }
 
 TEST(Detailed, RunsOnRowlessNetlistGracefully) {

@@ -73,8 +73,7 @@ TEST(Flow, ComplxBeatsOrMatchesBaselineOnHpwl) {
   cfg.max_iterations = 60;
   const FlowResult complx_res = run_flow(nl, cfg);
 
-  FastPlaceConfig fp_cfg;
-  const FastPlaceResult fp = FastPlaceStylePlacer(nl, fp_cfg).place();
+  const FastPlaceResult fp = FastPlaceStylePlacer(nl).place();
   Placement p = fp.placement;
   TetrisLegalizer(nl).legalize(p);
   DetailedPlacer(nl).refine(p);

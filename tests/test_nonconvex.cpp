@@ -95,7 +95,7 @@ TEST(NonconvexPlacer, ConvergesAndLegalizes) {
   NonconvexConfig cfg;
   NonconvexPlacer placer(nl, cfg);
   const NonconvexResult res = placer.place();
-  EXPECT_LT(res.final_overflow, cfg.stop_overflow + 0.1);
+  EXPECT_LT(res.final_overflow, kNonconvexStopOverflow + 0.1);
   EXPECT_GT(res.rounds, 1);
 
   Placement p = res.placement;

@@ -118,12 +118,11 @@ TEST(Inflate, OnlyCongestedCellsInflate) {
   }
   CongestionMap map(nl, {});
   map.build(p);
-  InflationOptions opts;
-  const Vec f = compute_inflation(nl, p, map, opts);
+  const Vec f = compute_inflation(nl, p, map);
   size_t inflated = 0;
   for (CellId id : nl.movable_cells()) {
     EXPECT_GE(f[id], 1.0);
-    EXPECT_LE(f[id], opts.max_factor);
+    EXPECT_LE(f[id], kMaxInflation);
     if (f[id] > 1.0) ++inflated;
   }
   EXPECT_GT(inflated, 0u);

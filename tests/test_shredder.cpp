@@ -28,9 +28,7 @@ Netlist with_macro(double mw, double mh, double row_h = 12.0) {
 
 TEST(Shredder, TileCountMatchesMacroSize) {
   Netlist nl = with_macro(96, 48);  // 96/24 x 48/24 = 4 x 2 tiles
-  ShredderOptions opts;
-  opts.gamma = 1.0;
-  MacroShredder sh(nl, opts);
+  MacroShredder sh(nl, 1.0);
   const auto shreds = sh.shred(0, 100, 100);
   EXPECT_EQ(shreds.size(), 8u);
 }
@@ -38,9 +36,7 @@ TEST(Shredder, TileCountMatchesMacroSize) {
 TEST(Shredder, ShredAreaEqualsGammaTimesMacroArea) {
   Netlist nl = with_macro(96, 96);
   for (double gamma : {1.0, 0.8, 0.5}) {
-    ShredderOptions opts;
-    opts.gamma = gamma;
-    MacroShredder sh(nl, opts);
+    MacroShredder sh(nl, gamma);
     double area = 0.0;
     for (const Mote& m : sh.shred(0, 200, 200)) area += m.area();
     EXPECT_NEAR(area, gamma * 96 * 96, 1e-6) << "gamma=" << gamma;
@@ -49,7 +45,7 @@ TEST(Shredder, ShredAreaEqualsGammaTimesMacroArea) {
 
 TEST(Shredder, ShredsCoverTheMacroUniformly) {
   Netlist nl = with_macro(96, 48);
-  MacroShredder sh(nl, {});
+  MacroShredder sh(nl, 1.0);
   const double cx = 100, cy = 60;
   const auto shreds = sh.shred(0, cx, cy);
   // Bounding box of shred centers is inset by half a tile on each side.
@@ -69,7 +65,7 @@ TEST(Shredder, ShredsCoverTheMacroUniformly) {
 
 TEST(Shredder, TinyMacroGetsAtLeastOneShred) {
   Netlist nl = with_macro(5, 5);
-  MacroShredder sh(nl, {});
+  MacroShredder sh(nl, 1.0);
   const auto shreds = sh.shred(0, 10, 10);
   ASSERT_EQ(shreds.size(), 1u);
   EXPECT_NEAR(shreds[0].x, 10.0, 1e-9);

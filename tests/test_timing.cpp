@@ -40,7 +40,6 @@ struct ChainFixture {
 TEST(Sta, ChainArrivalsAccumulate) {
   ChainFixture f;
   TimingOptions opts;
-  opts.cell_delay = 1.0;
   opts.wire_delay_per_unit = 0.1;
   TimingGraph tg(f.nl, f.regs, opts);
   const TimingReport rep = tg.analyze(f.nl.snapshot());
