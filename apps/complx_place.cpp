@@ -76,16 +76,15 @@
 #include "bookshelf/reader.h"
 #include "bookshelf/writer.h"
 #include "core/eco.h"
+#include "core/flow.h"
 #include "core/placer.h"
 #include "multilevel/auto.h"
 #include "io/experience.h"
 #include "util/parse_num.h"
 #include "core/trace.h"
 #include "density/metric.h"
-#include "dp/detailed.h"
 #include "dp/orientation.h"
 #include "io/svg.h"
-#include "legal/tetris.h"
 #include "util/log.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -337,32 +336,32 @@ int main(int argc, char** argv) {
       std::printf("final: HPWL %.6g, %.1fs total\n", hpwl(nl, p),
                   total.seconds());
     } else {
-      p = gp.anchors;
-      const LegalizeResult legal = TetrisLegalizer(nl).legalize(p);
-      if (legal.failed) {
+      // After ^C the user wants the placement on disk, not minutes of DP.
+      FinishResult fin = finish_placement(
+          nl, gp.anchors, {.detailed = run_dp, .cancel = &g_interrupted});
+      if (fin.legal.failed) {
         std::fprintf(stderr, "legalization failed for %zu cells\n",
-                     legal.failed);
+                     fin.legal.failed);
         return 2;
       }
-      // After ^C the user wants the placement on disk, not minutes of DP.
-      if (run_dp && !interrupted()) {
-        const DetailedResult dp =
-            DetailedPlacer(nl).refine(p, &g_interrupted);
-        std::printf("detailed placement: %.4g -> %.4g%s\n", dp.initial_hpwl,
-                    dp.final_hpwl,
-                    dp.cancelled ? " (interrupted, pass cut short)" : "");
-      }
+      if (fin.dp)
+        std::printf("detailed placement: %.4g -> %.4g%s\n",
+                    fin.dp->initial_hpwl, fin.dp->final_hpwl,
+                    fin.dp->cancelled ? " (interrupted, pass cut short)" : "");
+      p = std::move(fin.placement);
       if (orient && !interrupted()) {
         const OrientationResult orient_res = optimize_orientation(nl, p);
         std::printf("orientation: %zu cells flipped, HPWL %.4g -> %.4g\n",
                     orient_res.flipped, orient_res.initial_hpwl,
                     orient_res.final_hpwl);
+        // Flips move pins but no cell: re-score the wirelength only.
+        fin.metric = evaluate_scaled_hpwl(nl, p);
       }
-      const DensityMetric metric = evaluate_scaled_hpwl(nl, p);
+      const DensityMetric& metric = fin.metric;
       std::printf("final: HPWL %.6g, scaled HPWL %.6g (overflow %.2f%%), "
                   "legal: %s, %.1fs total\n",
                   metric.hpwl, metric.scaled_hpwl, metric.overflow_percent,
-                  TetrisLegalizer::is_legal(nl, p) ? "yes" : "NO",
+                  fin.is_legal ? "yes" : "NO",
                   total.seconds());
     }
 

@@ -30,12 +30,12 @@ int main() {
     ComplxConfig cfg;
     cfg.grid_coarsening = c;
     const FlowMetrics m = run_complx_flow(nl, cfg);
-    if (c == 1.0) base_hpwl = m.legal_hpwl;
+    const DensityMetric& q = m.finish.metric;
+    if (c == 1.0) base_hpwl = q.hpwl;
     std::printf("%12.0f | %12.0f %10.1f %8d %7.2f%%  (HPWL %+5.2f%% vs "
                 "finest)\n",
-                c, m.legal_hpwl, m.runtime_s, m.gp_iterations,
-                m.overflow_percent,
-                100.0 * (m.legal_hpwl - base_hpwl) / base_hpwl);
+                c, q.hpwl, m.runtime_s, m.gp.iterations, q.overflow_percent,
+                100.0 * (q.hpwl - base_hpwl) / base_hpwl);
   }
   std::printf("\nShape: HPWL within ~1-2%% across the sweep while coarser "
               "starts run faster (paper Table 1: finest grid 1.01x HPWL at "

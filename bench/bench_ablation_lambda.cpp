@@ -43,11 +43,11 @@ int main() {
       cfg.schedule = e.kind;
       cfg.h_factor = e.h_factor;
       const FlowMetrics m = run_complx_flow(nl, cfg);
-      if (e.kind == ScheduleKind::ComplxFormula12) base = m.legal_hpwl;
+      const double h = m.finish.metric.hpwl;
+      if (e.kind == ScheduleKind::ComplxFormula12) base = h;
       std::printf("%-10s %-12s | %12.0f %8d %10.1f %12.3f  (%+5.2f%%)\n",
-                  prm.name.c_str(), e.name, m.legal_hpwl, m.gp_iterations,
-                  m.runtime_s, m.final_lambda,
-                  100.0 * (m.legal_hpwl - base) / base);
+                  prm.name.c_str(), e.name, h, m.gp.iterations, m.runtime_s,
+                  m.gp.final_lambda, 100.0 * (h - base) / base);
     }
   }
   return 0;

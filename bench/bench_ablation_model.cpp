@@ -46,10 +46,11 @@ int main() {
     cfg.use_lse = e.lse;
     if (e.lse) cfg.max_iterations = 80;
     const FlowMetrics m = run_complx_flow(nl, cfg);
-    if (base == 0.0) base = m.legal_hpwl;
+    const DensityMetric& q = m.finish.metric;
+    if (base == 0.0) base = q.hpwl;
     std::printf("%-14s | %12.0f %8d %10.1f %7.2f  (%+6.2f%% vs b2b)\n",
-                e.name, m.legal_hpwl, m.gp_iterations, m.runtime_s,
-                m.overflow_percent, 100.0 * (m.legal_hpwl - base) / base);
+                e.name, q.hpwl, m.gp.iterations, m.runtime_s,
+                q.overflow_percent, 100.0 * (q.hpwl - base) / base);
   }
   return 0;
 }

@@ -57,13 +57,13 @@ int main() {
       cfg.modulation = e.mod;
       cfg.threshold_rows = e.t_rows;
       const FlowMetrics m = run_complx_flow(nl, cfg);
-      if (e.mod == AnchorModulation::DistanceNormalized) base = m.legal_hpwl;
+      const DensityMetric& q = m.finish.metric;
+      if (e.mod == AnchorModulation::DistanceNormalized) base = q.hpwl;
       std::printf("%-10s %-18s | %12.0f %8d %7.2f%%  (%+6.2f%%)\n",
-                  prm.name.c_str(), e.name, m.legal_hpwl, m.gp_iterations,
-                  m.overflow_percent,
-                  100.0 * (m.legal_hpwl - base) / base);
+                  prm.name.c_str(), e.name, q.hpwl, m.gp.iterations,
+                  q.overflow_percent, 100.0 * (q.hpwl - base) / base);
       deviations[static_cast<size_t>(&e - entries)].push_back(
-          100.0 * (m.legal_hpwl - base) / base);
+          100.0 * (q.hpwl - base) / base);
     }
   }
   std::printf("\nConsistency (mean |deviation from normalized| across "

@@ -105,8 +105,7 @@ int main() {
 
   const FlowMetrics after = run_complx_flow(constrained, cfg);
 
-  // Verify the constraint on the final (legalized+refined) placement, which
-  // run_complx_flow leaves in the anchors; re-check on GP anchors.
+  // Region constraints bind global placement: check them on the GP anchors.
   const bool satisfied =
       regions_satisfied(constrained, after.gp.anchors, 1e-6);
 
@@ -123,13 +122,14 @@ int main() {
                 "fig4_constrained.svg)\n");
   }
   std::printf("unconstrained : HPWL = %12.0f (legal: %s)\n",
-              before.legal_hpwl, before.legal ? "yes" : "no");
+              before.finish.metric.hpwl,
+              before.finish.is_legal ? "yes" : "no");
   std::printf("region on 50  : HPWL = %12.0f (legal: %s, region satisfied "
               "in GP anchors: %s)\n",
-              after.legal_hpwl, after.legal ? "yes" : "no",
+              after.finish.metric.hpwl, after.finish.is_legal ? "yes" : "no",
               satisfied ? "YES" : "NO");
   std::printf("\nHPWL ratio constrained/unconstrained = %.4f "
               "(paper: 142.70/143.55 = 0.994 — no degradation)\n",
-              after.legal_hpwl / before.legal_hpwl);
+              after.finish.metric.hpwl / before.finish.metric.hpwl);
   return 0;
 }

@@ -31,27 +31,23 @@ int main() {
     const Netlist nl = generate_circuit(prm);
 
     Timer tf;
-    ComplxConfig flat_cfg;
-    const PlaceResult flat = ComplxPlacer(nl, flat_cfg).place();
-    Placement pf = flat.anchors;
-    TetrisLegalizer(nl).legalize(pf);
-    DetailedPlacer(nl).refine(pf);
+    const double flat_hpwl =
+        run_complx_flow(nl, ComplxConfig{}).finish.metric.hpwl;
     const double flat_t = tf.seconds();
 
     Timer tm;
     MultilevelConfig mcfg;
     mcfg.coarsest_cells = 2000;
-    const MultilevelResult ml = MultilevelPlacer(nl, mcfg).place();
-    Placement pm = ml.place.anchors;
-    TetrisLegalizer(nl).legalize(pm);
-    DetailedPlacer(nl).refine(pm);
+    MultilevelResult ml = MultilevelPlacer(nl, mcfg).place();
+    const double ml_hpwl =
+        finish_placement(nl, std::move(ml.place.anchors)).metric.hpwl;
     const double ml_t = tm.seconds();
 
     std::printf("%-10s %8zu | %12.0f %8.1f | %12.0f %8.1f %7zu   "
                 "(ML HPWL %+5.2f%%)\n",
-                prm.name.c_str(), nl.num_cells(), hpwl(nl, pf), flat_t,
-                hpwl(nl, pm), ml_t, ml.levels.size() - 1,
-                100.0 * (hpwl(nl, pm) - hpwl(nl, pf)) / hpwl(nl, pf));
+                prm.name.c_str(), nl.num_cells(), flat_hpwl, flat_t, ml_hpwl,
+                ml_t, ml.levels.size() - 1,
+                100.0 * (ml_hpwl - flat_hpwl) / flat_hpwl);
   }
   return 0;
 }

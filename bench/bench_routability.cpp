@@ -52,18 +52,18 @@ int main() {
       const RouteStats rs = router.route(m.gp.anchors);
 
       if (!routed) {
-        base_hpwl = m.legal_hpwl;
+        base_hpwl = m.finish.metric.hpwl;
         base_peak = map.peak_congestion();
       }
       std::printf("%-8s %-9s | %9.3f %8.3f %7.1f%% | %11.1f %9.3g | %12.0f",
                   prm.name.c_str(), routed ? "inflate" : "plain",
                   map.peak_congestion(), map.avg_congestion(),
                   100.0 * map.overcongested_fraction(1.0), rs.max_overflow,
-                  rs.wirelength, m.legal_hpwl);
+                  rs.wirelength, m.finish.metric.hpwl);
       if (routed) {
         std::printf("  (peak %+.1f%%, HPWL %+.2f%%)",
                     100.0 * (map.peak_congestion() - base_peak) / base_peak,
-                    100.0 * (m.legal_hpwl - base_hpwl) / base_hpwl);
+                    100.0 * (m.finish.metric.hpwl - base_hpwl) / base_hpwl);
       }
       std::printf("\n");
     }

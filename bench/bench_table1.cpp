@@ -52,7 +52,7 @@ int main() {
     ComplxConfig def_cfg;
     const FlowMetrics def = run_complx_flow(nl, def_cfg);
 
-    auto mh = [](const FlowMetrics& m) { return m.legal_hpwl / 1e6; };
+    auto mh = [](const FlowMetrics& m) { return m.finish.metric.hpwl / 1e6; };
     std::printf(
         "%-10s %8zu | %10.3f %7.1f | %10.3f %7.1f | %10.3f %7.1f | %10.3f "
         "%7.1f | %10.3f %7.1f\n",
@@ -60,11 +60,11 @@ int main() {
         mh(fp), fp.runtime_s, mh(finest), finest.runtime_s, mh(dp_hook),
         dp_hook.runtime_s, mh(def), def.runtime_s);
 
-    h_simpl.push_back(simpl.legal_hpwl);
-    h_fp.push_back(fp.legal_hpwl);
-    h_finest.push_back(finest.legal_hpwl);
-    h_dp.push_back(dp_hook.legal_hpwl);
-    h_def.push_back(def.legal_hpwl);
+    h_simpl.push_back(simpl.finish.metric.hpwl);
+    h_fp.push_back(fp.finish.metric.hpwl);
+    h_finest.push_back(finest.finish.metric.hpwl);
+    h_dp.push_back(dp_hook.finish.metric.hpwl);
+    h_def.push_back(def.finish.metric.hpwl);
     t_simpl.push_back(simpl.runtime_s);
     t_fp.push_back(fp.runtime_s);
     t_finest.push_back(finest.runtime_s);

@@ -43,11 +43,8 @@ int main() {
       NonconvexConfig ncfg;
       ncfg.max_rounds = 16;
       ncfg.nlcg_iterations = 45;
-      NonconvexPlacer placer(nl, ncfg);
-      Placement p = placer.place().placement;
-      TetrisLegalizer(nl).legalize(p);
-      DetailedPlacer(nl).refine(p);
-      nc_m = evaluate_scaled_hpwl(nl, p);
+      NonconvexResult nc = NonconvexPlacer(nl, ncfg).place();
+      nc_m = finish_placement(nl, std::move(nc.placement)).metric;
     }
 
     // mPL6 family: multilevel V-cycle over ComPLx.
@@ -55,17 +52,15 @@ int main() {
     {
       MultilevelConfig mcfg;
       mcfg.coarsest_cells = 2000;
-      MultilevelPlacer placer(nl, mcfg);
-      Placement p = placer.place().place.anchors;
-      TetrisLegalizer(nl).legalize(p);
-      DetailedPlacer(nl).refine(p);
-      ml_m = evaluate_scaled_hpwl(nl, p);
+      MultilevelResult ml = MultilevelPlacer(nl, mcfg).place();
+      ml_m = finish_placement(nl, std::move(ml.place.anchors)).metric;
     }
 
     // RQL/FastPlace family: quadratic + diffusion.
-    const FlowMetrics fp = run_baseline_flow(nl);
+    const DensityMetric fp = run_baseline_flow(nl).finish.metric;
 
-    const FlowMetrics def = run_complx_flow(nl, ComplxConfig{});
+    const DensityMetric def =
+        run_complx_flow(nl, ComplxConfig{}).finish.metric;
 
     std::printf("%-10s %7zu %5.2f | %8.3f (%5.2f) | %8.3f (%5.2f) | %8.3f "
                 "(%5.2f) | %8.3f (%5.2f)\n",

@@ -1,6 +1,8 @@
 // Shared harness code for the experiment benches: standard flows
-// (global placement -> legalization -> detailed placement), metric
-// collection and table formatting.
+// (global placement, then finish_placement: legalization -> detailed
+// placement -> scoring), metric collection and table formatting. A flow's
+// runtime column covers global placement and the whole finish step,
+// including its one scoring pass.
 //
 // Every bench prints a self-contained report: what the paper's artifact
 // shows, what this reproduction measures, and the regenerated rows.
@@ -12,11 +14,9 @@
 #include <vector>
 
 #include "baseline/fastplace_style.h"
+#include "core/flow.h"
 #include "core/placer.h"
-#include "density/metric.h"
-#include "dp/detailed.h"
 #include "gen/suites.h"
-#include "legal/tetris.h"
 #include "util/stats.h"
 #include "util/timer.h"
 #include "wl/hpwl.h"
@@ -25,53 +25,28 @@ namespace complx::bench {
 
 /// Result of one full placement flow on one design.
 struct FlowMetrics {
-  double legal_hpwl = 0.0;     ///< HPWL after legalization + DP
-  double scaled_hpwl = 0.0;    ///< contest metric (HPWL × overflow penalty)
-  double overflow_percent = 0.0;
-  double runtime_s = 0.0;      ///< total flow wall time
-  int gp_iterations = 0;
-  double final_lambda = 0.0;
-  bool legal = false;
-  PlaceResult gp;  ///< raw global-placement result (trace etc.)
+  PlaceResult gp;         ///< ComPLx global placement (empty for baselines)
+  FinishResult finish;    ///< legalized (+DP) placement and its score
+  double runtime_s = 0.0; ///< total flow wall time
 };
 
-/// ComPLx flow: place -> legalize anchors -> detailed placement.
+/// ComPLx flow: place -> finish_placement.
 inline FlowMetrics run_complx_flow(const Netlist& nl, const ComplxConfig& cfg,
                                    bool run_dp = true) {
   Timer timer;
   FlowMetrics m;
-  ComplxPlacer placer(nl, cfg);
-  m.gp = placer.place();
-  Placement p = m.gp.anchors;
-  TetrisLegalizer(nl).legalize(p);
-  if (run_dp) DetailedPlacer(nl).refine(p);
+  m.gp = ComplxPlacer(nl, cfg).place();
+  m.finish = finish_placement(nl, m.gp.anchors, {.detailed = run_dp});
   m.runtime_s = timer.seconds();
-  m.legal = TetrisLegalizer::is_legal(nl, p);
-  m.legal_hpwl = hpwl(nl, p);
-  const DensityMetric dm = evaluate_scaled_hpwl(nl, p);
-  m.scaled_hpwl = dm.scaled_hpwl;
-  m.overflow_percent = dm.overflow_percent;
-  m.gp_iterations = m.gp.iterations;
-  m.final_lambda = m.gp.final_lambda;
   return m;
 }
 
-/// FastPlace-style baseline flow with the same post-processing.
+/// FastPlace-style baseline flow with the same finish step.
 inline FlowMetrics run_baseline_flow(const Netlist& nl) {
   Timer timer;
   FlowMetrics m;
-  FastPlaceStylePlacer placer(nl);
-  FastPlaceResult gp = placer.place();
-  Placement p = std::move(gp.placement);
-  TetrisLegalizer(nl).legalize(p);
-  DetailedPlacer(nl).refine(p);
+  m.finish = finish_placement(nl, FastPlaceStylePlacer(nl).place().placement);
   m.runtime_s = timer.seconds();
-  m.legal = TetrisLegalizer::is_legal(nl, p);
-  m.legal_hpwl = hpwl(nl, p);
-  const DensityMetric dm = evaluate_scaled_hpwl(nl, p);
-  m.scaled_hpwl = dm.scaled_hpwl;
-  m.overflow_percent = dm.overflow_percent;
-  m.gp_iterations = gp.iterations;
   return m;
 }
 
@@ -95,17 +70,8 @@ inline FlowMetrics run_complx_dp_hook_flow(const Netlist& nl,
   ComplxPlacer placer(nl, cfg);
   install_dp_hook(placer, nl);
   m.gp = placer.place();
-  Placement p = m.gp.anchors;
-  TetrisLegalizer(nl).legalize(p);
-  DetailedPlacer(nl).refine(p);
+  m.finish = finish_placement(nl, m.gp.anchors);
   m.runtime_s = timer.seconds();
-  m.legal = TetrisLegalizer::is_legal(nl, p);
-  m.legal_hpwl = hpwl(nl, p);
-  const DensityMetric dm = evaluate_scaled_hpwl(nl, p);
-  m.scaled_hpwl = dm.scaled_hpwl;
-  m.overflow_percent = dm.overflow_percent;
-  m.gp_iterations = m.gp.iterations;
-  m.final_lambda = m.gp.final_lambda;
   return m;
 }
 

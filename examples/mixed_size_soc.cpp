@@ -9,13 +9,10 @@
 #include <string_view>
 
 #include "bookshelf/writer.h"
+#include "core/flow.h"
 #include "core/placer.h"
-#include "density/metric.h"
-#include "dp/detailed.h"
 #include "gen/generator.h"
-#include "legal/tetris.h"
 #include "util/log.h"
-#include "wl/hpwl.h"
 
 using namespace complx;
 
@@ -62,22 +59,19 @@ int main() {
                 gp.anchors.x[id], gp.anchors.y[id]);
   }
 
-  Placement placement = gp.anchors;
-  TetrisLegalizer(netlist).legalize(placement);
-  DetailedPlacer(netlist).refine(placement);
-
-  const DensityMetric metric = evaluate_scaled_hpwl(netlist, placement);
+  const FinishResult fin = finish_placement(netlist, gp.anchors);
+  const DensityMetric& metric = fin.metric;
   std::printf("result: HPWL %.0f, overflow penalty %.2f%%, scaled HPWL "
               "%.0f, legal: %s\n",
               metric.hpwl, metric.overflow_percent, metric.scaled_hpwl,
-              TetrisLegalizer::is_legal(netlist, placement) ? "yes" : "NO");
+              fin.is_legal ? "yes" : "NO");
 
   // Export the placed design in Bookshelf format.
   const std::string out_dir =
       (std::filesystem::temp_directory_path() / "complx_soc").string();
   std::filesystem::create_directories(out_dir);
   Netlist placed = netlist;
-  placed.apply(placement);
+  placed.apply(fin.placement);
   write_bookshelf(placed, out_dir, "soc_placed");
   std::printf("bookshelf written to %s/soc_placed.aux\n", out_dir.c_str());
   return 0;

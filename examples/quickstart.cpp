@@ -8,10 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/flow.h"
 #include "core/placer.h"
-#include "dp/detailed.h"
 #include "gen/generator.h"
-#include "legal/tetris.h"
 #include "util/log.h"
 #include "wl/hpwl.h"
 
@@ -44,24 +43,23 @@ int main(int argc, char** argv) {
   std::printf("  lower-bound HPWL %.0f | anchor (upper-bound) HPWL %.0f\n",
               hpwl(netlist, gp.lower_bound), hpwl(netlist, gp.anchors));
 
-  // 3. Legalization of the anchor placement (the C-feasible iterate).
-  Placement placement = gp.anchors;
-  const LegalizeResult legal = TetrisLegalizer(netlist).legalize(placement);
+  // 3. The finish step: legalize the anchor placement (the C-feasible
+  //    iterate), refine it with detailed placement, and score it.
+  const FinishResult fin = finish_placement(netlist, gp.anchors);
+  const LegalizeResult& legal = fin.legal;
   std::printf("legalization: %zu cells placed, avg displacement %.1f\n",
               legal.placed,
               legal.total_displacement /
                   static_cast<double>(std::max<size_t>(legal.placed, 1)));
-
-  // 4. Detailed placement.
-  const DetailedResult dp = DetailedPlacer(netlist).refine(placement);
-  std::printf("detailed placement: HPWL %.0f -> %.0f (%.2f%% gain), "
-              "%d passes\n",
-              dp.initial_hpwl, dp.final_hpwl,
-              100.0 * (dp.initial_hpwl - dp.final_hpwl) / dp.initial_hpwl,
-              dp.passes);
-
+  if (fin.dp) {
+    const DetailedResult& dp = *fin.dp;
+    std::printf("detailed placement: HPWL %.0f -> %.0f (%.2f%% gain), "
+                "%d passes\n",
+                dp.initial_hpwl, dp.final_hpwl,
+                100.0 * (dp.initial_hpwl - dp.final_hpwl) / dp.initial_hpwl,
+                dp.passes);
+  }
   std::printf("final legal placement: HPWL %.0f, legal: %s\n",
-              hpwl(netlist, placement),
-              TetrisLegalizer::is_legal(netlist, placement) ? "yes" : "NO");
+              fin.metric.hpwl, fin.is_legal ? "yes" : "NO");
   return 0;
 }

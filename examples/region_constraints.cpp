@@ -4,13 +4,11 @@
 // without the constraint (the paper observes HPWL often *improves*).
 #include <cstdio>
 
+#include "core/flow.h"
 #include "core/placer.h"
-#include "dp/detailed.h"
 #include "gen/generator.h"
-#include "legal/tetris.h"
 #include "projection/regions.h"
 #include "util/log.h"
-#include "wl/hpwl.h"
 
 using namespace complx;
 
@@ -49,10 +47,7 @@ double place_and_measure(const Netlist& nl, const char* label) {
   ComplxConfig config;
   ComplxPlacer placer(nl, config);
   const PlaceResult gp = placer.place();
-  Placement p = gp.anchors;
-  TetrisLegalizer(nl).legalize(p);
-  DetailedPlacer(nl).refine(p);
-  const double wl = hpwl(nl, p);
+  const double wl = finish_placement(nl, gp.anchors).metric.hpwl;
   std::printf("%-14s HPWL %.0f | region satisfied in anchors: %s\n", label,
               wl, regions_satisfied(nl, gp.anchors) ? "yes" : "n/a");
   return wl;

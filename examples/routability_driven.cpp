@@ -6,14 +6,12 @@
 //   3. compare peak congestion, routed overflow and HPWL.
 #include <cstdio>
 
+#include "core/flow.h"
 #include "core/placer.h"
-#include "dp/detailed.h"
 #include "gen/generator.h"
-#include "legal/tetris.h"
 #include "route/global_router.h"
 #include "route/rudy.h"
 #include "util/log.h"
-#include "wl/hpwl.h"
 
 using namespace complx;
 
@@ -43,11 +41,8 @@ Outcome run(const Netlist& nl, bool routability) {
   GlobalRouter router(nl, ropts);
   const RouteStats routed = router.route(gp.anchors);
 
-  Placement p = gp.anchors;
-  TetrisLegalizer(nl).legalize(p);
-  DetailedPlacer(nl).refine(p);
   return {congestion.peak_congestion(), routed.max_overflow,
-          routed.wirelength, hpwl(nl, p)};
+          routed.wirelength, finish_placement(nl, gp.anchors).metric.hpwl};
 }
 
 }  // namespace

@@ -5,10 +5,9 @@
 //   3. re-place and compare worst slack / critical-path length / HPWL.
 #include <cstdio>
 
+#include "core/flow.h"
 #include "core/placer.h"
-#include "dp/detailed.h"
 #include "gen/generator.h"
-#include "legal/tetris.h"
 #include "timing/sta.h"
 #include "timing/weighting.h"
 #include "util/log.h"
@@ -71,13 +70,11 @@ int main() {
               tight.violations, hpwl(netlist, second.anchors));
 
   // ---- finish the flow ---------------------------------------------------
-  Placement p = second.anchors;
-  TetrisLegalizer(netlist).legalize(p);
-  DetailedPlacer(netlist).refine(p);
-  TimingReport final_rep = constrained.analyze(p);
+  const FinishResult fin = finish_placement(netlist, second.anchors);
+  TimingReport final_rep = constrained.analyze(fin.placement);
   std::printf("final legal placement: worst slack %+.2f, HPWL %.0f, "
               "legal: %s\n",
-              final_rep.worst_slack, hpwl(netlist, p),
-              TetrisLegalizer::is_legal(netlist, p) ? "yes" : "NO");
+              final_rep.worst_slack, fin.metric.hpwl,
+              fin.is_legal ? "yes" : "NO");
   return 0;
 }

@@ -24,6 +24,11 @@ baseline, chess-engine-SPRT style:
   * An all-ties comparison accepts: identical quality is not a regression.
   * A candidate with more illegal placements than the baseline rejects
     unconditionally — an illegal record voids its ratio >= 1 certificate.
+  * A candidate in which any design stops "diverged" or "rollback-cycle"
+    while the baseline's run of that design did not rejects
+    unconditionally: the sign test counts which run is better, not by how
+    much, so a few designs blowing up to several times their ratio would
+    otherwise pass among many small gains.
 
 Subcommands:
   compare  --baseline a.json --candidate b.json   (exit 0 accept,
@@ -58,6 +63,9 @@ P1 = 0.9      # H1: probability a paired design gets worse under a regression
 EPS = 1e-4    # relative ratio difference treated as a tie
 
 ACCEPT, REJECT, INCONCLUSIVE = "accept", "reject", "inconclusive"
+
+# Stop reasons that mean the placer broke down rather than finished.
+FAILED_STOPS = ("diverged", "rollback-cycle")
 
 
 def sprt_bounds(alpha=ALPHA, beta=BETA):
@@ -111,6 +119,9 @@ def compare_runs(baseline, candidate, alpha=ALPHA, beta=BETA, p1=P1, eps=EPS):
     pairs = pair_records(baseline, candidate)
     illegal_base = sum(1 for b, _ in pairs if not b.get("legal", False))
     illegal_cand = sum(1 for _, c in pairs if not c.get("legal", False))
+    new_failures = [f"{c['name']}:{c['stop']}" for b, c in pairs
+                    if c.get("stop") in FAILED_STOPS
+                    and b.get("stop") not in FAILED_STOPS]
     n_worse = n_better = n_tie = 0
     worst = None
     for b, c in pairs:
@@ -128,6 +139,10 @@ def compare_runs(baseline, candidate, alpha=ALPHA, beta=BETA, p1=P1, eps=EPS):
         decision, llr, lower, upper = REJECT, None, *sprt_bounds(alpha, beta)
         reason = (f"candidate produced {illegal_cand} illegal placements "
                   f"(baseline: {illegal_base}); ratio certificates void")
+    elif new_failures:
+        decision, llr, lower, upper = REJECT, None, *sprt_bounds(alpha, beta)
+        reason = (f"{len(new_failures)} design(s) stopped on a failure the "
+                  f"baseline did not ({new_failures[:4]})")
     elif n_worse == 0 and n_better == 0:
         decision, llr, lower, upper = ACCEPT, 0.0, *sprt_bounds(alpha, beta)
         reason = f"all {n_tie} paired ratios tie within eps={eps:g}"
@@ -153,6 +168,7 @@ def compare_runs(baseline, candidate, alpha=ALPHA, beta=BETA, p1=P1, eps=EPS):
         "eps": eps,
         "worst_regression": worst,
         "illegal": {"baseline": illegal_base, "candidate": illegal_cand},
+        "new_failures": new_failures,
         "geomean_ratio": {
             "baseline": baseline["summary"]["geomean_ratio"],
             "candidate": candidate["summary"]["geomean_ratio"],

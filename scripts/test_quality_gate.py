@@ -176,6 +176,40 @@ class CompareRunsTest(unittest.TestCase):
         self.assertEqual(result["decision"], qg.REJECT)
         self.assertIn("illegal", result["reason"])
 
+    def test_new_diverged_design_rejects_despite_better_ratios(self):
+        # 19 designs improve; one stops "diverged" — the sign test alone
+        # would accept this candidate.
+        base = make_run([1.5] * 20)
+        cand = make_run([1.4] * 19 + [3.8],
+                        stops=["converged"] * 19 + ["diverged"])
+        result = qg.compare_runs(base, cand)
+        self.assertEqual(result["decision"], qg.REJECT)
+        self.assertEqual(result["new_failures"], ["d19:diverged"])
+        self.assertIn("diverged", result["reason"])
+
+    def test_new_rollback_cycle_design_rejects_despite_better_ratios(self):
+        base = make_run([1.5] * 20)
+        cand = make_run([1.4] * 20,
+                        stops=["rollback-cycle"] + ["converged"] * 19)
+        result = qg.compare_runs(base, cand)
+        self.assertEqual(result["decision"], qg.REJECT)
+        self.assertEqual(result["new_failures"], ["d0:rollback-cycle"])
+
+    def test_failure_the_baseline_shares_is_not_new(self):
+        # The baseline diverged on d0 too: the candidate is judged on its
+        # ratios alone, and a uniform improvement accepts.
+        stops = ["diverged"] + ["converged"] * 19
+        base = make_run([1.5] * 20, stops=stops)
+        cand = make_run([1.4] * 20, stops=stops)
+        result = qg.compare_runs(base, cand)
+        self.assertEqual(result["decision"], qg.ACCEPT)
+        self.assertEqual(result["new_failures"], [])
+        # A baseline divergence that the candidate turns into a rollback
+        # cycle is a failure either way, not a new one.
+        cand = make_run([1.4] * 20,
+                        stops=["rollback-cycle"] + ["converged"] * 19)
+        self.assertEqual(qg.compare_runs(base, cand)["decision"], qg.ACCEPT)
+
     def test_mismatched_design_lists_raise(self):
         base = make_run([1.5, 1.6])
         cand = make_run([1.5, 1.6], names=["d0", "other"])

@@ -8,11 +8,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/flow.h"
 #include "core/placer.h"
-#include "density/metric.h"
-#include "dp/detailed.h"
 #include "io/experience.h"
-#include "legal/tetris.h"
 #include "util/atomic_file.h"
 #include "util/timer.h"
 #include "wl/hpwl.h"
@@ -91,9 +89,8 @@ FleetRecord run_fleet_design(const PekoParams& params,
     opts.experience->record(nl, gp.anchors, weighted_hpwl(nl, gp.anchors),
                             gp.iterations);
 
-  Placement p = gp.anchors;
-  TetrisLegalizer(nl).legalize(p);
-  if (opts.detailed) DetailedPlacer(nl).refine(p);
+  const FinishResult fin =
+      finish_placement(nl, gp.anchors, {.detailed = opts.detailed});
 
   FleetRecord r;
   r.name = params.name;
@@ -104,11 +101,10 @@ FleetRecord run_fleet_design(const PekoParams& params,
   r.macros = design.macros_placed;
   r.utilization = design.achieved_utilization;
   r.optimum_hpwl = design.optimum_hpwl;
-  r.hpwl = hpwl(nl, p);
+  r.hpwl = fin.metric.hpwl;
   r.ratio = r.hpwl / design.optimum_hpwl;
-  const DensityMetric dm = evaluate_scaled_hpwl(nl, p);
-  r.overflow_percent = dm.overflow_percent;
-  r.legal = TetrisLegalizer::is_legal(nl, p);
+  r.overflow_percent = fin.metric.overflow_percent;
+  r.legal = fin.is_legal;
   r.iterations = gp.iterations;
   r.warm_started = start.has_value();
   r.wall_s = opts.record_timing ? timer.seconds() : 0.0;

@@ -13,6 +13,18 @@ namespace complx {
 
 namespace {
 
+// The shape every generated design shares; GenParams sets the rest.
+constexpr double kNetsPerCell = 1.15;
+constexpr double kMacroRowsMin = 6.0;  // macro edge in row heights
+constexpr double kMacroRowsMax = 24.0;
+constexpr double kRowHeight = 12.0;
+constexpr double kCellWidthMin = 4.0;
+constexpr double kCellWidthMax = 26.0;
+// Cluster-grid locality: fraction of a net's pins drawn from its home
+// cluster, then from ring-1 neighbours; the rest come from anywhere.
+constexpr double kLocalPinFraction = 0.78;
+constexpr double kNeighborPinFraction = 0.16;
+
 struct ClusterGrid {
   size_t side = 1;  ///< clusters per dimension
   std::vector<std::vector<CellId>> members;
@@ -41,13 +53,13 @@ Netlist generate_circuit(const GenParams& prm) {
 
   // Arena-style pre-sizing: one reservation per flat array up front, so a
   // multi-million-cell build never reallocates mid-construction. Net/pin
-  // counts are estimates (nets_per_cell draws, degree ~<= 4 + pad/macro
+  // counts are estimates (kNetsPerCell draws, degree ~<= 4 + pad/macro
   // fan-in); a slight overshoot is cheap, a reallocation storm is not.
   {
     const size_t est_cells = prm.num_cells + prm.num_movable_macros +
                              prm.num_fixed_macros + prm.num_pads;
     const size_t est_nets = static_cast<size_t>(
-        static_cast<double>(prm.num_cells) * prm.nets_per_cell) +
+        static_cast<double>(prm.num_cells) * kNetsPerCell) +
         prm.num_pads + 16;
     nl.reserve(est_cells, est_nets, 4 * est_nets);
   }
@@ -66,8 +78,8 @@ Netlist generate_circuit(const GenParams& prm) {
   double movable_area = 0.0;
   for (size_t i = 0; i < prm.num_cells; ++i) {
     Cell c;
-    c.width = std::round(rng.uniform(prm.cell_width_min, prm.cell_width_max));
-    c.height = prm.row_height;
+    c.width = std::round(rng.uniform(kCellWidthMin, kCellWidthMax));
+    c.height = kRowHeight;
     c.kind = CellKind::Movable;
     movable_area += c.area();
     nl.add_cell(c, fmt_name("c", i));
@@ -75,8 +87,7 @@ Netlist generate_circuit(const GenParams& prm) {
 
   // ---- macros ------------------------------------------------------------
   auto macro_edge = [&] {
-    return std::round(rng.uniform(prm.macro_rows_min, prm.macro_rows_max)) *
-           prm.row_height;
+    return std::round(rng.uniform(kMacroRowsMin, kMacroRowsMax)) * kRowHeight;
   };
   std::vector<CellId> movable_macros, fixed_macros;
   for (size_t i = 0; i < prm.num_movable_macros; ++i) {
@@ -101,14 +112,13 @@ Netlist generate_circuit(const GenParams& prm) {
   const double core_area =
       (movable_area + fixed_macro_area) / std::max(prm.utilization, 0.05);
   const double side =
-      std::ceil(std::sqrt(core_area) / prm.row_height) * prm.row_height;
+      std::ceil(std::sqrt(core_area) / kRowHeight) * kRowHeight;
   const Rect core{0.0, 0.0, side, side};
   nl.set_core(core);
   {
     std::vector<Row> rows;
-    for (double y = 0.0; y + prm.row_height <= side + 1e-9;
-         y += prm.row_height)
-      rows.push_back({y, prm.row_height, 0.0, side, 1.0});
+    for (double y = 0.0; y + kRowHeight <= side + 1e-9; y += kRowHeight)
+      rows.push_back({y, kRowHeight, 0.0, side, 1.0});
     nl.set_rows(std::move(rows));
   }
   nl.set_target_density(prm.target_density);
@@ -125,8 +135,8 @@ Netlist generate_circuit(const GenParams& prm) {
             rng.uniform(core.xl, std::max(core.xl, core.xh - c.width));
         const double y = std::floor(rng.uniform(core.yl, std::max(
                                         core.yl, core.yh - c.height)) /
-                                    prm.row_height) *
-                         prm.row_height;
+                                    kRowHeight) *
+                         kRowHeight;
         const Rect cand{x, y, x + c.width, y + c.height};
         bool clash = false;
         for (const Rect& r : placed)
@@ -146,7 +156,7 @@ Netlist generate_circuit(const GenParams& prm) {
   // Pads: evenly spaced around the core, just outside the boundary so they
   // consume no placement capacity (I/O ring).
   std::vector<CellId> pads;
-  const double pad_sz = prm.row_height;
+  const double pad_sz = kRowHeight;
   for (size_t i = 0; i < prm.num_pads; ++i) {
     Cell c;
     c.width = pad_sz;
@@ -212,7 +222,7 @@ Netlist generate_circuit(const GenParams& prm) {
 
   // ---- internal nets ---------------------------------------------------------
   const size_t num_nets = static_cast<size_t>(
-      static_cast<double>(prm.num_cells) * prm.nets_per_cell);
+      static_cast<double>(prm.num_cells) * kNetsPerCell);
   size_t net_counter = 0;
   for (size_t n = 0; n < num_nets; ++n) {
     const size_t hi = rng.uniform_index(grid.side);
@@ -225,9 +235,9 @@ Netlist generate_circuit(const GenParams& prm) {
     for (int k = 0; k < degree; ++k) {
       const double u = rng.uniform();
       CellId cand;
-      if (u < prm.local_pin_fraction) {
+      if (u < kLocalPinFraction) {
         cand = pick_from_cluster(home);
-      } else if (u < prm.local_pin_fraction + prm.neighbor_pin_fraction) {
+      } else if (u < kLocalPinFraction + kNeighborPinFraction) {
         cand = pick_from_cluster(grid.neighbor(hi, hj, rng));
       } else {
         cand = static_cast<CellId>(rng.uniform_index(prm.num_cells));
@@ -308,11 +318,10 @@ Netlist generate_circuit(const GenParams& prm) {
     }
   };
   for (CellId id : movable_macros)
-    add_macro_nets(id, static_cast<size_t>(
-                           nl.cell(id).width / prm.row_height * 2.0));
+    add_macro_nets(id,
+                   static_cast<size_t>(nl.cell(id).width / kRowHeight * 2.0));
   for (CellId id : fixed_macros)
-    add_macro_nets(id, static_cast<size_t>(
-                           nl.cell(id).width / prm.row_height));
+    add_macro_nets(id, static_cast<size_t>(nl.cell(id).width / kRowHeight));
 
   // ---- initial positions: deterministic scatter over the core.
   for (CellId id = 0; id < nl.num_cells(); ++id) {

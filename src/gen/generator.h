@@ -26,29 +26,17 @@ struct GenParams {
   uint64_t seed = 1;
 
   size_t num_cells = 10000;  ///< movable standard cells
-  double nets_per_cell = 1.15;
   int max_net_degree = 32;
 
   size_t num_pads = 64;  ///< fixed perimeter terminals
 
   size_t num_fixed_macros = 0;    ///< in-core blockages
   size_t num_movable_macros = 0;  ///< ISPD 2006-style movable blocks
-  double macro_rows_min = 6.0;    ///< macro edge in row heights
-  double macro_rows_max = 24.0;
-
-  double row_height = 12.0;
-  double cell_width_min = 4.0;
-  double cell_width_max = 26.0;
 
   /// Core utilization: (movable + fixed-in-core area) / core area.
   double utilization = 0.70;
   /// Density target γ written into the netlist (1.0 = unconstrained).
   double target_density = 1.0;
-
-  /// Cluster-grid locality: fraction of pins drawn from the net's home
-  /// cluster; the rest come from ring-1 neighbours or anywhere.
-  double local_pin_fraction = 0.78;
-  double neighbor_pin_fraction = 0.16;
 };
 
 /// Generates a finalized netlist. Cells start at deterministic scattered

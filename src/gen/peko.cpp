@@ -38,6 +38,15 @@ double peko_net_optimum(int degree, double cell_edge) {
 
 namespace {
 
+// Nets per cell INCLUDING the per-patch connectivity chains (which
+// contribute just under 1 net/cell); the remainder are random windows.
+constexpr double kNetsPerCell = 1.8;
+// Edge range of the fixed blockages, in row heights.
+constexpr double kMacroRowsMin = 6.0;
+constexpr double kMacroRowsMax = 14.0;
+// Row height, also the edge W of the square cells.
+constexpr double kRowHeight = 12.0;
+
 struct Window {
   int degree = 0;
   size_t span_x = 0;  ///< window width in cells
@@ -107,10 +116,6 @@ PekoDesign generate_peko(const PekoParams& prm) {
     throw std::invalid_argument("peko patch_side must be >= 2");
   if (!(prm.utilization > 0.0) || prm.utilization > 0.95)
     throw std::invalid_argument("peko utilization must be in (0, 0.95]");
-  if (prm.nets_per_cell < 0.0)
-    throw std::invalid_argument("peko nets_per_cell must be >= 0");
-  if (prm.row_height <= 0.0)
-    throw std::invalid_argument("peko row_height must be > 0");
   const double wsum =
       prm.w_pair + prm.w_triple + prm.w_quad + prm.w_nine + prm.w_sixteen;
   if (prm.w_pair < 0 || prm.w_triple < 0 || prm.w_quad < 0 ||
@@ -120,7 +125,7 @@ PekoDesign generate_peko(const PekoParams& prm) {
   Rng rng(prm.seed);
   PekoDesign d;
   Netlist& nl = d.netlist;
-  const double W = prm.row_height;  // square cell edge
+  const double W = kRowHeight;  // square cell edge
 
   // ---- geometry bookkeeping ------------------------------------------------
   const size_t side = std::min<size_t>(
@@ -140,9 +145,9 @@ PekoDesign generate_peko(const PekoParams& prm) {
   double macro_area = 0.0;
   for (size_t m = 0; m < prm.num_fixed_macros; ++m) {
     const double mw =
-        std::round(rng.uniform(prm.macro_rows_min, prm.macro_rows_max)) * W;
+        std::round(rng.uniform(kMacroRowsMin, kMacroRowsMax)) * W;
     const double mh =
-        std::round(rng.uniform(prm.macro_rows_min, prm.macro_rows_max)) * W;
+        std::round(rng.uniform(kMacroRowsMin, kMacroRowsMax)) * W;
     macro_dims.push_back({mw, mh});
     macro_area += mw * mh;
   }
@@ -170,7 +175,7 @@ PekoDesign generate_peko(const PekoParams& prm) {
   // format names into a stack buffer, straight into the NamePool.
   {
     const size_t est_nets = static_cast<size_t>(std::llround(
-        static_cast<double>(total) * std::max(1.0, prm.nets_per_cell)));
+        static_cast<double>(total) * kNetsPerCell));
     nl.reserve(total + macro_dims.size(), est_nets + total, 4 * est_nets);
   }
   char name_buf[32];
@@ -272,7 +277,7 @@ PekoDesign generate_peko(const PekoParams& prm) {
   // Random window nets on top, up to the requested nets/cell budget.
   const size_t chain_nets = net_counter;
   const size_t requested = static_cast<size_t>(
-      std::llround(static_cast<double>(total) * prm.nets_per_cell));
+      std::llround(static_cast<double>(total) * kNetsPerCell));
   const size_t random_nets = requested > chain_nets ? requested - chain_nets : 0;
   const double t_pair = prm.w_pair / wsum;
   const double t_triple = t_pair + prm.w_triple / wsum;

@@ -52,10 +52,6 @@ struct PekoParams {
   /// Patch edge length in cells (clamped down for tiny designs).
   size_t patch_side = 16;
 
-  /// Nets per cell INCLUDING the per-patch connectivity chains (which
-  /// contribute just under 1 net/cell); the remainder are random windows.
-  double nets_per_cell = 1.8;
-
   /// Degree-mix weights for the random window nets (normalized internally).
   double w_pair = 0.55;    ///< degree 2, adjacent pair
   double w_triple = 0.23;  ///< degree 3, L / straight triple
@@ -72,11 +68,8 @@ struct PekoParams {
   /// (skipped if no free spot exists; PekoDesign::macros_placed records
   /// the number actually placed).
   size_t num_fixed_macros = 0;
-  double macro_rows_min = 6.0;   ///< macro edge in row heights
-  double macro_rows_max = 14.0;
 
-  double row_height = 12.0;       ///< also the (square) cell edge W
-  double target_density = 1.0;    ///< gamma written into the netlist
+  double target_density = 1.0;  ///< gamma written into the netlist
 };
 
 /// A generated known-optimum design. The netlist's stored positions are the

@@ -178,14 +178,10 @@ ProjectionResult LookAheadLegalizer::project(const Placement& p,
     const Cell& c = nl_.cell(id);
     if (c.is_macro()) {
       const MacroRange& mr = macro_ranges[macro_idx++];
-      double dx = 0.0, dy = 0.0;
-      for (size_t k = mr.first; k < mr.last; ++k) {
-        dx += motes[k].x - origins[k].x;
-        dy += motes[k].y - origins[k].y;
-      }
-      const double n = static_cast<double>(mr.last - mr.first);
-      double nx = p.x[id] + dx / n;
-      double ny = p.y[id] + dy / n;
+      const Point d =
+          MacroShredder::mean_displacement(motes, origins, mr.first, mr.last);
+      double nx = p.x[id] + d.x;
+      double ny = p.y[id] + d.y;
       nx = std::clamp(nx, core.xl + c.width / 2.0,
                       std::max(core.xl + c.width / 2.0, core.xh - c.width / 2.0));
       ny = std::clamp(ny, core.yl + c.height / 2.0,

@@ -41,15 +41,16 @@ std::vector<Mote> MacroShredder::shred(CellId id, double cx, double cy) const {
   return shreds;
 }
 
-Point MacroShredder::mean_displacement(const std::vector<Mote>& shreds,
-                                       const std::vector<Point>& origins) {
-  if (shreds.empty()) return {};
+Point MacroShredder::mean_displacement(const std::vector<Mote>& motes,
+                                       const std::vector<Point>& origins,
+                                       size_t first, size_t last) {
+  if (first >= last) return {};
   double dx = 0.0, dy = 0.0;
-  for (size_t k = 0; k < shreds.size(); ++k) {
-    dx += shreds[k].x - origins[k].x;
-    dy += shreds[k].y - origins[k].y;
+  for (size_t k = first; k < last; ++k) {
+    dx += motes[k].x - origins[k].x;
+    dy += motes[k].y - origins[k].y;
   }
-  const double n = static_cast<double>(shreds.size());
+  const double n = static_cast<double>(last - first);
   return {dx / n, dy / n};
 }
 

@@ -23,10 +23,13 @@ class MacroShredder {
   /// area equals γ × macro area by construction of the √γ scaling.
   std::vector<Mote> shred(CellId id, double cx, double cy) const;
 
-  /// Mean displacement of `shreds` relative to their recorded origin
-  /// positions in `origins` (parallel arrays); applied to the macro center.
-  static Point mean_displacement(const std::vector<Mote>& shreds,
-                                 const std::vector<Point>& origins);
+  /// Mean displacement of the shreds motes[first, last) relative to their
+  /// recorded origin positions origins[first, last) (parallel arrays),
+  /// summed in index order; the projection applies it to the macro center.
+  /// Zero for an empty range.
+  static Point mean_displacement(const std::vector<Mote>& motes,
+                                 const std::vector<Point>& origins,
+                                 size_t first, size_t last);
 
  private:
   const Netlist& nl_;

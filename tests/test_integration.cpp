@@ -4,11 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "baseline/fastplace_style.h"
+#include "core/flow.h"
 #include "core/placer.h"
-#include "density/metric.h"
-#include "dp/detailed.h"
 #include "helpers.h"
-#include "legal/tetris.h"
 #include "projection/regions.h"
 #include "timing/sta.h"
 #include "timing/weighting.h"
@@ -16,24 +14,6 @@
 
 namespace complx {
 namespace {
-
-struct FlowResult {
-  double lower_bound_hpwl;
-  double legal_hpwl;
-  double final_hpwl;
-  bool legal;
-};
-
-FlowResult run_flow(const Netlist& nl, const ComplxConfig& cfg) {
-  ComplxPlacer placer(nl, cfg);
-  const PlaceResult gp = placer.place();
-  Placement p = gp.anchors;
-  TetrisLegalizer(nl).legalize(p);
-  const double legal_hpwl = hpwl(nl, p);
-  DetailedPlacer(nl).refine(p);
-  return {hpwl(nl, gp.lower_bound), legal_hpwl, hpwl(nl, p),
-          TetrisLegalizer::is_legal(nl, p)};
-}
 
 struct FlowCase {
   uint64_t seed;
@@ -49,14 +29,17 @@ TEST_P(FullFlow, ProducesLegalResultBoundedByLowerBound) {
   Netlist nl = complx::testing::small_circuit(seed, cells, macros, density);
   ComplxConfig cfg;
   cfg.max_iterations = 50;
-  const FlowResult res = run_flow(nl, cfg);
-  EXPECT_TRUE(res.legal);
+  const PlaceResult gp = ComplxPlacer(nl, cfg).place();
+  const FinishResult res = finish_placement(nl, gp.anchors);
+  EXPECT_TRUE(res.is_legal);
+  ASSERT_TRUE(res.dp.has_value());
+  const double lower_bound_hpwl = hpwl(nl, gp.lower_bound);
   // Lower-bound placement under-estimates the final legal cost.
-  EXPECT_GT(res.final_hpwl, 0.8 * res.lower_bound_hpwl);
-  // Detailed placement must not lose ground.
-  EXPECT_LE(res.final_hpwl, res.legal_hpwl * (1 + 1e-9));
+  EXPECT_GT(res.metric.hpwl, 0.8 * lower_bound_hpwl);
+  // Detailed placement must not lose ground on the legalized placement.
+  EXPECT_LE(res.metric.hpwl, res.dp->initial_hpwl * (1 + 1e-9));
   // The whole flow lands within a reasonable factor of the lower bound.
-  EXPECT_LT(res.final_hpwl, 3.0 * res.lower_bound_hpwl);
+  EXPECT_LT(res.metric.hpwl, 3.0 * lower_bound_hpwl);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -71,16 +54,13 @@ TEST(Flow, ComplxBeatsOrMatchesBaselineOnHpwl) {
   Netlist nl = complx::testing::small_circuit(211, 2000);
   ComplxConfig cfg;
   cfg.max_iterations = 60;
-  const FlowResult complx_res = run_flow(nl, cfg);
+  const FinishResult complx_res =
+      finish_placement(nl, ComplxPlacer(nl, cfg).place().anchors);
+  const FinishResult fp_res =
+      finish_placement(nl, FastPlaceStylePlacer(nl).place().placement);
 
-  const FastPlaceResult fp = FastPlaceStylePlacer(nl).place();
-  Placement p = fp.placement;
-  TetrisLegalizer(nl).legalize(p);
-  DetailedPlacer(nl).refine(p);
-  const double fp_hpwl = hpwl(nl, p);
-
-  EXPECT_LT(complx_res.final_hpwl, 1.10 * fp_hpwl);
-  EXPECT_TRUE(complx_res.legal);
+  EXPECT_LT(complx_res.metric.hpwl, 1.10 * fp_res.metric.hpwl);
+  EXPECT_TRUE(complx_res.is_legal);
 }
 
 TEST(Flow, ScaledHpwlEvaluableOnDensityDesign) {
@@ -88,9 +68,9 @@ TEST(Flow, ScaledHpwlEvaluableOnDensityDesign) {
   ComplxConfig cfg;
   cfg.max_iterations = 50;
   ComplxPlacer placer(nl, cfg);
-  Placement p = placer.place().anchors;
-  TetrisLegalizer(nl).legalize(p);
-  const DensityMetric m = evaluate_scaled_hpwl(nl, p);
+  const DensityMetric m =
+      finish_placement(nl, placer.place().anchors, {.detailed = false})
+          .metric;
   EXPECT_GT(m.hpwl, 0.0);
   EXPECT_GE(m.scaled_hpwl, m.hpwl);
   // Density-targeted placement keeps the overflow penalty moderate.
@@ -173,9 +153,10 @@ TEST(Flow, DeterministicEndToEnd) {
   Netlist nl = complx::testing::small_circuit(215, 800);
   ComplxConfig cfg;
   cfg.max_iterations = 30;
-  const FlowResult a = run_flow(nl, cfg);
-  const FlowResult b = run_flow(nl, cfg);
-  EXPECT_DOUBLE_EQ(a.final_hpwl, b.final_hpwl);
+  auto run = [&] {
+    return finish_placement(nl, ComplxPlacer(nl, cfg).place().anchors);
+  };
+  EXPECT_DOUBLE_EQ(run().metric.hpwl, run().metric.hpwl);
 }
 
 }  // namespace

@@ -79,13 +79,29 @@ TEST(Shredder, MeanDisplacementAveragesShredMoves) {
     shreds[static_cast<size_t>(i)].x = i + 2.0;  // all moved +2 in x
     shreds[static_cast<size_t>(i)].y = static_cast<double>(i);  // +i in y
   }
-  const Point d = MacroShredder::mean_displacement(shreds, origins);
+  const Point d = MacroShredder::mean_displacement(shreds, origins, 0, 3);
   EXPECT_DOUBLE_EQ(d.x, 2.0);
   EXPECT_DOUBLE_EQ(d.y, 1.0);
 }
 
+TEST(Shredder, MeanDisplacementReadsOnlyItsRange) {
+  // Motes [1, 3) are one macro's shreds; the motes around them (a standard
+  // cell, another macro) moved far and must not count.
+  std::vector<Mote> motes(4);
+  std::vector<Point> origins(4, Point{0.0, 0.0});
+  motes[0].x = 100.0;
+  motes[1].x = 1.0;
+  motes[1].y = -2.0;
+  motes[2].x = 3.0;
+  motes[2].y = -4.0;
+  motes[3].y = 100.0;
+  const Point d = MacroShredder::mean_displacement(motes, origins, 1, 3);
+  EXPECT_DOUBLE_EQ(d.x, 2.0);
+  EXPECT_DOUBLE_EQ(d.y, -3.0);
+}
+
 TEST(Shredder, MeanDisplacementEmptyIsZero) {
-  const Point d = MacroShredder::mean_displacement({}, {});
+  const Point d = MacroShredder::mean_displacement({}, {}, 0, 0);
   EXPECT_DOUBLE_EQ(d.x, 0.0);
   EXPECT_DOUBLE_EQ(d.y, 0.0);
 }
