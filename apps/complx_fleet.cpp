@@ -40,10 +40,6 @@
 // A design whose global placement diverged does not change the exit code:
 // it shows in its record's "stop" field, and quality_gate.py warm fails on
 // it.
-// complx-lint: allow(P1): the SIGINT flag must be async-signal-safe; a plain
-// bool or anything mutex-based would be UB inside a signal handler.
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -66,21 +62,6 @@ void usage() {
                "[--label name] [--seed s] [--max-iters n] [--threads n] "
                "[--no-dp] [--no-timing] [--quiet] "
                "[--snapshot store.snap [--warm-start] [--save-experience]]\n");
-}
-
-// SIGINT raises the cooperative cancel flag; the current design's placer
-// stops at the next iteration boundary, the fleet loop stops at the next
-// design boundary, and the records completed so far are still written out
-// before exiting 130. A second ^C kills the process the default way.
-// complx-lint: allow(P1): set from the SIGINT handler, polled at design and
-// iteration boundaries; control flow only, never numeric data.
-std::atomic<bool> g_interrupted{false};
-
-void handle_sigint(int) {
-  // complx-lint: allow(P1): relaxed is enough — a single flag, one writer
-  // (the handler), polled at loop boundaries.
-  g_interrupted.store(true, std::memory_order_relaxed);
-  std::signal(SIGINT, SIG_DFL);
 }
 
 }  // namespace
@@ -149,8 +130,12 @@ int main(int argc, char** argv) {
   if (label.empty()) label = preset_name;
   set_log_level(LogLevel::Warn);
   set_global_threads(opts.threads);
-  opts.cancel = &g_interrupted;
-  std::signal(SIGINT, handle_sigint);
+  // SIGINT raises the process-wide cancel flag (util/parallel.h): the
+  // current design's placer stops at the next iteration boundary, its DP is
+  // skipped or cut short, the fleet loop stops at the next design boundary,
+  // and the records completed so far are still written out before exiting
+  // 130. A second ^C kills the process the default way.
+  cancel_on_sigint();
 
   try {
     // Corruption on load degrades to cold starts (exit 4 at the end), it
@@ -174,9 +159,7 @@ int main(int argc, char** argv) {
     records.reserve(designs.size());
     bool interrupted = false;
     for (size_t k = 0; k < designs.size(); ++k) {
-      // complx-lint: allow(P1): relaxed poll of the SIGINT flag between
-      // designs; control flow only.
-      if (g_interrupted.load(std::memory_order_relaxed)) {
+      if (cancel_requested()) {
         interrupted = true;
         std::fprintf(stderr, "interrupted after %zu/%zu designs\n", k,
                      designs.size());

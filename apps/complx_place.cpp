@@ -61,10 +61,6 @@
 //        checkpoint is used) or after it; a running DP pass stops at its
 //        next check between moves, passes not yet started are skipped, no
 //        experience is recorded, and the placement is written first
-// complx-lint: allow(P1): the SIGINT flag must be async-signal-safe; a plain
-// bool or anything mutex-based would be UB inside a signal handler.
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -102,28 +98,6 @@ void usage() {
                "[--trace f.csv] [--stats] [--svg f.svg] [--quiet] "
                "[--snapshot store.snap [--warm-start] [--save-experience]] "
                "[--ml-threshold n] [--eco-window xl,yl,xh,yh]\n");
-}
-
-// SIGINT raises the cooperative cancel flag; the placer stops at the next
-// iteration boundary and returns its best-so-far checkpoint, and so does a
-// running DP pass at its next check; main() skips the passes not yet
-// started, writes the placement and exits 130. A second ^C kills the
-// process the default way (the handler restores SIG_DFL).
-// complx-lint: allow(P1): set from the SIGINT handler, read by the placer's
-// cooperative cancel hook; control flow only, never numeric data.
-std::atomic<bool> g_interrupted{false};
-
-bool interrupted() {
-  // complx-lint: allow(P1): relaxed poll of the SIGINT flag; control flow
-  // only.
-  return g_interrupted.load(std::memory_order_relaxed);
-}
-
-void handle_sigint(int) {
-  // complx-lint: allow(P1): relaxed is enough — a single flag, one writer
-  // (the handler), polled at iteration boundaries.
-  g_interrupted.store(true, std::memory_order_relaxed);
-  std::signal(SIGINT, SIG_DFL);
 }
 
 /// Parses --eco-window's "xl,yl,xh,yh": four strict numbers, xl <= xh and
@@ -228,8 +202,13 @@ int main(int argc, char** argv) {
   }
   set_log_level(quiet ? LogLevel::Warn : LogLevel::Info);
   set_global_threads(static_cast<size_t>(threads));
-  // Before the read: a ^C at any point still writes a placement, exit 130.
-  std::signal(SIGINT, handle_sigint);
+  // SIGINT raises the process-wide cancel flag (util/parallel.h): the placer
+  // stops at the next iteration boundary and returns its best-so-far
+  // checkpoint, and so does a running DP pass at its next check; main()
+  // skips the passes not yet started, writes the placement and exits 130. A
+  // second ^C kills the process the default way. Installed before the read:
+  // a ^C at any point still writes a placement, exit 130.
+  cancel_on_sigint();
 
   try {
     Timer total;
@@ -245,7 +224,6 @@ int main(int argc, char** argv) {
     cfg.use_lse = lse;
     if (max_iters > 0) cfg.max_iterations = max_iters;
     if (time_limit > 0.0) cfg.time_limit_s = time_limit;
-    cfg.cancel = &g_interrupted;
 
     // Experience store: corruption on load is NOT fatal — open() quarantines
     // the damaged file and degrades to a cold start; main() reports it as
@@ -337,8 +315,8 @@ int main(int argc, char** argv) {
                   total.seconds());
     } else {
       // After ^C the user wants the placement on disk, not minutes of DP.
-      FinishResult fin = finish_placement(
-          nl, gp.anchors, {.detailed = run_dp, .cancel = &g_interrupted});
+      FinishResult fin =
+          finish_placement(nl, gp.anchors, {.detailed = run_dp});
       if (fin.legal.failed) {
         std::fprintf(stderr, "legalization failed for %zu cells\n",
                      fin.legal.failed);
@@ -349,7 +327,7 @@ int main(int argc, char** argv) {
                     fin.dp->initial_hpwl, fin.dp->final_hpwl,
                     fin.dp->cancelled ? " (interrupted, pass cut short)" : "");
       p = std::move(fin.placement);
-      if (orient && !interrupted()) {
+      if (orient && !cancel_requested()) {
         const OrientationResult orient_res = optimize_orientation(nl, p);
         std::printf("orientation: %zu cells flipped, HPWL %.4g -> %.4g\n",
                     orient_res.flipped, orient_res.initial_hpwl,
@@ -388,7 +366,8 @@ int main(int argc, char** argv) {
     }
     // Record the best usable global placement (the anchors a warm start
     // resumes from). A save failure marks the store degraded, never aborts.
-    if (experience && save_experience && recordable(gp) && !interrupted() &&
+    if (experience && save_experience && recordable(gp) &&
+        !cancel_requested() &&
         experience->record(nl, gp.anchors, weighted_hpwl(nl, gp.anchors),
                            gp.iterations))
       std::printf("experience saved to %s (%zu record(s))\n",
@@ -399,7 +378,7 @@ int main(int argc, char** argv) {
     // below divergence (3) and interruption (130) — those already imply the
     // run itself went wrong.
     if (gp.stop == StopReason::Diverged) return 3;
-    if (interrupted()) return 130;
+    if (cancel_requested()) return 130;
     if (experience && experience->degraded()) {
       std::fprintf(stderr, "warning: experience store degraded: %s\n",
                    experience->degraded_reason().c_str());

@@ -272,28 +272,16 @@ std::vector<Rect> density_query_rects(const Rect& core, size_t n) {
   return rects;
 }
 
-void run_free_area_bench(benchmark::State& state, bool prefix) {
+/// Summed-area-table query: O(1) per query regardless of resolution.
+void BM_FreeAreaInPrefix(benchmark::State& state) {
   const Netlist nl = make_circuit(8000);
-  DensityOptions dopts;
-  dopts.use_prefix_sums = prefix;
   const size_t bins = static_cast<size_t>(state.range(0));
-  DensityGrid grid(nl, bins, bins, dopts);
+  DensityGrid grid(nl, bins, bins);
   grid.build(nl.snapshot());
   const std::vector<Rect> rects = density_query_rects(nl.core(), 256);
   size_t k = 0;
   for (auto _ : state)
     benchmark::DoNotOptimize(grid.free_area_in(rects[k++ % rects.size()]));
-}
-
-/// Historical per-bin accumulation: O(bins covered) per query.
-void BM_FreeAreaInLoop(benchmark::State& state) {
-  run_free_area_bench(state, false);
-}
-BENCHMARK(BM_FreeAreaInLoop)->Arg(16)->Arg(64)->Arg(256);
-
-/// Summed-area-table query: O(1) per query regardless of resolution.
-void BM_FreeAreaInPrefix(benchmark::State& state) {
-  run_free_area_bench(state, true);
 }
 BENCHMARK(BM_FreeAreaInPrefix)->Arg(16)->Arg(64)->Arg(256);
 

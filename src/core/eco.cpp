@@ -53,7 +53,7 @@ EcoResult eco_replace(Netlist& nl, const EcoOptions& opts) {
     // freezing, no warm-start override, no special-cased commit.
     ComplxPlacer placer(nl, opts.config);
     result.place = placer.place();
-    if (opts.apply) nl.apply(result.place.anchors);
+    nl.apply(result.place.anchors);
     return result;
   }
 
@@ -71,16 +71,14 @@ EcoResult eco_replace(Netlist& nl, const EcoOptions& opts) {
   ComplxPlacer placer(nl, opts.config);
   result.place = placer.place_from(current);
 
-  if (opts.apply) {
-    // Commit ONLY the dirty cells, writing lower-left corners exactly the
-    // way Netlist::apply does. Outside cells are never written: the
-    // center→corner round trip is not an FP identity, and the frozen cells
-    // must stay bitwise identical to their pre-ECO bytes.
-    for (CellId id : dirty) {
-      Cell& c = nl.cell(id);
-      c.x = result.place.anchors.x[id] - c.width / 2.0;
-      c.y = result.place.anchors.y[id] - c.height / 2.0;
-    }
+  // Commit ONLY the dirty cells, writing lower-left corners exactly the way
+  // Netlist::apply does. Outside cells are never written: the center→corner
+  // round trip is not an FP identity, and the frozen cells must stay bitwise
+  // identical to their pre-ECO bytes.
+  for (CellId id : dirty) {
+    Cell& c = nl.cell(id);
+    c.x = result.place.anchors.x[id] - c.width / 2.0;
+    c.y = result.place.anchors.y[id] - c.height / 2.0;
   }
   return result;
 }

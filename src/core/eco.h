@@ -37,11 +37,6 @@ struct EcoOptions {
   /// that collapses the dirty cells to the core center would throw away the
   /// very stability ECO exists for.
   ComplxConfig config;
-
-  /// Commit the re-solved anchor positions of the dirty cells back into
-  /// the netlist. When false the result carries the positions but the
-  /// netlist is left exactly as it was.
-  bool apply = true;
 };
 
 struct EcoResult {

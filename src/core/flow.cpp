@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/parallel.h"
+
 namespace complx {
 
 FinishResult finish_placement(const Netlist& nl, Placement anchors,
@@ -9,11 +11,8 @@ FinishResult finish_placement(const Netlist& nl, Placement anchors,
   FinishResult r;
   r.placement = std::move(anchors);
   r.legal = TetrisLegalizer(nl).legalize(r.placement);
-  const bool cancelled =
-      // complx-lint: allow(P1): relaxed poll of the cancel flag; control flow.
-      opts.cancel && opts.cancel->load(std::memory_order_relaxed);
-  if (opts.detailed && r.legal.failed == 0 && !cancelled)
-    r.dp = DetailedPlacer(nl).refine(r.placement, opts.cancel);
+  if (opts.detailed && r.legal.failed == 0 && !cancel_requested())
+    r.dp = DetailedPlacer(nl).refine(r.placement);
   r.metric = evaluate_scaled_hpwl(nl, r.placement);
   r.is_legal = TetrisLegalizer::is_legal(nl, r.placement);
   return r;

@@ -9,9 +9,6 @@
 // hand its placement to finish_placement().
 #pragma once
 
-// complx-lint: allow(P1): the type of the cooperative cancel flag, passed
-// through to DetailedPlacer::refine.
-#include <atomic>
 #include <optional>
 
 #include "density/metric.h"
@@ -22,11 +19,6 @@ namespace complx {
 
 struct FinishOptions {
   bool detailed = true;  ///< run detailed placement after legalization
-  /// Raised by complx_place's SIGINT handler: skips detailed placement when
-  /// already set, cuts it short (leaving the placement legal) when raised
-  /// during it.
-  // complx-lint: allow(P1): control flow only, never the numeric path.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 struct FinishResult {
@@ -40,7 +32,10 @@ struct FinishResult {
 };
 
 /// Legalizes `anchors` (Tetris), refines them (DetailedPlacer) unless a cell
-/// failed to legalize, and scores the result.
+/// failed to legalize, and scores the result. The process-wide cancel flag
+/// (util/parallel.h, raised by ^C) skips detailed placement when already
+/// raised and cuts it short, leaving the placement legal, when raised during
+/// it.
 FinishResult finish_placement(const Netlist& nl, Placement anchors,
                               const FinishOptions& opts = {});
 

@@ -13,6 +13,11 @@
 
 namespace complx {
 
+/// Finite ceiling for λ. Healthy runs converge at O(1) multipliers (Section
+/// S3), so it is unreachable except under runaway growth — it exists to keep
+/// long ablation runs finite.
+inline constexpr double kMaxLambda = 1e12;
+
 enum class ScheduleKind {
   ComplxFormula12,  ///< the paper's schedule
   SimplLinearRamp,  ///< SimPL: λ_k = 0.01 · (1 + k)
@@ -84,26 +89,16 @@ class LambdaSchedule {
   int iteration() const { return iteration_; }
   ScheduleKind kind() const { return kind_; }
 
-  /// Finite ceiling for λ. Healthy runs converge at O(1) multipliers
-  /// (Section S3), so the default is unreachable except under runaway
-  /// growth — it exists to keep long ablation runs finite.
-  double max_lambda() const { return lambda_max_; }
-  void set_max_lambda(double m) {
-    if (std::isfinite(m) && m > 0.0) lambda_max_ = m;
-    clamp();
-  }
-
   /// Overrides λ directly (recovery rollback-and-backoff); clamped to
-  /// [0, max_lambda] and sanitized against non-finite values.
+  /// [0, kMaxLambda] and sanitized against non-finite values.
   void set_lambda(double l) {
-    lambda_ = std::isfinite(l) ? std::max(0.0, l) : lambda_max_;
+    lambda_ = std::isfinite(l) ? std::max(0.0, l) : kMaxLambda;
     clamp();
   }
 
  private:
   void clamp() {
-    if (!std::isfinite(lambda_) || lambda_ > lambda_max_)
-      lambda_ = lambda_max_;
+    if (!std::isfinite(lambda_) || lambda_ > kMaxLambda) lambda_ = kMaxLambda;
   }
 
   ScheduleKind kind_;
@@ -111,7 +106,6 @@ class LambdaSchedule {
   double lambda_ = 0.0;
   double h_ = 0.0;
   double step_ = 0.01;  ///< SimPL ramp per-iteration increment
-  double lambda_max_ = 1e12;
   int iteration_ = 0;
 };
 

@@ -423,9 +423,8 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   // --- Primal-dual iterations --------------------------------------------
   int k = 1;
   for (; k <= cfg_.max_iterations; ++k) {
-    // complx-lint: allow(P1): relaxed poll of the external cancel flag;
-    // control flow only — no data the numeric kernels read is involved.
-    if (cfg_.cancel && cfg_.cancel->load(std::memory_order_relaxed)) {
+    // Cooperative cancellation (util/parallel.h, e.g. from SIGINT).
+    if (cancel_requested()) {
       stop = StopReason::Cancelled;
       break;
     }

@@ -17,9 +17,6 @@
 // the overflow-only stopping rule (see ComplxConfig::simpl_mode()).
 #pragma once
 
-// complx-lint: allow(P1): std::atomic is the async-signal-safe primitive for
-// the cooperative cancel flag below; util/parallel.h has no signal-safe API.
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -123,13 +120,6 @@ struct ComplxConfig {
   // stops after the current iteration and the best-so-far checkpoint is
   // returned (stop reason TimeLimit).
   double time_limit_s = 0.0;
-
-  // Cooperative cancellation: when non-null and set (e.g. from a SIGINT
-  // handler), the loop stops at the next iteration boundary and returns the
-  // best-so-far checkpoint (stop reason Cancelled).
-  // complx-lint: allow(P1): written from a SIGINT handler, polled at
-  // iteration boundaries; never touches the deterministic numeric path.
-  const std::atomic<bool>* cancel = nullptr;
 
   /// Returns a configuration equivalent to the SimPL special case: fixed
   /// linear pseudo-net weight ramp (h_factor scales the 0.01 base step)

@@ -8,9 +8,8 @@
 
 namespace complx {
 
-DensityGrid::DensityGrid(const Netlist& nl, size_t bins_x, size_t bins_y,
-                         const DensityOptions& opts)
-    : nl_(nl), bx_(bins_x), by_(bins_y), core_(nl.core()), opts_(opts) {
+DensityGrid::DensityGrid(const Netlist& nl, size_t bins_x, size_t bins_y)
+    : nl_(nl), bx_(bins_x), by_(bins_y), core_(nl.core()) {
   if (bins_x == 0 || bins_y == 0)
     throw std::invalid_argument("density grid needs at least one bin");
   bw_ = core_.width() / static_cast<double>(bx_);
@@ -90,20 +89,12 @@ double DensityGrid::sat_span(const std::vector<double>& sat, size_t i0,
 
 double DensityGrid::capacity_sum(size_t i0, size_t j0, size_t i1,
                                  size_t j1) const {
-  if (opts_.use_prefix_sums) return sat_span(cap_sat_, i0, j0, i1, j1);
-  double s = 0.0;
-  for (size_t j = j0; j <= j1; ++j)
-    for (size_t i = i0; i <= i1; ++i) s += cap_[idx(i, j)];
-  return s;
+  return sat_span(cap_sat_, i0, j0, i1, j1);
 }
 
 double DensityGrid::usage_sum(size_t i0, size_t j0, size_t i1,
                               size_t j1) const {
-  if (opts_.use_prefix_sums) return sat_span(use_sat_, i0, j0, i1, j1);
-  double s = 0.0;
-  for (size_t j = j0; j <= j1; ++j)
-    for (size_t i = i0; i <= i1; ++i) s += use_[idx(i, j)];
-  return s;
+  return sat_span(use_sat_, i0, j0, i1, j1);
 }
 
 Rect DensityGrid::bin_rect(size_t i, size_t j) const {
@@ -136,26 +127,6 @@ bool DensityGrid::feasible(double gamma, double tol) const {
   return true;
 }
 
-double DensityGrid::integrate_loop(const std::vector<double>& field,
-                                   const Rect& r) const {
-  const Rect clipped = {std::max(r.xl, core_.xl), std::max(r.yl, core_.yl),
-                        std::min(r.xh, core_.xh), std::min(r.yh, core_.yh)};
-  if (clipped.empty()) return 0.0;
-  const size_t i0 = bin_x_of(clipped.xl);
-  const size_t i1 = bin_x_of(clipped.xh - 1e-12);
-  const size_t j0 = bin_y_of(clipped.yl);
-  const size_t j1 = bin_y_of(clipped.yh - 1e-12);
-  double s = 0.0;
-  for (size_t j = j0; j <= j1; ++j) {
-    for (size_t i = i0; i <= i1; ++i) {
-      const Rect b = bin_rect(i, j);
-      const double frac = b.overlap_area(clipped) / b.area();
-      s += frac * field[idx(i, j)];
-    }
-  }
-  return s;
-}
-
 double DensityGrid::integrate_sat(const std::vector<double>& field,
                                   const std::vector<double>& sat,
                                   const Rect& r) const {
@@ -164,8 +135,9 @@ double DensityGrid::integrate_sat(const std::vector<double>& field,
   if (clipped.empty()) return 0.0;
   // S(x, y) = ∫ of the uniform-within-bin density over [core.xl, x] ×
   // [core.yl, y]: whole-bin block via the table plus bilinear fractional
-  // edge terms — exactly the per-bin frac · field sum of integrate_loop,
-  // re-associated. Four O(1) corner evaluations give the rectangle.
+  // edge terms — exactly the per-bin frac · field sum of test_density's
+  // reference loop, re-associated. Four O(1) corner evaluations give the
+  // rectangle.
   const auto S = [&](double x, double y) {
     const size_t i = bin_x_of(x);
     const size_t j = bin_y_of(y);
@@ -183,13 +155,11 @@ double DensityGrid::integrate_sat(const std::vector<double>& field,
 }
 
 double DensityGrid::free_area_in(const Rect& r) const {
-  return opts_.use_prefix_sums ? integrate_sat(cap_, cap_sat_, r)
-                               : integrate_loop(cap_, r);
+  return integrate_sat(cap_, cap_sat_, r);
 }
 
 double DensityGrid::usage_in(const Rect& r) const {
-  return opts_.use_prefix_sums ? integrate_sat(use_, use_sat_, r)
-                               : integrate_loop(use_, r);
+  return integrate_sat(use_, use_sat_, r);
 }
 
 size_t DensityGrid::bin_x_of(double x) const {

@@ -12,9 +12,8 @@
 // against summed-area tables maintained over both fields — the bin-grid
 // analogue of the fast density transforms in the FFT-based placement
 // literature. The tables are rebuilt once per build()/build_from_rects()
-// in bin order (deterministic at any thread count); the historical per-bin
-// loops remain available behind DensityOptions::use_prefix_sums for
-// equivalence testing and ablation.
+// in bin order (deterministic at any thread count). test_density keeps the
+// historical per-bin loops as the reference they are checked against.
 #pragma once
 
 #include <cstddef>
@@ -26,19 +25,11 @@
 
 namespace complx {
 
-struct DensityOptions {
-  /// O(1) summed-area-table queries (default). Off = the historical per-bin
-  /// loops; both paths agree to ~1e-9 relative to the grid's total area
-  /// (the tables change floating-point summation order, nothing else).
-  bool use_prefix_sums = true;
-};
-
 class DensityGrid {
  public:
   /// `bins_x` by `bins_y` grid over nl.core(). Fixed-cell blockage is
   /// computed once here.
-  DensityGrid(const Netlist& nl, size_t bins_x, size_t bins_y,
-              const DensityOptions& opts = {});
+  DensityGrid(const Netlist& nl, size_t bins_x, size_t bins_y);
 
   /// Deposits movable-cell area for placement `p` (cells treated as
   /// rectangles centered at (p.x, p.y)). Clears previous movable usage.
@@ -87,7 +78,6 @@ class DensityGrid {
   /// Σ usage over the inclusive bin span [i0, i1] × [j0, j1].
   double usage_sum(size_t i0, size_t j0, size_t i1, size_t j1) const;
 
-  const DensityOptions& options() const { return opts_; }
   const Netlist& netlist() const { return nl_; }
 
  private:
@@ -142,14 +132,11 @@ class DensityGrid {
   /// ∫ field over r with the uniform-within-bin assumption; O(1) via `sat`.
   double integrate_sat(const std::vector<double>& field,
                        const std::vector<double>& sat, const Rect& r) const;
-  /// Same integral via the historical per-bin loop (use_prefix_sums off).
-  double integrate_loop(const std::vector<double>& field, const Rect& r) const;
 
   const Netlist& nl_;
   size_t bx_, by_;
   double bw_, bh_;
   Rect core_;
-  DensityOptions opts_;
   std::vector<double> cap_;  ///< free area per bin (total − fixed blockage)
   std::vector<double> use_;  ///< movable area per bin
   std::vector<double> cap_sat_;  ///< (bx+1)·(by+1) prefix sums over cap_

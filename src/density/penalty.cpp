@@ -44,8 +44,7 @@ double clamp_center(double c, double lo, double hi, bool& clamped) {
 
 DensityPenalty::DensityPenalty(const Netlist& nl,
                                const DensityPenaltyOptions& opts)
-    : nl_(nl), opts_(opts) {
-  bins_ = opts.bins;
+    : nl_(nl), bins_(opts.bins) {
   if (bins_ == 0) {
     bins_ = std::clamp<size_t>(
         static_cast<size_t>(
@@ -70,7 +69,7 @@ DensityPenalty::DensityPenalty(const Netlist& nl,
 
 DensityGrid& DensityPenalty::ensure_grid() const {
   if (!grid_)
-    grid_ = std::make_unique<DensityGrid>(nl_, bins_, bins_, opts_.grid);
+    grid_ = std::make_unique<DensityGrid>(nl_, bins_, bins_);
   return *grid_;
 }
 

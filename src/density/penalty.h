@@ -29,8 +29,7 @@ struct DensityStats {
 };
 
 struct DensityPenaltyOptions {
-  size_t bins = 0;      ///< 0 = auto (~sqrt(movables/4))
-  DensityOptions grid;  ///< query mode of the internal DensityGrid
+  size_t bins = 0;  ///< 0 = auto (~sqrt(movables/4))
 };
 
 /// A differentiable density model: a scalar penalty with its gradient in
@@ -58,15 +57,10 @@ class DensityPenalty {
 
   const DensityStats& stats() const { return stats_; }
 
-  /// The cached internal grid. Exposed so tests can assert the configured
-  /// DensityOptions (prefix sums on/off) actually reach it.
-  const DensityGrid& grid() const { return ensure_grid(); }
-
  private:
   DensityGrid& ensure_grid() const;
 
   const Netlist& nl_;
-  DensityPenaltyOptions opts_;
   size_t bins_;
   double bw_, bh_;
   double radius_;  ///< bell radius in layout units (x); separate for y

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "util/parallel.h"
 #include "wl/hpwl.h"
 #include "wl/incremental.h"
 
@@ -215,15 +216,11 @@ void optimal_region(const Netlist& nl, const Placement& p, CellId id,
 DetailedPlacer::DetailedPlacer(const Netlist& nl, DetailedOptions opts)
     : nl_(nl), opts_(opts) {}
 
-DetailedResult DetailedPlacer::refine(Placement& p,
-                                      // complx-lint: allow(P1): see header.
-                                      const std::atomic<bool>* cancel) const {
+DetailedResult DetailedPlacer::refine(Placement& p) const {
   DetailedResult result;
   // Latches result.cancelled once the cancel flag is seen raised.
   const auto stop = [&] {
-    // complx-lint: allow(P1): relaxed poll of the cancel flag; control flow.
-    if (cancel && cancel->load(std::memory_order_relaxed))
-      result.cancelled = true;
+    if (cancel_requested()) result.cancelled = true;
     return result.cancelled;
   };
   result.initial_hpwl = hpwl(nl_, p);

@@ -16,8 +16,6 @@
 //                    net intervals, clusters merge when they collide.
 #pragma once
 
-// complx-lint: allow(P1): the type of the async-signal-safe cancel flag.
-#include <atomic>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -44,11 +42,9 @@ class DetailedPlacer {
 
   /// Refines a legal placement in place. Behaviour on an illegal input is
   /// best-effort (moves that would create overlap are rejected), but callers
-  /// should legalize first. A raised `cancel` flag (complx_place's SIGINT
-  /// flag) stops it at its next check between moves, so `p` stays legal.
-  DetailedResult refine(Placement& p,
-                        // complx-lint: allow(P1): control flow only.
-                        const std::atomic<bool>* cancel = nullptr) const;
+  /// should legalize first. A raised cancel flag (util/parallel.h, e.g. from
+  /// SIGINT) stops it at its next check between moves, so `p` stays legal.
+  DetailedResult refine(Placement& p) const;
 
  private:
   const Netlist& nl_;

@@ -76,7 +76,6 @@ FleetRecord run_fleet_design(const PekoParams& params,
   cfg.max_iterations = opts.max_iterations;
   cfg.density_backend = opts.density_backend;
   cfg.threads = opts.threads;
-  cfg.cancel = opts.cancel;
   std::optional<Placement> start;
   if (opts.warm_start && opts.experience)
     start = opts.experience->resume_point(nl);

@@ -14,9 +14,6 @@
 // options) at any thread count — enforced by test_golden_determinism.
 #pragma once
 
-// complx-lint: allow(P1): holds a pointer to the apps' SIGINT cancel flag;
-// polled at iteration/design boundaries only, never in numeric kernels.
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -59,11 +56,6 @@ struct FleetRunOptions {
   ExperienceStore* experience = nullptr;
   bool warm_start = false;
   bool save_experience = false;
-
-  /// Cooperative cancellation (SIGINT): checked between designs by the fleet
-  /// driver and at iteration boundaries inside the placer.
-  /// complx-lint: allow(P1): see header note — control flow only.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// One design's scored flow result (global place -> legalize -> DP).

@@ -15,6 +15,7 @@ namespace {
 
 // The shape every generated design shares; GenParams sets the rest.
 constexpr double kNetsPerCell = 1.15;
+constexpr int kMaxNetDegree = 32;
 constexpr double kMacroRowsMin = 6.0;  // macro edge in row heights
 constexpr double kMacroRowsMax = 24.0;
 constexpr double kRowHeight = 12.0;
@@ -228,7 +229,7 @@ Netlist generate_circuit(const GenParams& prm) {
     const size_t hi = rng.uniform_index(grid.side);
     const size_t hj = rng.uniform_index(grid.side);
     const size_t home = grid.index(hi, hj);
-    const int degree = rng.net_degree(prm.max_net_degree);
+    const int degree = rng.net_degree(kMaxNetDegree);
 
     std::vector<Pin> pins;
     std::vector<CellId> used;

@@ -26,7 +26,6 @@ struct GenParams {
   uint64_t seed = 1;
 
   size_t num_cells = 10000;  ///< movable standard cells
-  int max_net_degree = 32;
 
   size_t num_pads = 64;  ///< fixed perimeter terminals
 

@@ -46,6 +46,14 @@ constexpr double kMacroRowsMin = 6.0;
 constexpr double kMacroRowsMax = 14.0;
 // Row height, also the edge W of the square cells.
 constexpr double kRowHeight = 12.0;
+// Patch edge length in cells (clamped down for tiny designs).
+constexpr size_t kPatchSide = 16;
+// Degree-mix weights for the random window nets (normalized below).
+constexpr double kWPair = 0.55;     // degree 2, adjacent pair
+constexpr double kWTriple = 0.23;   // degree 3, L / straight triple
+constexpr double kWQuad = 0.12;     // degree 4, 2x2 block
+constexpr double kWNine = 0.07;     // degree 9, 3x3 block
+constexpr double kWSixteen = 0.03;  // degree 16, 4x4 block
 
 struct Window {
   int degree = 0;
@@ -112,15 +120,8 @@ std::vector<std::pair<size_t, size_t>> draw_window_cells(int degree,
 PekoDesign generate_peko(const PekoParams& prm) {
   if (prm.num_cells < 4)
     throw std::invalid_argument("peko generator needs at least 4 cells");
-  if (prm.patch_side < 2)
-    throw std::invalid_argument("peko patch_side must be >= 2");
   if (!(prm.utilization > 0.0) || prm.utilization > 0.95)
     throw std::invalid_argument("peko utilization must be in (0, 0.95]");
-  const double wsum =
-      prm.w_pair + prm.w_triple + prm.w_quad + prm.w_nine + prm.w_sixteen;
-  if (prm.w_pair < 0 || prm.w_triple < 0 || prm.w_quad < 0 ||
-      prm.w_nine < 0 || prm.w_sixteen < 0 || wsum <= 0.0)
-    throw std::invalid_argument("peko degree weights must be >= 0, sum > 0");
 
   Rng rng(prm.seed);
   PekoDesign d;
@@ -129,7 +130,7 @@ PekoDesign generate_peko(const PekoParams& prm) {
 
   // ---- geometry bookkeeping ------------------------------------------------
   const size_t side = std::min<size_t>(
-      prm.patch_side,
+      kPatchSide,
       std::max<size_t>(2, static_cast<size_t>(std::ceil(
                               std::sqrt(static_cast<double>(prm.num_cells))))));
   const size_t per_patch = side * side;
@@ -279,10 +280,11 @@ PekoDesign generate_peko(const PekoParams& prm) {
   const size_t requested = static_cast<size_t>(
       std::llround(static_cast<double>(total) * kNetsPerCell));
   const size_t random_nets = requested > chain_nets ? requested - chain_nets : 0;
-  const double t_pair = prm.w_pair / wsum;
-  const double t_triple = t_pair + prm.w_triple / wsum;
-  const double t_quad = t_triple + prm.w_quad / wsum;
-  const double t_nine = t_quad + prm.w_nine / wsum;
+  const double wsum = kWPair + kWTriple + kWQuad + kWNine + kWSixteen;
+  const double t_pair = kWPair / wsum;
+  const double t_triple = t_pair + kWTriple / wsum;
+  const double t_quad = t_triple + kWQuad / wsum;
+  const double t_nine = t_quad + kWNine / wsum;
   for (size_t n = 0; n < random_nets; ++n) {
     const size_t patch = rng.uniform_index(patches);
     const double u = rng.uniform();

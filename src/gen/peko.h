@@ -47,17 +47,8 @@ struct PekoParams {
   uint64_t seed = 1;
 
   /// Requested movable-cell count; rounded UP so the patches form full
-  /// patch_side x patch_side grids (PekoDesign::cells records the total).
+  /// square patches (PekoDesign::cells records the total).
   size_t num_cells = 1024;
-  /// Patch edge length in cells (clamped down for tiny designs).
-  size_t patch_side = 16;
-
-  /// Degree-mix weights for the random window nets (normalized internally).
-  double w_pair = 0.55;    ///< degree 2, adjacent pair
-  double w_triple = 0.23;  ///< degree 3, L / straight triple
-  double w_quad = 0.12;    ///< degree 4, 2x2 block
-  double w_nine = 0.07;    ///< degree 9, 3x3 block
-  double w_sixteen = 0.03; ///< degree 16, 4x4 block
 
   /// Core sizing: placeable area (cells + macros) / core area. The core is
   /// additionally grown if needed so the patch super-grid fits with one row

@@ -80,8 +80,7 @@ void LookAheadLegalizer::invalidate_grid_cache() { grid_.reset(); }
 DensityGrid& LookAheadLegalizer::ensure_grid() const {
   if (!grid_ || grid_->bins_x() != opts_.bins_x ||
       grid_->bins_y() != opts_.bins_y)
-    grid_ = std::make_unique<DensityGrid>(nl_, opts_.bins_x, opts_.bins_y,
-                                          opts_.density);
+    grid_ = std::make_unique<DensityGrid>(nl_, opts_.bins_x, opts_.bins_y);
   return *grid_;
 }
 

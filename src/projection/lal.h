@@ -22,7 +22,6 @@ struct ProjectionOptions {
   double gamma = 1.0;  ///< target utilization (ISPD 2006: 0.5 / 0.8 / 0.9)
   size_t bins_x = 0;   ///< 0 = derive from design size
   size_t bins_y = 0;
-  DensityOptions density;    ///< grid query mode (prefix sums on/off)
   /// Alignment groups enforced by the projection (after density spreading
   /// and region snapping).
   std::vector<AlignmentGroup> alignments;

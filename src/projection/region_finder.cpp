@@ -15,8 +15,7 @@ struct SpanStats {
 };
 
 SpanStats stats(const DensityGrid& g, const BinSpan& s) {
-  // O(1) via the grid's summed-area tables (falls back to the historical
-  // per-bin loop, in the same bin order, when use_prefix_sums is off).
+  // O(1) via the grid's summed-area tables.
   SpanStats r;
   r.usage = g.usage_sum(s.i0, s.j0, s.i1, s.j1);
   r.capacity = g.capacity_sum(s.i0, s.j0, s.i1, s.j1);
@@ -63,10 +62,72 @@ Rect span_rect(const DensityGrid& g, const BinSpan& s) {
   return {lo.xl, lo.yl, hi.xh, hi.yh};
 }
 
+/// Grows `s` until its aggregate utilization target is met or it covers
+/// the whole core.
+void expand(const DensityGrid& g, BinSpan& s, double gamma) {
+  while (!satisfied(g, s, gamma)) {
+    if (!grow(g, s, gamma)) break;  // whole core reached
+  }
+}
+
+/// Merges overlapping spans in place, re-expanding each union.
+void merge_overlapping(const DensityGrid& grid, double gamma,
+                       std::vector<BinSpan>& spans) {
+  const auto overlaps = [&](const BinSpan& a, const BinSpan& b) {
+    return a.i0 <= b.i1 && b.i0 <= a.i1 && a.j0 <= b.j1 && b.j0 <= a.j1;
+  };
+  const auto merge_into = [&](size_t a, size_t b) {
+    BinSpan u{std::min(spans[a].i0, spans[b].i0),
+              std::min(spans[a].j0, spans[b].j0),
+              std::max(spans[a].i1, spans[b].i1),
+              std::max(spans[a].j1, spans[b].j1)};
+    expand(grid, u, gamma);
+    spans[a] = u;
+    spans.erase(spans.begin() + static_cast<long>(b));
+  };
+
+  // Only a span that just absorbed another can introduce new overlaps, so
+  // after a merge it suffices to recheck pairs involving that span — in the
+  // order (0,x)…(x−1,x), (x,x+1)… — which is exactly the order a full
+  // restart visits the not-known-disjoint pairs. Every other pair was
+  // verified disjoint by an earlier block and is unchanged, hence the merge
+  // sequence (and the final region set) is bitwise identical to restarting
+  // the scan after every merge, at O(n) pair work per forward merge instead
+  // of a full O(n²) rescan each time.
+  std::vector<char> dirty(spans.size(), 0);
+  size_t x = 0;
+  while (x < spans.size()) {
+    if (dirty[x]) {
+      dirty[x] = 0;
+      bool merged_back = false;
+      for (size_t k = 0; k < x; ++k) {
+        if (!overlaps(spans[k], spans[x])) continue;
+        merge_into(k, x);
+        dirty.erase(dirty.begin() + static_cast<long>(x));
+        dirty[k] = 1;
+        x = k;
+        merged_back = true;
+        break;
+      }
+      if (merged_back) continue;
+    }
+    bool merged_fwd = false;
+    for (size_t y = x + 1; y < spans.size(); ++y) {
+      if (!overlaps(spans[x], spans[y])) continue;
+      merge_into(x, y);
+      dirty.erase(dirty.begin() + static_cast<long>(y));
+      dirty[x] = 1;
+      merged_fwd = true;
+      break;
+    }
+    if (!merged_fwd) ++x;
+  }
+}
+
 }  // namespace
 
-std::vector<Rect> find_spreading_regions(const DensityGrid& grid, double gamma,
-                                         RegionMergePolicy policy) {
+std::vector<Rect> find_spreading_regions(const DensityGrid& grid,
+                                         double gamma) {
   const size_t bx = grid.bins_x(), by = grid.bins_y();
 
   // 1. Mark overfilled bins.
@@ -121,84 +182,10 @@ std::vector<Rect> find_spreading_regions(const DensityGrid& grid, double gamma,
   }
 
   // 3. Expand each span until its aggregate utilization target is met.
-  for (BinSpan& s : spans) {
-    while (!satisfied(grid, s, gamma)) {
-      if (!grow(grid, s, gamma)) break;  // whole core reached
-    }
-  }
+  for (BinSpan& s : spans) expand(grid, s, gamma);
 
   // 4. Merge overlapping spans, re-expand merged results.
-  const auto overlaps = [&](const BinSpan& a, const BinSpan& b) {
-    return a.i0 <= b.i1 && b.i0 <= a.i1 && a.j0 <= b.j1 && b.j0 <= a.j1;
-  };
-  const auto merge_into = [&](size_t a, size_t b) {
-    BinSpan u{std::min(spans[a].i0, spans[b].i0),
-              std::min(spans[a].j0, spans[b].j0),
-              std::max(spans[a].i1, spans[b].i1),
-              std::max(spans[a].j1, spans[b].j1)};
-    while (!satisfied(grid, u, gamma)) {
-      if (!grow(grid, u, gamma)) break;
-    }
-    spans[a] = u;
-    spans.erase(spans.begin() + static_cast<long>(b));
-  };
-
-  // complx-lint: allow(N1): enum comparison — the scanner's declarator
-  // heuristic mistakes RegionMergePolicy for a floating-point name because
-  // it follows `double gamma,` in the parameter list.
-  if (policy == RegionMergePolicy::kFullRescan) {
-    // Historical O(n³) reference: restart the full pair scan after every
-    // merge. The incremental policy below must reproduce this exactly
-    // (asserted by the region-finder stress test).
-    bool merged = true;
-    while (merged) {
-      merged = false;
-      for (size_t a = 0; a < spans.size() && !merged; ++a) {
-        for (size_t b = a + 1; b < spans.size() && !merged; ++b) {
-          if (!overlaps(spans[a], spans[b])) continue;
-          merge_into(a, b);
-          merged = true;
-        }
-      }
-    }
-  } else {
-    // Only a span that just absorbed another can introduce new overlaps,
-    // so after a merge it suffices to recheck pairs involving that span —
-    // in the order (0,x)…(x−1,x), (x,x+1)… — which is exactly the order a
-    // full restart visits the not-known-disjoint pairs. Every other pair
-    // was verified disjoint by an earlier block and is unchanged, hence
-    // the merge sequence (and the final region set) is bitwise identical
-    // to the reference, at O(n) pair work per forward merge instead of a
-    // full O(n²) rescan each time.
-    std::vector<char> dirty(spans.size(), 0);
-    size_t x = 0;
-    while (x < spans.size()) {
-      if (dirty[x]) {
-        dirty[x] = 0;
-        bool merged_back = false;
-        for (size_t k = 0; k < x; ++k) {
-          if (!overlaps(spans[k], spans[x])) continue;
-          merge_into(k, x);
-          dirty.erase(dirty.begin() + static_cast<long>(x));
-          dirty[k] = 1;
-          x = k;
-          merged_back = true;
-          break;
-        }
-        if (merged_back) continue;
-      }
-      bool merged_fwd = false;
-      for (size_t y = x + 1; y < spans.size(); ++y) {
-        if (!overlaps(spans[x], spans[y])) continue;
-        merge_into(x, y);
-        dirty.erase(dirty.begin() + static_cast<long>(y));
-        dirty[x] = 1;
-        merged_fwd = true;
-        break;
-      }
-      if (!merged_fwd) ++x;
-    }
-  }
+  merge_overlapping(grid, gamma, spans);
 
   std::vector<Rect> rects;
   rects.reserve(spans.size());

@@ -16,23 +16,14 @@ struct BinSpan {
   size_t i0 = 0, j0 = 0, i1 = 0, j1 = 0;
 };
 
-/// How overlapping span expansions are merged back together.
-enum class RegionMergePolicy {
-  /// After a merge, recheck only pairs involving the merged span (in the
-  /// same lexicographic order a full restart would visit them) — O(n²)
-  /// pair work total instead of O(n³), with a bitwise-identical result.
-  kIncremental,
-  /// Historical reference: restart the full pair scan after every merge.
-  /// Kept for the region-finder stress test that asserts the incremental
-  /// policy reproduces it exactly.
-  kFullRescan,
-};
-
 /// Returns disjoint spreading regions (in core coordinates) that cover all
 /// overfilled bins and have utilization <= gamma each (when expandable).
-/// Overlapping expansions are merged and re-expanded.
-std::vector<Rect> find_spreading_regions(
-    const DensityGrid& grid, double gamma,
-    RegionMergePolicy policy = RegionMergePolicy::kIncremental);
+/// Overlapping expansions are merged and re-expanded; after a merge only
+/// pairs involving the merged span are rechecked, in the order a full
+/// restart of the pair scan would visit them — O(n²) pair work instead of
+/// O(n³), with the same merge sequence (test_region_finder keeps the
+/// restart-after-every-merge scan as its reference).
+std::vector<Rect> find_spreading_regions(const DensityGrid& grid,
+                                         double gamma);
 
 }  // namespace complx

@@ -1,6 +1,8 @@
 #include "util/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <csignal>
 #include <memory>
 #include <stdexcept>
 
@@ -175,6 +177,34 @@ ThreadPool& global_pool() {
   if (!g_pool) g_pool = std::make_unique<ThreadPool>(global_threads());
   return *g_pool;
 }
+
+// ---------------------------------------------------------------------------
+// Cancel flag.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Written from a signal handler, where only lock-free atomics are
+// async-signal-safe (a plain bool or anything mutex-based would be UB).
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the SIGINT handler needs a lock-free flag");
+std::atomic<bool> g_cancel{false};
+
+void raise_cancel_on_sigint(int) {
+  // Relaxed is enough: a single flag, polled for control flow only.
+  g_cancel.store(true, std::memory_order_relaxed);
+  std::signal(SIGINT, SIG_DFL);
+}
+
+}  // namespace
+
+void set_cancel_requested(bool raised) {
+  g_cancel.store(raised, std::memory_order_relaxed);
+}
+
+bool cancel_requested() { return g_cancel.load(std::memory_order_relaxed); }
+
+void cancel_on_sigint() { std::signal(SIGINT, raise_cancel_on_sigint); }
 
 // ---------------------------------------------------------------------------
 // Deterministic helpers.

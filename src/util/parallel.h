@@ -183,6 +183,25 @@ size_t global_threads();
 ThreadPool& global_pool();
 
 // ---------------------------------------------------------------------------
+// Process-wide cooperative cancellation (SIGINT).
+//
+// One flag for the whole process: the placer polls it at iteration
+// boundaries, finish_placement() before detailed placement, DetailedPlacer
+// between moves and complx_fleet between designs. Control flow only — no
+// value the numeric kernels read depends on it.
+// ---------------------------------------------------------------------------
+
+/// Raises (true) or clears (false) the cancel flag.
+void set_cancel_requested(bool raised);
+
+/// Whether the cancel flag is raised.
+bool cancel_requested();
+
+/// Installs a SIGINT handler: the first ^C raises the cancel flag and
+/// restores SIG_DFL, so a second ^C kills the process the default way.
+void cancel_on_sigint();
+
+// ---------------------------------------------------------------------------
 // Deterministic helpers over the global pool.
 // ---------------------------------------------------------------------------
 

@@ -14,8 +14,20 @@
 #include "gen/generator.h"
 #include "netlist/netlist.h"
 #include "qp/solver.h"
+#include "util/parallel.h"
 
 namespace complx::testing {
+
+/// Raises the process-wide cancel flag (util/parallel.h) for its lifetime
+/// and clears it on scope exit — also when a failed ASSERT returns early —
+/// so a cancel test never leaks the flag into the tests after it.
+class ScopedCancel {
+ public:
+  ScopedCancel() { set_cancel_requested(true); }
+  ~ScopedCancel() { set_cancel_requested(false); }
+  ScopedCancel(const ScopedCancel&) = delete;
+  ScopedCancel& operator=(const ScopedCancel&) = delete;
+};
 
 /// Raw IEEE-754 bit pattern of a double, for byte-exactness assertions
 /// where even -0.0 vs 0.0 must be told apart (frozen-cell ECO contract,

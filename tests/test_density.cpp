@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -218,28 +219,61 @@ TEST(Metric, RespectsExplicitBins) {
 
 
 // ---------------------------------------------------------------------------
-// Summed-area-table query path (DensityOptions::use_prefix_sums, default on)
+// Summed-area-table queries against the historical per-bin loops
 // ---------------------------------------------------------------------------
 
-/// The SAT and loop paths compute the same sum with a different FP
+/// Which per-bin field a reference query integrates.
+enum class Field { Capacity, Usage };
+
+double bin_value(const DensityGrid& g, Field f, size_t i, size_t j) {
+  return f == Field::Capacity ? g.capacity(i, j) : g.usage(i, j);
+}
+
+/// Reference for free_area_in / usage_in: the historical per-bin loop, each
+/// bin's value weighted by the fraction of the bin the clipped rectangle
+/// covers, summed in row-major bin order.
+double loop_integral(const DensityGrid& g, Field f, const Rect& r) {
+  const Rect core = g.netlist().core();
+  const Rect clipped = {std::max(r.xl, core.xl), std::max(r.yl, core.yl),
+                        std::min(r.xh, core.xh), std::min(r.yh, core.yh)};
+  if (clipped.empty()) return 0.0;
+  const size_t i0 = g.bin_x_of(clipped.xl);
+  const size_t i1 = g.bin_x_of(clipped.xh - 1e-12);
+  const size_t j0 = g.bin_y_of(clipped.yl);
+  const size_t j1 = g.bin_y_of(clipped.yh - 1e-12);
+  double s = 0.0;
+  for (size_t j = j0; j <= j1; ++j) {
+    for (size_t i = i0; i <= i1; ++i) {
+      const Rect b = g.bin_rect(i, j);
+      s += b.overlap_area(clipped) / b.area() * bin_value(g, f, i, j);
+    }
+  }
+  return s;
+}
+
+/// Reference for capacity_sum / usage_sum over the inclusive bin span.
+double loop_span_sum(const DensityGrid& g, Field f, size_t i0, size_t j0,
+                     size_t i1, size_t j1) {
+  double s = 0.0;
+  for (size_t j = j0; j <= j1; ++j)
+    for (size_t i = i0; i <= i1; ++i) s += bin_value(g, f, i, j);
+  return s;
+}
+
+/// The SAT queries and the loops compute the same sum with a different FP
 /// association, so the meaningful tolerance is absolute, scaled by the
 /// grand total of the field (cancellation in the 4-corner query is bounded
 /// by eps times the table's largest entry).
 TEST(DensityGridPrefix, MatchesLoopOnRandomRects) {
   const Netlist nl = complx::testing::small_circuit(23, 3000, 1);
   const Placement p = nl.snapshot();
-  DensityOptions loop_opts;
-  loop_opts.use_prefix_sums = false;
-  DensityGrid fast(nl, 33, 47);  // non-square on purpose
-  DensityGrid slow(nl, 33, 47, loop_opts);
-  ASSERT_TRUE(fast.options().use_prefix_sums);
-  ASSERT_FALSE(slow.options().use_prefix_sums);
-  fast.build(p);
-  slow.build(p);
+  DensityGrid g(nl, 33, 47);  // non-square on purpose
+  g.build(p);
 
   const Rect core = nl.core();
-  const double cap_scale = std::max(1.0, slow.free_area_in(core));
-  const double use_scale = std::max(1.0, slow.usage_in(core));
+  const double cap_scale =
+      std::max(1.0, loop_integral(g, Field::Capacity, core));
+  const double use_scale = std::max(1.0, loop_integral(g, Field::Usage, core));
   Rng rng(99);
   for (int t = 0; t < 500; ++t) {
     const double margin = 0.05 * core.width();
@@ -249,9 +283,11 @@ TEST(DensityGridPrefix, MatchesLoopOnRandomRects) {
     double yb = rng.uniform(core.yl - margin, core.yh + margin);
     const Rect r{std::min(xa, xb), std::min(ya, yb), std::max(xa, xb),
                  std::max(ya, yb)};
-    EXPECT_NEAR(fast.free_area_in(r), slow.free_area_in(r), 1e-9 * cap_scale)
+    EXPECT_NEAR(g.free_area_in(r), loop_integral(g, Field::Capacity, r),
+                1e-9 * cap_scale)
         << "rect " << t;
-    EXPECT_NEAR(fast.usage_in(r), slow.usage_in(r), 1e-9 * use_scale)
+    EXPECT_NEAR(g.usage_in(r), loop_integral(g, Field::Usage, r),
+                1e-9 * use_scale)
         << "rect " << t;
   }
 }
@@ -259,15 +295,12 @@ TEST(DensityGridPrefix, MatchesLoopOnRandomRects) {
 TEST(DensityGridPrefix, SpanSumsMatchPerBinLoops) {
   const Netlist nl = complx::testing::small_circuit(24, 2000, 1);
   const Placement p = nl.snapshot();
-  DensityOptions loop_opts;
-  loop_opts.use_prefix_sums = false;
-  DensityGrid fast(nl, 20, 20);
-  DensityGrid slow(nl, 20, 20, loop_opts);
-  fast.build(p);
-  slow.build(p);
+  DensityGrid g(nl, 20, 20);
+  g.build(p);
   const double cap_scale =
-      std::max(1.0, slow.capacity_sum(0, 0, 19, 19));
-  const double use_scale = std::max(1.0, slow.usage_sum(0, 0, 19, 19));
+      std::max(1.0, loop_span_sum(g, Field::Capacity, 0, 0, 19, 19));
+  const double use_scale =
+      std::max(1.0, loop_span_sum(g, Field::Usage, 0, 0, 19, 19));
   Rng rng(7);
   for (int t = 0; t < 300; ++t) {
     size_t i0 = static_cast<size_t>(rng.uniform_index(20));
@@ -276,10 +309,12 @@ TEST(DensityGridPrefix, SpanSumsMatchPerBinLoops) {
     size_t j1 = static_cast<size_t>(rng.uniform_index(20));
     if (i1 < i0) std::swap(i0, i1);
     if (j1 < j0) std::swap(j0, j1);
-    EXPECT_NEAR(fast.capacity_sum(i0, j0, i1, j1),
-                slow.capacity_sum(i0, j0, i1, j1), 1e-9 * cap_scale);
-    EXPECT_NEAR(fast.usage_sum(i0, j0, i1, j1),
-                slow.usage_sum(i0, j0, i1, j1), 1e-9 * use_scale);
+    EXPECT_NEAR(g.capacity_sum(i0, j0, i1, j1),
+                loop_span_sum(g, Field::Capacity, i0, j0, i1, j1),
+                1e-9 * cap_scale);
+    EXPECT_NEAR(g.usage_sum(i0, j0, i1, j1),
+                loop_span_sum(g, Field::Usage, i0, j0, i1, j1),
+                1e-9 * use_scale);
   }
 }
 
@@ -291,20 +326,16 @@ TEST(DensityGridPrefix, ExactOnRepresentableFractions) {
   Placement p = nl.snapshot();
   p.x[0] = 10.0;
   p.y[0] = 10.0;
-  DensityOptions loop_opts;
-  loop_opts.use_prefix_sums = false;
-  DensityGrid fast(nl, 10, 10);
-  DensityGrid slow(nl, 10, 10, loop_opts);
-  fast.build(p);
-  slow.build(p);
+  DensityGrid g(nl, 10, 10);
+  g.build(p);
   const Rect queries[] = {{0, 0, 50, 50},
                           {0, 0, 45, 45},
                           {5, 5, 12.5, 17.5},
                           {-10, -10, 200, 200},
                           {7.5, 12.5, 7.5, 30}};
   for (const Rect& r : queries) {
-    EXPECT_DOUBLE_EQ(fast.free_area_in(r), slow.free_area_in(r));
-    EXPECT_DOUBLE_EQ(fast.usage_in(r), slow.usage_in(r));
+    EXPECT_DOUBLE_EQ(g.free_area_in(r), loop_integral(g, Field::Capacity, r));
+    EXPECT_DOUBLE_EQ(g.usage_in(r), loop_integral(g, Field::Usage, r));
   }
 }
 
@@ -435,23 +466,6 @@ TEST(DensityPenalty, NonFiniteCenterIsDefinedAndCounted) {
     EXPECT_TRUE(std::isfinite(gx[id]));
     EXPECT_TRUE(std::isfinite(gy[id]));
   }
-}
-
-TEST(DensityPenalty, GridOptionsReachTheInternalGrid) {
-  // The internal grid used to be constructed with default DensityOptions,
-  // silently ignoring use_prefix_sums=false ablation configs.
-  Netlist nl = complx::testing::small_circuit(54, 100);
-  DensityPenaltyOptions on;
-  on.grid.use_prefix_sums = true;
-  DensityPenaltyOptions off;
-  off.grid.use_prefix_sums = false;
-  DensityPenalty pen_on(nl, on);
-  DensityPenalty pen_off(nl, off);
-  EXPECT_TRUE(pen_on.grid().options().use_prefix_sums);
-  EXPECT_FALSE(pen_off.grid().options().use_prefix_sums);
-  // Both query paths agree on the metric itself.
-  const Placement p = nl.snapshot();
-  EXPECT_NEAR(pen_on.overflow_ratio(p), pen_off.overflow_ratio(p), 1e-12);
 }
 
 }  // namespace

@@ -134,25 +134,6 @@ TEST(Eco, EmptyWindowTouchesNothingAndRunsNoSolve) {
   }
 }
 
-TEST(Eco, ApplyFalseLeavesNetlistUntouched) {
-  Netlist nl = testing::small_circuit(24, 200);
-  std::vector<std::pair<uint64_t, uint64_t>> before;
-  for (CellId id = 0; id < nl.num_cells(); ++id)
-    before.emplace_back(bits(nl.cell(id).x), bits(nl.cell(id).y));
-
-  EcoOptions opts;
-  opts.window = {-1e30, -1e30, 1e30, 1e30};
-  opts.config = fast_config();
-  opts.apply = false;
-  const EcoResult eco = eco_replace(nl, opts);
-  EXPECT_TRUE(full_solve(eco));
-  EXPECT_GT(eco.place.iterations, 0);
-  for (CellId id = 0; id < nl.num_cells(); ++id) {
-    EXPECT_EQ(bits(nl.cell(id).x), before[id].first) << id;
-    EXPECT_EQ(bits(nl.cell(id).y), before[id].second) << id;
-  }
-}
-
 // Chaos-labeled: a warm-start snapshot (experience store) feeding an ECO
 // pass. The stored placement seeds a resumed solve (the caller probes the
 // store, as complx_place --warm-start does); the partial window then

@@ -1,12 +1,12 @@
 // The shared finish step (core/flow.h): legalize -> detailed placement ->
 // score, with its two skip rules (a failed legalization, a raised cancel
-// flag) and its equality with the hand-written sequence it replaced.
+// flag, also inside a fleet design) and its equality with the hand-written
+// sequence it replaced.
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "core/flow.h"
 #include "core/placer.h"
+#include "gen/fleet.h"
 #include "helpers.h"
 #include "wl/hpwl.h"
 
@@ -55,17 +55,18 @@ TEST(FinishPlacement, SkippedDetailedPlacementLeavesTheLegalPlacement) {
   Placement legalized = anchors;
   TetrisLegalizer(nl).legalize(legalized);
 
-  // A raised cancel flag (complx_place after ^C) and --no-dp.
-  const std::atomic<bool> raised{true};
-  for (const FinishOptions& opts :
-       {FinishOptions{.cancel = &raised}, FinishOptions{.detailed = false}}) {
-    const FinishResult res = finish_placement(nl, anchors, opts);
+  const auto expect_legalized_only = [&](const FinishResult& res) {
     EXPECT_EQ(res.legal.failed, 0u);
     EXPECT_FALSE(res.dp.has_value());
     EXPECT_TRUE(res.is_legal);
     complx::testing::expect_placements_bitwise_equal(res.placement,
                                                      legalized);
+  };
+  {
+    const complx::testing::ScopedCancel cancel;  // complx_place after ^C
+    expect_legalized_only(finish_placement(nl, anchors));
   }
+  expect_legalized_only(finish_placement(nl, anchors, {.detailed = false}));
 }
 
 TEST(FinishPlacement, MatchesHandWrittenTetrisThenDetailedSequence) {
@@ -86,6 +87,33 @@ TEST(FinishPlacement, MatchesHandWrittenTetrisThenDetailedSequence) {
   EXPECT_EQ(res.dp->passes, dp.passes);
   EXPECT_EQ(complx::testing::bits(res.dp->final_hpwl),
             complx::testing::bits(dp.final_hpwl));
+}
+
+TEST(FinishPlacement, FleetDesignSkipsDetailedPlacementUnderRaisedFlag) {
+  // complx_fleet after ^C: the running design's global placement stops and
+  // its finish step skips DP, exactly as complx_place's does.
+  PekoParams params;
+  params.num_cells = 256;
+  params.seed = 41;
+  const Netlist nl = generate_peko(params).netlist;
+  FleetRunOptions opts;
+  opts.record_timing = false;
+  FleetRecord rec;
+  Placement anchors;
+  {
+    const complx::testing::ScopedCancel cancel;
+    rec = run_fleet_design(params, opts);
+    anchors = ComplxPlacer(nl, {}).place().anchors;
+  }
+  EXPECT_EQ(rec.stop, StopReason::Cancelled);
+  const FinishResult legal_only =
+      finish_placement(nl, anchors, {.detailed = false});
+  EXPECT_EQ(complx::testing::bits(rec.hpwl),
+            complx::testing::bits(legal_only.metric.hpwl));
+  // With the flag lowered, DP does move this placement.
+  const FinishResult refined = finish_placement(nl, anchors);
+  ASSERT_TRUE(refined.dp.has_value());
+  EXPECT_LT(refined.metric.hpwl, legal_only.metric.hpwl);
 }
 
 }  // namespace

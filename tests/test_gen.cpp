@@ -340,9 +340,6 @@ TEST(Peko, InvalidParamsThrow) {
   p = PekoParams{};
   p.utilization = 0.97;
   EXPECT_THROW(generate_peko(p), std::invalid_argument);
-  p = PekoParams{};
-  p.w_pair = p.w_triple = p.w_quad = p.w_nine = p.w_sixteen = 0.0;
-  EXPECT_THROW(generate_peko(p), std::invalid_argument);
 }
 
 TEST(Peko, AnchorsAreFixedAtOptimalPositions) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -420,8 +419,7 @@ TEST_F(HealthPlacer, TimeLimitStopsEarlyWithUsablePlacement) {
 }
 
 TEST_F(HealthPlacer, CancelFlagStopsWithUsablePlacement) {
-  std::atomic<bool> cancel{true};
-  cfg_.cancel = &cancel;
+  const complx::testing::ScopedCancel cancel;
   ComplxPlacer placer(nl_, cfg_);
   const PlaceResult r = placer.place();
   EXPECT_EQ(r.stop, StopReason::Cancelled);

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string>
 
 #include "density/grid.h"
-#include "util/rng.h"
 #include "helpers.h"
 #include "projection/lal.h"
 
@@ -202,60 +200,6 @@ TEST(Lal, AssignMotesFirstRegionWins) {
   EXPECT_EQ(owner[3], 0u);
   EXPECT_EQ(owner[4], 0u);
   EXPECT_EQ(owner[5], kNoSpreadRegion);
-}
-
-TEST(Lal, PrefixSumQueriesMatchLegacyLoopThroughProjection) {
-  // The summed-area-table query path and the legacy per-bin loop are the
-  // same sum re-associated (equivalence to 1e-9 is asserted per query in
-  // test_density). Through a full projection the decision points (grow
-  // direction ratios, partition cuts) must then agree too — PROVIDED no
-  // decision is an exact tie in real arithmetic, because a tie has no
-  // canonical winner once the summation order changes. A flat capacity
-  // field makes opposing grow candidates exact ties, so this fixture
-  // scatters irregular fixed blocks over the whole core: every strip sum
-  // becomes a distinct, non-representable value and every comparison is
-  // decided by a margin far above the 1e-9 re-association noise.
-  Netlist nl;
-  Rng rng(71);
-  for (int b = 0; b < 120; ++b) {
-    Cell blk;
-    blk.width = rng.uniform(1.3, 4.7);
-    blk.height = rng.uniform(1.3, 4.7);
-    blk.x = rng.uniform(0.0, 200.0 - blk.width);
-    blk.y = rng.uniform(0.0, 200.0 - blk.height);
-    blk.kind = CellKind::Fixed;
-    nl.add_cell(blk, "blk" + std::to_string(b));
-  }
-  for (int k = 0; k < 600; ++k) {
-    Cell c;
-    c.width = 2.0;
-    c.height = 2.0;
-    nl.add_cell(c, "c" + std::to_string(k));
-  }
-  nl.set_core({0, 0, 200, 200});
-  nl.finalize();
-
-  Placement p = nl.snapshot();
-  for (CellId id : nl.movable_cells()) {
-    p.x[id] = 74.0;  // off-center pile
-    p.y[id] = 122.0;
-  }
-  ProjectionOptions fast;
-  fast.bins_x = fast.bins_y = 16;
-  fast.density.use_prefix_sums = true;
-  ProjectionOptions slow = fast;
-  slow.density.use_prefix_sums = false;
-  const ProjectionResult a = LookAheadLegalizer(nl, fast).project(p);
-  const ProjectionResult b = LookAheadLegalizer(nl, slow).project(p);
-  // total_overflow uses the per-bin fields directly in both modes.
-  EXPECT_EQ(a.input_overflow_ratio, b.input_overflow_ratio);
-  EXPECT_EQ(a.num_regions, b.num_regions);
-  for (CellId id : nl.movable_cells()) {
-    EXPECT_NEAR(a.anchors.x[id], b.anchors.x[id], 1e-6) << "cell " << id;
-    EXPECT_NEAR(a.anchors.y[id], b.anchors.y[id], 1e-6) << "cell " << id;
-  }
-  EXPECT_NEAR(a.displacement_l1, b.displacement_l1,
-              1e-6 * std::max(1.0, b.displacement_l1));
 }
 
 TEST(Lal, CapacityCacheIsTransparent) {

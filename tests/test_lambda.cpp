@@ -77,10 +77,10 @@ TEST(Lambda, NaiveDoublingClampsAtFiniteCeiling) {
   // 2000 doublings would overflow to Inf without the ceiling.
   for (int k = 0; k < 2000; ++k) s.update(1, 1);
   EXPECT_TRUE(std::isfinite(s.lambda()));
-  EXPECT_DOUBLE_EQ(s.lambda(), s.max_lambda());
+  EXPECT_DOUBLE_EQ(s.lambda(), kMaxLambda);
   // Further updates stay pinned at the ceiling.
   s.update(1, 1);
-  EXPECT_DOUBLE_EQ(s.lambda(), s.max_lambda());
+  EXPECT_DOUBLE_EQ(s.lambda(), kMaxLambda);
 }
 
 TEST(Lambda, InitGuardsNonFiniteInputs) {
@@ -119,19 +119,9 @@ TEST(Lambda, SetLambdaSanitizesAndClamps) {
   s.set_lambda(-5.0);  // negative multipliers are meaningless
   EXPECT_DOUBLE_EQ(s.lambda(), 0.0);
   s.set_lambda(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_DOUBLE_EQ(s.lambda(), s.max_lambda());
-  s.set_lambda(2.0 * s.max_lambda());
-  EXPECT_DOUBLE_EQ(s.lambda(), s.max_lambda());
-}
-
-TEST(Lambda, SetMaxLambdaLowersCeilingAndReclamps) {
-  LambdaSchedule s(ScheduleKind::ComplxFormula12);
-  s.init(100.0, 1.0);
-  s.set_lambda(500.0);
-  s.set_max_lambda(100.0);
-  EXPECT_DOUBLE_EQ(s.lambda(), 100.0);
-  s.set_max_lambda(-1.0);  // rejected: ceiling unchanged
-  EXPECT_DOUBLE_EQ(s.max_lambda(), 100.0);
+  EXPECT_DOUBLE_EQ(s.lambda(), kMaxLambda);
+  s.set_lambda(2.0 * kMaxLambda);
+  EXPECT_DOUBLE_EQ(s.lambda(), kMaxLambda);
 }
 
 TEST(Lambda, IterationCounterAdvances) {

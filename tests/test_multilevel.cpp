@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -128,10 +127,9 @@ TEST(Multilevel, ReportsEveryLevelInOnePlaceResult) {
 
 TEST(Multilevel, CancelStopsTheCycleWithFiniteFineAnchors) {
   Netlist nl = complx::testing::small_circuit(418, 4000);
-  const std::atomic<bool> cancel{true};
+  const complx::testing::ScopedCancel cancel;
   MultilevelConfig cfg;
   cfg.coarsest_cells = 1000;
-  cfg.coarse.cancel = &cancel;
   const MultilevelResult res = MultilevelPlacer(nl, cfg).place();
   ASSERT_GE(res.levels.size(), 2u);
   EXPECT_EQ(res.place.stop, StopReason::Cancelled);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -116,6 +117,34 @@ TEST(ThreadPool, ChunkZeroThrows) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.parallel_for(10, 0, [](size_t, size_t) {}),
                std::invalid_argument);
+}
+
+// ----------------------------------------------------------- cancel flag ----
+
+/// Clears the process-wide cancel flag on scope exit, ASSERT failures
+/// included.
+struct ClearCancelOnExit {
+  ~ClearCancelOnExit() { set_cancel_requested(false); }
+};
+
+TEST(CancelFlag, RaisesAndClears) {
+  const ClearCancelOnExit clear;
+  EXPECT_FALSE(cancel_requested());
+  set_cancel_requested(true);
+  EXPECT_TRUE(cancel_requested());
+  set_cancel_requested(false);
+  EXPECT_FALSE(cancel_requested());
+}
+
+TEST(CancelFlag, FirstSigintRaisesTheFlagAndRestoresTheDefault) {
+  const ClearCancelOnExit clear;
+  ASSERT_FALSE(cancel_requested());
+  cancel_on_sigint();
+  ASSERT_EQ(std::raise(SIGINT), 0);  // exactly one: a second would kill us
+  EXPECT_TRUE(cancel_requested());
+  // std::signal returns the disposition it replaces: the handler must have
+  // put SIG_DFL back.
+  EXPECT_EQ(std::signal(SIGINT, SIG_DFL), SIG_DFL);
 }
 
 // -------------------------------------------------------- global helpers ----

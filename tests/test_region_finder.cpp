@@ -1,11 +1,129 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <queue>
+#include <utility>
+#include <vector>
+
 #include "density/grid.h"
 #include "projection/region_finder.h"
 #include "util/rng.h"
 
 namespace complx {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Reference region finder: the same seed, grow and merge rules as
+// find_spreading_regions, written out plainly, with the historical O(n³)
+// merge that restarts the full pair scan after every merge. The library's
+// incremental merge must reproduce it exactly.
+// ---------------------------------------------------------------------------
+
+bool reference_satisfied(const DensityGrid& g, const BinSpan& s,
+                         double gamma) {
+  return g.usage_sum(s.i0, s.j0, s.i1, s.j1) <=
+         gamma * g.capacity_sum(s.i0, s.j0, s.i1, s.j1) + 1e-9;
+}
+
+/// Grows `s` by one bin towards the lowest resulting utilization ratio
+/// (ties keep the first of left, right, down, up); false at the core edge.
+bool reference_grow(const DensityGrid& g, BinSpan& s, double gamma) {
+  std::vector<BinSpan> cands;
+  if (s.i0 > 0) cands.push_back({s.i0 - 1, s.j0, s.i1, s.j1});
+  if (s.i1 + 1 < g.bins_x()) cands.push_back({s.i0, s.j0, s.i1 + 1, s.j1});
+  if (s.j0 > 0) cands.push_back({s.i0, s.j0 - 1, s.i1, s.j1});
+  if (s.j1 + 1 < g.bins_y()) cands.push_back({s.i0, s.j0, s.i1, s.j1 + 1});
+  double best_ratio = std::numeric_limits<double>::infinity();
+  const BinSpan* best = nullptr;
+  for (const BinSpan& c : cands) {
+    const double usage = g.usage_sum(c.i0, c.j0, c.i1, c.j1);
+    const double capacity = g.capacity_sum(c.i0, c.j0, c.i1, c.j1);
+    const double ratio = capacity > 0.0
+                             ? usage / (gamma * capacity)
+                             : std::numeric_limits<double>::infinity();
+    if (ratio < best_ratio) {
+      best_ratio = ratio;
+      best = &c;
+    }
+  }
+  if (!best) return false;
+  s = *best;
+  return true;
+}
+
+void reference_expand(const DensityGrid& g, BinSpan& s, double gamma) {
+  while (!reference_satisfied(g, s, gamma) && reference_grow(g, s, gamma)) {
+  }
+}
+
+std::vector<Rect> reference_regions(const DensityGrid& g, double gamma) {
+  const size_t bx = g.bins_x(), by = g.bins_y();
+  // Seeds: 4-connected components of overfilled bins, in row-major order
+  // of their first bin, each as its bounding span.
+  std::vector<char> seen(bx * by, 0);
+  const auto over = [&](size_t i, size_t j) {
+    return g.overflow(i, j, gamma) > 1e-9;
+  };
+  std::vector<BinSpan> spans;
+  for (size_t j = 0; j < by; ++j) {
+    for (size_t i = 0; i < bx; ++i) {
+      if (!over(i, j) || seen[j * bx + i]) continue;
+      BinSpan s{i, j, i, j};
+      std::queue<std::pair<size_t, size_t>> q;
+      q.push({i, j});
+      seen[j * bx + i] = 1;
+      while (!q.empty()) {
+        const auto [ci, cj] = q.front();
+        q.pop();
+        s = {std::min(s.i0, ci), std::min(s.j0, cj), std::max(s.i1, ci),
+             std::max(s.j1, cj)};
+        const auto visit = [&](size_t ni, size_t nj) {
+          if (over(ni, nj) && !seen[nj * bx + ni]) {
+            seen[nj * bx + ni] = 1;
+            q.push({ni, nj});
+          }
+        };
+        if (ci > 0) visit(ci - 1, cj);
+        if (ci + 1 < bx) visit(ci + 1, cj);
+        if (cj > 0) visit(ci, cj - 1);
+        if (cj + 1 < by) visit(ci, cj + 1);
+      }
+      spans.push_back(s);
+    }
+  }
+  for (BinSpan& s : spans) reference_expand(g, s, gamma);
+
+  // Restart the full pair scan after every merge.
+  const auto overlaps = [](const BinSpan& a, const BinSpan& b) {
+    return a.i0 <= b.i1 && b.i0 <= a.i1 && a.j0 <= b.j1 && b.j0 <= a.j1;
+  };
+  bool merged = true;
+  while (merged) {
+    merged = false;
+    for (size_t a = 0; a < spans.size() && !merged; ++a) {
+      for (size_t b = a + 1; b < spans.size() && !merged; ++b) {
+        if (!overlaps(spans[a], spans[b])) continue;
+        BinSpan u{std::min(spans[a].i0, spans[b].i0),
+                  std::min(spans[a].j0, spans[b].j0),
+                  std::max(spans[a].i1, spans[b].i1),
+                  std::max(spans[a].j1, spans[b].j1)};
+        reference_expand(g, u, gamma);
+        spans[a] = u;
+        spans.erase(spans.begin() + static_cast<long>(b));
+        merged = true;
+      }
+    }
+  }
+
+  std::vector<Rect> rects;
+  for (const BinSpan& s : spans) {
+    const Rect lo = g.bin_rect(s.i0, s.j0);
+    const Rect hi = g.bin_rect(s.i1, s.j1);
+    rects.push_back({lo.xl, lo.yl, hi.xh, hi.yh});
+  }
+  return rects;
+}
 
 Netlist empty_core(double side = 100.0) {
   Netlist nl;
@@ -115,9 +233,9 @@ TEST(RegionFinder, GammaTightensDetection) {
 
 TEST(RegionFinder, IncrementalMergeMatchesFullRescanStress) {
   // Many hotspots of random severity on a 32x32 grid, dense enough that
-  // expanded spans collide and chain-merge. The incremental merge policy
-  // claims a bitwise-identical result to the historical restart-from-
-  // scratch scan; assert exact equality of the final region lists.
+  // expanded spans collide and chain-merge. The incremental merge claims a
+  // bitwise-identical result to the historical restart-from-scratch scan
+  // (reference_regions above); assert exact equality of the region lists.
   Netlist nl = empty_core(320.0);
   DensityGrid g(nl, 32, 32);
   Rng rng(4242);
@@ -131,8 +249,7 @@ TEST(RegionFinder, IncrementalMergeMatchesFullRescanStress) {
   g.build_from_rects(rects);
   for (const double gamma : {0.6, 0.8, 1.0}) {
     const auto fast = find_spreading_regions(g, gamma);
-    const auto ref =
-        find_spreading_regions(g, gamma, RegionMergePolicy::kFullRescan);
+    const auto ref = reference_regions(g, gamma);
     ASSERT_EQ(fast.size(), ref.size()) << "gamma " << gamma;
     // Tight gammas legitimately merge everything into one span; the loose
     // one must keep several regions or the fixture exercises nothing.
