@@ -36,7 +36,8 @@
 //   1    usage error
 //   2    fatal error or illegal records
 //   4    degraded experience store (fleet itself succeeded)
-//   130  interrupted (SIGINT); records completed so far are written first
+//   130  interrupted (SIGINT at any point before the exit code is chosen,
+//        the last design included); records so far are written first
 // A design whose global placement diverged does not change the exit code:
 // it shows in its record's "stop" field, and quality_gate.py warm fails on
 // it.
@@ -157,14 +158,7 @@ int main(int argc, char** argv) {
     const std::vector<PekoParams> designs = fleet_designs(preset, base_seed);
     std::vector<FleetRecord> records;
     records.reserve(designs.size());
-    bool interrupted = false;
-    for (size_t k = 0; k < designs.size(); ++k) {
-      if (cancel_requested()) {
-        interrupted = true;
-        std::fprintf(stderr, "interrupted after %zu/%zu designs\n", k,
-                     designs.size());
-        break;
-      }
+    for (size_t k = 0; k < designs.size() && !cancel_requested(); ++k) {
       records.push_back(run_fleet_design(designs[k], opts));
       const FleetRecord& r = records.back();
       if (!quiet)
@@ -183,8 +177,13 @@ int main(int argc, char** argv) {
                 s.mean_overflow_percent, s.illegal, s.warm_started,
                 s.total_wall_s, out_path.c_str());
     // Exit-code contract (see header): completed records are on disk by the
-    // time any non-zero code is returned.
-    if (interrupted) return 130;
+    // time any non-zero code is returned. A ^C that lands during any design,
+    // the last one included, or during the write makes the run interrupted.
+    if (cancel_requested()) {
+      std::fprintf(stderr, "interrupted after %zu/%zu designs\n",
+                   records.size(), designs.size());
+      return 130;
+    }
     // Illegal results mean the ratio lost its >= 1 certificate; callers
     // (CI, the gate) must be able to trust every record.
     if (s.illegal != 0) return 2;

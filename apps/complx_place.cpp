@@ -271,9 +271,9 @@ int main(int argc, char** argv) {
                   snapshot_path.c_str());
     std::printf("global placement: %d iterations (%s), lambda %.3f, "
                 "overflow %.1f%%, HPWL(lb/ub) %.4g / %.4g\n",
-                gp.iterations, to_string(gp.stop), gp.final_lambda,
-                100.0 * gp.final_overflow, hpwl(nl, gp.lower_bound),
-                hpwl(nl, gp.anchors));
+                gp.iterations, to_string(gp.stop), gp.returned.lambda,
+                100.0 * gp.returned.overflow_ratio,
+                hpwl(nl, gp.lower_bound), hpwl(nl, gp.anchors));
     std::printf("solver: %zu solves (%zu non-converged, %zu breakdowns), "
                 "%d recoveries, %zu health faults\n",
                 gp.solver.solves, gp.solver.nonconverged,
@@ -297,12 +297,12 @@ int main(int argc, char** argv) {
     if (gp.stop == StopReason::Plateau)
       std::printf("warm start: plateaued at resumed quality; keeping "
                   "best-so-far checkpoint from iteration %d\n",
-                  gp.best_iteration);
+                  gp.returned.iteration);
     else if (gp.stop != StopReason::Converged)
       std::fprintf(stderr,
                    "warning: stopped early (%s); using best-so-far "
                    "checkpoint from iteration %d\n",
-                   to_string(gp.stop), gp.best_iteration);
+                   to_string(gp.stop), gp.returned.iteration);
     if (gp.stop == StopReason::Diverged)
       std::fprintf(stderr, "error: %s\n", gp.failure.c_str());
     if (!trace_path.empty()) write_trace_csv(trace_path, gp.trace);

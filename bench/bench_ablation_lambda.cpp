@@ -47,7 +47,7 @@ int main() {
       if (e.kind == ScheduleKind::ComplxFormula12) base = h;
       std::printf("%-10s %-12s | %12.0f %8d %10.1f %12.3f  (%+5.2f%%)\n",
                   prm.name.c_str(), e.name, h, m.gp.iterations, m.runtime_s,
-                  m.gp.final_lambda, 100.0 * (h - base) / base);
+                  m.gp.returned.lambda, 100.0 * (h - base) / base);
     }
   }
   return 0;

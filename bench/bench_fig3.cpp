@@ -43,14 +43,14 @@ int main() {
         1000.0 * gp_time / std::max(1, m.gp.iterations) /
         (static_cast<double>(nl.num_nets()) / 1000.0);
     std::printf("%8zu %9zu | %12.3f %10d %10.1f %18.2f\n", nl.num_cells(),
-                nl.num_nets(), m.gp.final_lambda, m.gp.iterations, gp_time,
+                nl.num_nets(), m.gp.returned.lambda, m.gp.iterations, gp_time,
                 per_iter_knet);
     csv.row(std::vector<double>{static_cast<double>(nl.num_cells()),
                                 static_cast<double>(nl.num_nets()),
-                                m.gp.final_lambda,
+                                m.gp.returned.lambda,
                                 static_cast<double>(m.gp.iterations), gp_time,
                                 per_iter_knet});
-    lambdas.push_back(m.gp.final_lambda);
+    lambdas.push_back(m.gp.returned.lambda);
     iters.push_back(m.gp.iterations);
     min_norm = std::min(min_norm, per_iter_knet);
     max_norm = std::max(max_norm, per_iter_knet);

@@ -49,7 +49,7 @@ int main() {
   // Report macro behaviour: macros stabilize early and end up overlap-free
   // after legalization.
   std::printf("global placement done: %d iterations, overflow %.1f%%\n",
-              gp.iterations, 100.0 * gp.final_overflow);
+              gp.iterations, 100.0 * gp.returned.overflow_ratio);
   for (CellId id : netlist.movable_cells()) {
     const Cell& c = netlist.cell(id);
     if (!c.is_macro()) continue;

@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
   const PlaceResult gp = placer.place();
   std::printf("global placement: %d iterations, final lambda %.3f, "
               "overflow %.1f%%, duality gap %.1f%%\n",
-              gp.iterations, gp.final_lambda, 100.0 * gp.final_overflow,
-              100.0 * gp.trace.back().gap);
+              gp.iterations, gp.returned.lambda,
+              100.0 * gp.returned.overflow_ratio,
+              100.0 * gp.returned.gap);
   std::printf("  lower-bound HPWL %.0f | anchor (upper-bound) HPWL %.0f\n",
               hpwl(netlist, gp.lower_bound), hpwl(netlist, gp.anchors));
 

@@ -210,6 +210,30 @@ class CompareRunsTest(unittest.TestCase):
                         stops=["rollback-cycle"] + ["converged"] * 19)
         self.assertEqual(qg.compare_runs(base, cand)["decision"], qg.ACCEPT)
 
+    def test_geomean_regression_rejects_despite_sign_test_accept(self):
+        # The lambda_1-floor-h probe on the gate fleet: geomean 1.450 ->
+        # 1.509 with 13 designs worse and 7 better, which the sign test
+        # alone accepts.
+        base = make_run([1.450] * 20)
+        better = 1.44
+        worse = math.exp((20 * math.log(1.509) - 7 * math.log(better)) / 13)
+        cand = make_run([worse] * 13 + [better] * 7)
+        self.assertAlmostEqual(cand["summary"]["geomean_ratio"], 1.509)
+        self.assertEqual(qg.sprt_sign_test(13, 7)[0], qg.ACCEPT)
+        result = qg.compare_runs(base, cand)
+        self.assertEqual(result["decision"], qg.REJECT)
+        self.assertEqual((result["worse"], result["better"]), (13, 7))
+        self.assertIn("geomean", result["reason"])
+
+    def test_geomean_change_within_bound_defers_to_sign_test(self):
+        # 13 worse / 7 better again, but the geomean rises by less than the
+        # bound: the sign test decides, and it accepts.
+        base = make_run([1.450] * 20)
+        cand = make_run([1.452] * 13 + [1.449] * 7)
+        self.assertLess(cand["summary"]["geomean_ratio"] / 1.450 - 1.0,
+                        qg.MAX_GEOMEAN_REGRESSION)
+        self.assertEqual(qg.compare_runs(base, cand)["decision"], qg.ACCEPT)
+
     def test_mismatched_design_lists_raise(self):
         base = make_run([1.5, 1.6])
         cand = make_run([1.5, 1.6], names=["d0", "other"])

@@ -113,25 +113,17 @@ void HealthMonitor::accept(const IterationStats& st) {
 }
 
 bool Checkpoint::offer(const Netlist& nl, const Placement& it,
-                       const Placement& anc, double lam, double pi_value,
-                       int index, size_t bins, double ovfl, double phi_up) {
-  if (!std::isfinite(lam) || !std::isfinite(pi_value) ||
-      !std::isfinite(ovfl) || !std::isfinite(phi_up))
+                       const Placement& anc, const IterationStats& st) {
+  if (!std::isfinite(st.lambda) || !std::isfinite(st.pi) ||
+      !std::isfinite(st.overflow_ratio) || !std::isfinite(st.phi_upper))
     return false;
-  if (valid() &&
-      ranks_better(grid_bins, overflow, phi_upper, bins, ovfl, phi_up))
-    return false;
+  if (valid() && ranks_better(row, st)) return false;
   if (!HealthMonitor::placement_finite(nl, it) ||
       !HealthMonitor::placement_finite(nl, anc))
     return false;
   iterate = it;
   anchors = anc;
-  lambda = lam;
-  pi = pi_value;
-  trace_index = index;
-  grid_bins = bins;
-  overflow = ovfl;
-  phi_upper = phi_up;
+  row = st;
   return true;
 }
 

@@ -12,8 +12,8 @@
 //                      fixed ratio of the previous Φ_upper, the paper's
 //                      primal bound; Π beyond a fixed ratio of its in-core
 //                      bound; non-finite λ);
-//  * Checkpoint      — the best-so-far snapshot (anchors, iterate, λ, trace
-//                      index) ranked by (grid resolution, overflow_ratio,
+//  * Checkpoint      — the best-so-far snapshot (anchors, iterate and their
+//                      trace row) ranked by (grid resolution, overflow_ratio,
 //                      then Φ_upper), so the run can always return the best
 //                      known placement on divergence, iteration exhaustion,
 //                      a wall-clock budget or SIGINT;
@@ -31,7 +31,6 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
-#include <limits>
 #include <string>
 
 #include "core/trace.h"
@@ -196,7 +195,8 @@ class HealthMonitor {
   double last_phi_upper_ = 0.0;  ///< Φ_upper of the last accepted iteration
 };
 
-/// Best-so-far snapshot of the loop state, ranked by (grid resolution, then
+/// Best-so-far snapshot of the loop state: a trace row and the two
+/// placements it was measured on, ranked by (grid resolution, then
 /// overflow_ratio, then Φ_upper): the placement ultimately handed to
 /// legalization is the anchor set, so "best" means densest-feasible first,
 /// cheapest second. Grid resolution leads because overflow ratios are only
@@ -207,32 +207,26 @@ class HealthMonitor {
 struct Checkpoint {
   Placement iterate;   ///< (x, y) at the checkpointed iteration
   Placement anchors;   ///< (x°, y°) — the legalizable output
-  double lambda = 0.0;
-  double pi = 0.0;     ///< Π at the checkpoint (needed to re-seed the loop)
-  int trace_index = -1;
-  size_t grid_bins = 0;  ///< density-grid resolution the overflow was measured on
-  double overflow = std::numeric_limits<double>::infinity();
-  double phi_upper = std::numeric_limits<double>::infinity();
+  IterationStats row;  ///< the trace row of that iteration (λ, Π, overflow…)
 
-  bool valid() const { return trace_index >= 0; }
+  Checkpoint() { row.iteration = -1; }  // no row until the first offer
+  bool valid() const { return row.iteration >= 0; }
 
   /// Strict-weak ranking used both for updates and for the final
   /// "is the checkpoint better than the last iterate" decision.
-  static bool ranks_better(size_t bins_a, double overflow_a,
-                           double phi_upper_a, size_t bins_b,
-                           double overflow_b, double phi_upper_b) {
-    if (bins_a != bins_b) return bins_a > bins_b;
-    if (!fp::exactly_equal(overflow_a, overflow_b))
-      return overflow_a < overflow_b;
-    return phi_upper_a < phi_upper_b;
+  static bool ranks_better(const IterationStats& a, const IterationStats& b) {
+    if (a.grid_bins != b.grid_bins) return a.grid_bins > b.grid_bins;
+    if (!fp::exactly_equal(a.overflow_ratio, b.overflow_ratio))
+      return a.overflow_ratio < b.overflow_ratio;
+    return a.phi_upper < b.phi_upper;
   }
 
-  /// Snapshots the given state if it is finite and ranks at least as well
-  /// as the stored one (ties refresh, so the checkpoint tracks the most
-  /// recent equally-good state). Returns true if the snapshot was taken.
+  /// Snapshots the given state if its row's λ, Π, overflow and Φ_upper and
+  /// both placements are finite and the row ranks at least as well as the
+  /// stored one (ties refresh, so the checkpoint tracks the most recent
+  /// equally-good state). Returns true if the snapshot was taken.
   bool offer(const Netlist& nl, const Placement& it, const Placement& anc,
-             double lam, double pi_value, int index, size_t bins, double ovfl,
-             double phi_up);
+             const IterationStats& st);
 };
 
 /// Test-only fault hooks. Production configs leave every member empty; the

@@ -267,12 +267,19 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
                               std::max(cfg_.grid_coarsening, 1.0));
   lal.set_grid(static_cast<size_t>(bins), static_cast<size_t>(bins));
 
-  ProjectionResult proj = lal.project(p);
-  result.solver.add(proj.timers);
-  if (post_projection_) {
-    post_projection_(proj.anchors);
-    proj.displacement_l1 = movable_l1(nl_, p, proj.anchors);
-  }
+  // One projection step: (x°, y°) = P_C(x, y), its phase timers folded
+  // into the run's statistics, then the post-projection hook, after which
+  // Π is re-measured against the anchors the hook left.
+  ProjectionResult proj;
+  auto project = [&] {
+    proj = lal.project(p);
+    result.solver.add(proj.timers);
+    if (post_projection_) {
+      post_projection_(proj.anchors);
+      proj.displacement_l1 = movable_l1(nl_, p, proj.anchors);
+    }
+  };
+  project();
 
   const double lambda_star = estimate_lambda_star(nl_);
   const double h_base =
@@ -307,9 +314,8 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   };
 
   // --- Watchdog / recovery state -----------------------------------------
-  // All monitor checks are read-only: a healthy run executes bitwise the
-  // same arithmetic with the watchdog on or off.
-  const bool watchdog = cfg_.watchdog;
+  // All monitor checks are read-only: on a healthy run the recovery path
+  // never runs, so the checks perturb nothing.
   HealthMonitor monitor(nl_);
   Checkpoint best;
   int consecutive_faults = 0;  // rollbacks since the last healthy iteration
@@ -319,42 +325,31 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
 
   result.trace.push_back(make_stats(0, schedule.lambda(), proj, lal.bins_x()));
 
-  if (watchdog) {
-    // A corrupted *initial* state is unrecoverable — no checkpoint exists
-    // yet — so surface a structured failure instead of iterating on NaNs.
-    HealthFault f0 = HealthFault::None;
-    if (!HealthMonitor::placement_finite(nl_, p))
-      f0 = HealthFault::NonFiniteIterate;
-    else if (!HealthMonitor::placement_finite(nl_, proj.anchors))
-      f0 = HealthFault::NonFiniteAnchors;
-    else
-      f0 = monitor.check_stats(result.trace.back());
-    if (f0 != HealthFault::None) {
-      monitor.stats().count(f0);
-      result.stop = StopReason::Diverged;
-      result.failure = std::string("initial state: ") + to_string(f0);
-      log_error("placement aborted: %s", result.failure.c_str());
-      result.lower_bound = std::move(p);
-      result.anchors = proj.anchors;
-      result.final_lambda = schedule.lambda();
-      result.final_overflow = result.trace.back().overflow_ratio;
-      result.health = monitor.stats();
-      result.runtime_s = timer.seconds();
-      return result;
-    }
+  StopReason stop = StopReason::MaxIterations;
+
+  // A corrupted *initial* state is unrecoverable — no checkpoint exists
+  // yet — so the run stops before its first iteration with a structured
+  // failure instead of iterating on NaNs, and returns row 0.
+  HealthFault f0 = HealthFault::None;
+  if (!HealthMonitor::placement_finite(nl_, p))
+    f0 = HealthFault::NonFiniteIterate;
+  else if (!HealthMonitor::placement_finite(nl_, proj.anchors))
+    f0 = HealthFault::NonFiniteAnchors;
+  else
+    f0 = monitor.check_stats(result.trace.back());
+  if (f0 != HealthFault::None) {
+    monitor.stats().count(f0);
+    stop = StopReason::Diverged;
+    result.failure = std::string("initial state: ") + to_string(f0);
+    log_error("placement aborted: %s", result.failure.c_str());
+  } else {
+    monitor.accept(result.trace.back());
+    best.offer(nl_, p, proj.anchors, result.trace.back());
   }
-  monitor.accept(result.trace.back());
-  if (watchdog)
-    best.offer(nl_, p, proj.anchors, schedule.lambda(),
-               proj.displacement_l1, 0, lal.bins_x(),
-               result.trace.back().overflow_ratio,
-               result.trace.back().phi_upper);
 
   Placement prev_iter = p;
   Placement prev_proj = proj.anchors;
   double prev_pi = proj.displacement_l1;
-
-  StopReason stop = StopReason::MaxIterations;
 
   // Restores the loop state from the best-so-far checkpoint and backs off
   // λ (halving per consecutive retry); from the second consecutive CG
@@ -366,11 +361,11 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   auto rollback = [&](int iter, HealthFault fault) -> bool {
     monitor.stats().count(fault);
     if (best.valid() && consecutive_faults == 0 &&
-        best.trace_index == restarted_from) {
+        best.row.iteration == restarted_from) {
       stop = StopReason::RollbackCycle;
       log_warn("iter %d: %s — a second recovery from iteration %d would "
                "repeat the first; stopping with that checkpoint",
-               iter, to_string(fault), best.trace_index);
+               iter, to_string(fault), best.row.iteration);
       return false;
     }
     if (!best.valid() || consecutive_faults >= kMaxRecoveryRetries) {
@@ -381,7 +376,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
       log_error("placement diverged: %s", result.failure.c_str());
       return false;
     }
-    if (consecutive_faults == 0) restarted_from = best.trace_index;
+    if (consecutive_faults == 0) restarted_from = best.row.iteration;
     ++consecutive_faults;
     ++result.recovered;
     ++pending_recoveries;
@@ -395,18 +390,18 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     // Copy, never move: a second consecutive rollback returns here again.
     p = best.iterate;
     proj.anchors = best.anchors;
-    proj.displacement_l1 = best.pi;
-    proj.input_overflow_ratio = best.overflow;
+    proj.displacement_l1 = best.row.pi;
+    proj.input_overflow_ratio = best.row.overflow_ratio;
     prev_iter = p;
     prev_proj = proj.anchors;
-    prev_pi = best.pi;
-    double backed_off = best.lambda;
+    prev_pi = best.row.pi;
+    double backed_off = best.row.lambda;
     for (int i = 0; i < consecutive_faults; ++i)
       backed_off *= kRecoveryLambdaBackoff;
     schedule.set_lambda(std::max(backed_off, 1e-12));
     log_warn("iter %d: %s — rolled back to iteration %d, lambda %.3g "
              "(retry %d/%d)",
-             iter, to_string(fault), best.trace_index, schedule.lambda(),
+             iter, to_string(fault), best.row.iteration, schedule.lambda(),
              consecutive_faults, kMaxRecoveryRetries);
     return true;
   };
@@ -421,9 +416,12 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
   int warm_stall = 0;
 
   // --- Primal-dual iterations --------------------------------------------
-  int k = 1;
-  for (; k <= cfg_.max_iterations; ++k) {
-    // Cooperative cancellation (util/parallel.h, e.g. from SIGINT).
+  // Only a healthy initial state starts the loop.
+  const bool started = f0 == HealthFault::None;
+  for (int k = 1; started && k <= cfg_.max_iterations; ++k) {
+    // Cooperative cancellation (util/parallel.h, e.g. from SIGINT). A
+    // cancel or time-limit stop breaks before iteration k runs, so k is
+    // counted only past these two checks.
     if (cancel_requested()) {
       stop = StopReason::Cancelled;
       break;
@@ -432,10 +430,11 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
       stop = StopReason::TimeLimit;
       break;
     }
+    result.iterations = k;
 
     double lambda_k = schedule.lambda();
     if (faults_.corrupt_lambda) lambda_k = faults_.corrupt_lambda(k, lambda_k);
-    if (watchdog && !std::isfinite(lambda_k)) {
+    if (!std::isfinite(lambda_k)) {
       if (!rollback(k, HealthFault::NonFiniteLambda)) break;
       continue;
     }
@@ -447,16 +446,14 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     inject_breakdown = false;
     if (faults_.corrupt_iterate) faults_.corrupt_iterate(k, p);
 
-    if (watchdog) {
-      HealthFault fault = HealthFault::None;
-      if (solver_broke)
-        fault = HealthFault::CgBreakdown;
-      else if (!HealthMonitor::placement_finite(nl_, p))
-        fault = HealthFault::NonFiniteIterate;
-      if (fault != HealthFault::None) {
-        if (!rollback(k, fault)) break;
-        continue;
-      }
+    HealthFault fault = HealthFault::None;
+    if (solver_broke)
+      fault = HealthFault::CgBreakdown;
+    else if (!HealthMonitor::placement_finite(nl_, p))
+      fault = HealthFault::NonFiniteIterate;
+    if (fault != HealthFault::None) {
+      if (!rollback(k, fault)) break;
+      continue;
     }
 
     bins = std::min(static_cast<double>(finest), bins * kGridRefineRate);
@@ -471,14 +468,8 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
       lal.set_inflation(compute_inflation(nl_, p, congestion));
     }
 
-    proj = lal.project(p);
-    result.solver.add(proj.timers);
-    if (post_projection_) {
-      post_projection_(proj.anchors);
-      proj.displacement_l1 = movable_l1(nl_, p, proj.anchors);
-    }
-
-    if (watchdog && !HealthMonitor::placement_finite(nl_, proj.anchors)) {
+    project();
+    if (!HealthMonitor::placement_finite(nl_, proj.anchors)) {
       if (!rollback(k, HealthFault::NonFiniteAnchors)) break;
       continue;
     }
@@ -491,12 +482,10 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     IterationStats st = make_stats(k, schedule.lambda(), proj, lal.bins_x());
     st.recoveries = pending_recoveries;
 
-    if (watchdog) {
-      const HealthFault fault = monitor.check_stats(st);
-      if (fault != HealthFault::None) {
-        if (!rollback(k, fault)) break;
-        continue;
-      }
+    fault = monitor.check_stats(st);
+    if (fault != HealthFault::None) {
+      if (!rollback(k, fault)) break;
+      continue;
     }
 
     result.trace.push_back(st);
@@ -504,9 +493,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     pending_recoveries = 0;
     consecutive_faults = 0;
     breakdown_streak = 0;
-    if (watchdog)
-      best.offer(nl_, p, proj.anchors, st.lambda, st.pi, st.iteration,
-                 st.grid_bins, st.overflow_ratio, st.phi_upper);
+    best.offer(nl_, p, proj.anchors, st);
     log_debug("iter %3d lambda=%.5f phi=[%.4g, %.4g] pi=%.4g ovfl=%.3f", k,
               st.lambda, st.phi_lower, st.phi_upper, st.pi,
               st.overflow_ratio);
@@ -550,14 +537,14 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
     }
   }
 
-  // Which placement to return: a clean converged exit returns the final
-  // iterate untouched (the watchdog adds zero perturbation to healthy
-  // runs). A fault stop (divergence, rollback cycle) leaves the loop with
-  // the faulted state in hand, so it always returns the checkpoint. Every
+  // Which row to return: a clean converged exit returns the final iterate
+  // untouched (the watchdog adds zero perturbation to healthy runs). A
+  // fault stop (divergence, rollback cycle) leaves the loop with the
+  // faulted state in hand, so it always returns the checkpoint. Every
   // other exit — iteration exhaustion, warm plateau, time limit,
   // cancellation — falls back to the best-so-far checkpoint when it ranks
-  // strictly better by (overflow, Φ_upper), and any exit whose final state
-  // is non-finite always does.
+  // strictly better, and any exit whose final state is non-finite always
+  // does. A failed initial state has no checkpoint and returns row 0.
   const IterationStats& last = result.trace.back();
   bool use_checkpoint = false;
   if (best.valid()) {
@@ -568,30 +555,18 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial, bool resume) {
         stop == StopReason::RollbackCycle)
       use_checkpoint = true;
     else if (stop != StopReason::Converged &&
-             Checkpoint::ranks_better(best.grid_bins, best.overflow,
-                                      best.phi_upper, last.grid_bins,
-                                      last.overflow_ratio, last.phi_upper))
+             Checkpoint::ranks_better(best.row, last))
       use_checkpoint = true;
   }
   if (use_checkpoint) {  // the loop is done — move the placements out
     result.lower_bound = std::move(best.iterate);
     result.anchors = std::move(best.anchors);
-    result.final_lambda = best.lambda;
-    result.final_overflow = best.overflow;
-    result.best_iteration = best.trace_index;
+    result.returned = best.row;
   } else {
     result.lower_bound = std::move(p);
     result.anchors = std::move(proj.anchors);
-    result.final_lambda = schedule.lambda();
-    result.final_overflow = last.overflow_ratio;
-    result.best_iteration = last.iteration;
+    result.returned = last;
   }
-  // A cancel or time-limit stop breaks at the top of iteration k, before it
-  // runs; every other exit leaves the loop inside or after iteration k.
-  result.iterations =
-      stop == StopReason::Cancelled || stop == StopReason::TimeLimit
-          ? k - 1
-          : std::min(k, cfg_.max_iterations);
   result.stop = stop;
   result.health = monitor.stats();
   result.runtime_s = timer.seconds();

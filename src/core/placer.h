@@ -109,13 +109,6 @@ struct ComplxConfig {
   // anchors/λ machinery is unchanged — the paper's model-agnosticism claim.
   bool use_lse = false;
 
-  // Numerical-safety watchdog: NaN/Inf screening of every iterate and
-  // projection, divergence detection from the trace, and the
-  // rollback-and-backoff recovery policy (thresholds in core/health.h).
-  // All checks are read-only on healthy runs — the determinism guarantee
-  // is unaffected. false removes even the checks (ablation/debug only).
-  bool watchdog = true;
-
   // Wall-clock budget in seconds (0 = unlimited). When exceeded, the loop
   // stops after the current iteration and the best-so-far checkpoint is
   // returned (stop reason TimeLimit).
@@ -137,15 +130,18 @@ struct PlaceResult {
   /// The returned iterate (x, y). Normally the last one; after an abnormal
   /// stop (divergence, rollback cycle, time limit, cancellation) it is the
   /// best-so-far checkpoint, ranked by (grid resolution, overflow_ratio,
-  /// then Φ_upper).
+  /// then Φ_upper). Φ of this iterate is not a lower bound on the optimum:
+  /// the primal step minimizes the B2B-linearized L°, not L.
   Placement lower_bound;
   Placement anchors;  ///< matching projection (x°, y°) — hand to legalizer
   std::vector<IterationStats> trace;
+  /// The trace row the placements come from: the last row on a converged
+  /// exit, the checkpoint's row on a fallback, row 0 when the initial state
+  /// failed. Its elapsed_s is on the clock of the placer run that made it.
+  IterationStats returned;
   SelfConsistencyStats self_consistency;
   int iterations = 0;  ///< loop iterations run (k − 1 for a cancel or
                        ///< time-limit stop at the top of iteration k)
-  double final_lambda = 0.0;
-  double final_overflow = 0.0;
   double runtime_s = 0.0;
 
   // Health / recovery bookkeeping (see core/health.h).
@@ -153,9 +149,9 @@ struct PlaceResult {
   SolverStats solver;   ///< aggregated CG statistics (both axes, all solves)
   HealthStats health;   ///< watchdog fault counters
   int recovered = 0;    ///< rollback-and-backoff recoveries performed
-  int best_iteration = -1;  ///< trace iteration the placements come from
   /// Why the run failed: set exactly when stop == Diverged (the placements
-  /// are then the best-so-far checkpoint), empty otherwise.
+  /// are then the best-so-far checkpoint, or the initial state when that
+  /// failed), empty otherwise.
   std::string failure;
 };
 

@@ -11,7 +11,10 @@ namespace complx {
 struct IterationStats {
   int iteration = 0;
   double lambda = 0.0;
-  double phi_lower = 0.0;   ///< Φ of the iterate (x, y) — lower bound
+  /// Φ of the iterate (x, y). Not a lower bound on the optimum: the primal
+  /// step minimizes the B2B-linearized L°, so weak duality does not hold
+  /// for its iterate, and on some designs it exceeds the optimum.
+  double phi_lower = 0.0;
   double phi_upper = 0.0;   ///< Φ of the anchors (x°, y°) — upper bound
   double pi = 0.0;          ///< Π: L1 distance to the projection
   double lagrangian = 0.0;  ///< Φ_lower + λ·Π

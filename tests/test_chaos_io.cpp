@@ -654,7 +654,7 @@ TEST(ExperienceWarmStart, ExactRepeatResumesAndConvergesFaster) {
   EXPECT_EQ(warm.trace.front().grid_bins, warm.trace.back().grid_bins);
   EXPECT_LT(warm.iterations, cold.iterations)
       << "an exact repeat must need fewer solver iterations than cold";
-  EXPECT_LT(warm.final_overflow, 0.25);
+  EXPECT_LT(warm.returned.overflow_ratio, 0.25);
 }
 
 TEST(ExperienceWarmStart, MissIsBitwiseIdenticalToColdStart) {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/placer.h"
+#include "gen/fleet.h"
 #include "helpers.h"
 #include "multilevel/mlplacer.h"
 #include "wl/hpwl.h"
@@ -24,7 +25,7 @@ TEST(ComplxPlacer, ConvergesOnSmallDesign) {
   ComplxPlacer placer(nl, fast_config());
   const PlaceResult res = placer.place();
   EXPECT_GT(res.iterations, 3);
-  EXPECT_LT(res.final_overflow, 0.25);
+  EXPECT_LT(res.returned.overflow_ratio, 0.25);
   EXPECT_FALSE(res.trace.empty());
 }
 
@@ -40,6 +41,23 @@ TEST(ComplxPlacer, WeakDualityHoldsAlongTrace) {
   // Allow rare early-iteration exceptions; the bound must hold essentially
   // always (the paper's Figure-1-style behavior).
   EXPECT_GE(holds * 10, res.trace.size() * 9);
+}
+
+// Φ of the iterate is not a lower bound on the optimum: the primal step
+// minimizes the B2B-linearized L°, not L, so weak duality does not hold for
+// its iterate. On the certified gate fleet the returned iterate's Φ exceeds
+// the known optimum on some designs (7 of 20, by up to 1.12x, when this
+// test was written).
+TEST(ComplxPlacer, IterateHpwlCanExceedTheCertifiedOptimum) {
+  ComplxConfig cfg;
+  cfg.max_iterations = FleetRunOptions{}.max_iterations;
+  size_t above = 0;
+  for (const PekoParams& params : fleet_designs(FleetPreset::Gate)) {
+    const PekoDesign design = generate_peko(params);
+    const PlaceResult r = ComplxPlacer(design.netlist, cfg).place();
+    if (r.returned.phi_lower > design.optimum_hpwl) ++above;
+  }
+  EXPECT_GE(above, 1u);
 }
 
 TEST(ComplxPlacer, LambdaIsMonotoneNonDecreasing) {
@@ -80,7 +98,7 @@ TEST(ComplxPlacer, SimplModeRunsAndConverges) {
   cfg.max_iterations = 80;
   ComplxPlacer placer(nl, cfg);
   const PlaceResult res = placer.place();
-  EXPECT_LT(res.final_overflow, 0.25);
+  EXPECT_LT(res.returned.overflow_ratio, 0.25);
 }
 
 TEST(ComplxPlacer, FinalLambdaStaysSmall) {
@@ -90,8 +108,8 @@ TEST(ComplxPlacer, FinalLambdaStaysSmall) {
   Netlist nl = complx::testing::small_circuit(78, 1500);
   ComplxPlacer placer(nl, fast_config());
   const PlaceResult res = placer.place();
-  EXPECT_LT(res.final_lambda, 5.0);
-  EXPECT_GT(res.final_lambda, 0.0);
+  EXPECT_LT(res.returned.lambda, 5.0);
+  EXPECT_GT(res.returned.lambda, 0.0);
 }
 
 TEST(ComplxPlacer, SelfConsistencyMostlyHolds) {
@@ -113,7 +131,7 @@ TEST(ComplxPlacer, HandlesMovableMacrosAndDensityTarget) {
   ComplxConfig cfg = fast_config();
   ComplxPlacer placer(nl, cfg);
   const PlaceResult res = placer.place();
-  EXPECT_LT(res.final_overflow, 0.35);
+  EXPECT_LT(res.returned.overflow_ratio, 0.35);
   // Macros ended up inside the core.
   for (CellId id : nl.movable_cells()) {
     if (!nl.cell(id).is_macro()) continue;
@@ -195,7 +213,7 @@ TEST(ComplxPlacer, LseModelInstantiationWorks) {
   const PlaceResult res = placer.place();
   const double scatter = hpwl(nl, nl.snapshot());
   EXPECT_LT(hpwl(nl, res.anchors), scatter);
-  EXPECT_LT(res.final_overflow, 0.5);
+  EXPECT_LT(res.returned.overflow_ratio, 0.5);
 }
 
 // SolverStats counts one projection per trace row and two linear solves

@@ -61,7 +61,7 @@ TEST(Eco, FullWindowIsBitwiseIdenticalToFullSolve) {
     EXPECT_EQ(bits(eco_nl.cell(id).y), bits(ref_nl.cell(id).y)) << id;
   }
   EXPECT_EQ(eco.place.iterations, ref.iterations);
-  EXPECT_EQ(bits(eco.place.final_lambda), bits(ref.final_lambda));
+  EXPECT_EQ(bits(eco.place.returned.lambda), bits(ref.returned.lambda));
 }
 
 TEST(Eco, PartialWindowLeavesOutsideCellsBitExact) {

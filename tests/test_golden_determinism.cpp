@@ -54,8 +54,8 @@ void run_and_compare(const Netlist& nl, ComplxConfig cfg) {
   const PlaceResult parallel = ComplxPlacer(nl, cfg).place();
 
   EXPECT_EQ(serial.iterations, parallel.iterations);
-  EXPECT_EQ(serial.final_lambda, parallel.final_lambda);
-  EXPECT_EQ(serial.final_overflow, parallel.final_overflow);
+  EXPECT_EQ(serial.returned.lambda, parallel.returned.lambda);
+  EXPECT_EQ(serial.returned.overflow_ratio, parallel.returned.overflow_ratio);
   testing::expect_placements_bitwise_equal(serial.lower_bound,
                                            parallel.lower_bound);
   testing::expect_placements_bitwise_equal(serial.anchors, parallel.anchors);
@@ -160,7 +160,7 @@ TEST(GoldenDeterminism, QpWorkspaceThreadCountBitwiseInvariant) {
   }
 
   EXPECT_EQ(results[0].iterations, results[1].iterations);
-  EXPECT_EQ(results[0].final_lambda, results[1].final_lambda);
+  EXPECT_EQ(results[0].returned.lambda, results[1].returned.lambda);
   testing::expect_placements_bitwise_equal(results[0].lower_bound,
                                            results[1].lower_bound);
   testing::expect_placements_bitwise_equal(results[0].anchors,

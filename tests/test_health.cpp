@@ -16,6 +16,7 @@
 #include "helpers.h"
 #include "legal/tetris.h"
 #include "util/log.h"
+#include "wl/hpwl.h"
 
 namespace complx {
 namespace {
@@ -183,16 +184,35 @@ TEST(SolverStats, AggregatesCgResults) {
 // ---------------------------------------------------------------------------
 // Checkpoint unit tests.
 
+// A trace row carrying only what the checkpoint reads and ranks.
+IterationStats row(int iteration, size_t bins, double overflow,
+                   double phi_upper, double lambda = 1.0, double pi = 5.0) {
+  IterationStats st;
+  st.iteration = iteration;
+  st.grid_bins = bins;
+  st.overflow_ratio = overflow;
+  st.phi_upper = phi_upper;
+  st.lambda = lambda;
+  st.pi = pi;
+  return st;
+}
+
 TEST(Checkpoint, RanksGridThenOverflowThenPhiUpper) {
   // Same grid: overflow first, Φ_upper second.
-  EXPECT_TRUE(Checkpoint::ranks_better(64, 0.1, 500.0, 64, 0.2, 100.0));
-  EXPECT_FALSE(Checkpoint::ranks_better(64, 0.2, 100.0, 64, 0.1, 500.0));
-  EXPECT_TRUE(Checkpoint::ranks_better(64, 0.1, 100.0, 64, 0.1, 200.0));
-  EXPECT_FALSE(Checkpoint::ranks_better(64, 0.1, 100.0, 64, 0.1, 100.0));
+  EXPECT_TRUE(Checkpoint::ranks_better(row(1, 64, 0.1, 500.0),
+                                       row(2, 64, 0.2, 100.0)));
+  EXPECT_FALSE(Checkpoint::ranks_better(row(1, 64, 0.2, 100.0),
+                                        row(2, 64, 0.1, 500.0)));
+  EXPECT_TRUE(Checkpoint::ranks_better(row(1, 64, 0.1, 100.0),
+                                       row(2, 64, 0.1, 200.0)));
+  EXPECT_FALSE(Checkpoint::ranks_better(row(1, 64, 0.1, 100.0),
+                                        row(2, 64, 0.1, 100.0)));
   // Overflow is only comparable at equal resolution: a finer grid always
   // supersedes a coarser one, even with nominally higher overflow.
-  EXPECT_TRUE(Checkpoint::ranks_better(64, 0.8, 500.0, 4, 0.1, 100.0));
-  EXPECT_FALSE(Checkpoint::ranks_better(4, 0.1, 100.0, 64, 0.8, 500.0));
+  EXPECT_TRUE(Checkpoint::ranks_better(row(1, 64, 0.8, 500.0),
+                                       row(2, 4, 0.1, 100.0)));
+  EXPECT_FALSE(Checkpoint::ranks_better(row(1, 4, 0.1, 100.0),
+                                        row(2, 64, 0.8, 500.0)));
 }
 
 TEST(Checkpoint, OfferKeepsBestAndRefreshesTies) {
@@ -200,37 +220,38 @@ TEST(Checkpoint, OfferKeepsBestAndRefreshesTies) {
   const Placement p = nl.snapshot();
   Checkpoint cp;
   EXPECT_FALSE(cp.valid());
-  EXPECT_TRUE(cp.offer(nl, p, p, 1.0, 5.0, 1, 64, 0.4, 200.0));
+  EXPECT_TRUE(cp.offer(nl, p, p, row(1, 64, 0.4, 200.0, 1.0, 5.0)));
   EXPECT_TRUE(cp.valid());
-  EXPECT_EQ(cp.trace_index, 1);
+  EXPECT_EQ(cp.row.iteration, 1);
   // Strictly worse: rejected.
-  EXPECT_FALSE(cp.offer(nl, p, p, 1.0, 5.0, 2, 64, 0.5, 100.0));
-  EXPECT_EQ(cp.trace_index, 1);
+  EXPECT_FALSE(cp.offer(nl, p, p, row(2, 64, 0.5, 100.0, 1.0, 5.0)));
+  EXPECT_EQ(cp.row.iteration, 1);
   // Tie on all keys: refreshed (tracks the most recent equally-good state).
-  EXPECT_TRUE(cp.offer(nl, p, p, 2.0, 6.0, 3, 64, 0.4, 200.0));
-  EXPECT_EQ(cp.trace_index, 3);
-  EXPECT_DOUBLE_EQ(cp.lambda, 2.0);
+  EXPECT_TRUE(cp.offer(nl, p, p, row(3, 64, 0.4, 200.0, 2.0, 6.0)));
+  EXPECT_EQ(cp.row.iteration, 3);
+  EXPECT_DOUBLE_EQ(cp.row.lambda, 2.0);
+  EXPECT_DOUBLE_EQ(cp.row.pi, 6.0);
   // Strictly better: taken.
-  EXPECT_TRUE(cp.offer(nl, p, p, 3.0, 4.0, 4, 64, 0.3, 300.0));
-  EXPECT_EQ(cp.trace_index, 4);
+  EXPECT_TRUE(cp.offer(nl, p, p, row(4, 64, 0.3, 300.0, 3.0, 4.0)));
+  EXPECT_EQ(cp.row.iteration, 4);
   // A finer-grid snapshot supersedes regardless of its overflow value.
-  EXPECT_TRUE(cp.offer(nl, p, p, 3.0, 4.0, 5, 83, 0.9, 900.0));
-  EXPECT_EQ(cp.trace_index, 5);
+  EXPECT_TRUE(cp.offer(nl, p, p, row(5, 83, 0.9, 900.0, 3.0, 4.0)));
+  EXPECT_EQ(cp.row.iteration, 5);
   // ...and a stale coarse-grid one can no longer displace it.
-  EXPECT_FALSE(cp.offer(nl, p, p, 3.0, 4.0, 6, 64, 0.0, 1.0));
-  EXPECT_EQ(cp.trace_index, 5);
+  EXPECT_FALSE(cp.offer(nl, p, p, row(6, 64, 0.0, 1.0, 3.0, 4.0)));
+  EXPECT_EQ(cp.row.iteration, 5);
 }
 
 TEST(Checkpoint, RejectsNonFiniteState) {
   const Netlist nl = testing::two_cell_chain();
   Placement p = nl.snapshot();
   Checkpoint cp;
-  EXPECT_FALSE(cp.offer(nl, p, p, kNan, 5.0, 1, 64, 0.4, 200.0));
-  EXPECT_FALSE(cp.offer(nl, p, p, 1.0, 5.0, 1, 64, kInf, 200.0));
+  EXPECT_FALSE(cp.offer(nl, p, p, row(1, 64, 0.4, 200.0, kNan, 5.0)));
+  EXPECT_FALSE(cp.offer(nl, p, p, row(1, 64, kInf, 200.0, 1.0, 5.0)));
   Placement bad = p;
   bad.x[nl.movable_cells()[0]] = kNan;
-  EXPECT_FALSE(cp.offer(nl, bad, p, 1.0, 5.0, 1, 64, 0.4, 200.0));
-  EXPECT_FALSE(cp.offer(nl, p, bad, 1.0, 5.0, 1, 64, 0.4, 200.0));
+  EXPECT_FALSE(cp.offer(nl, bad, p, row(1, 64, 0.4, 200.0, 1.0, 5.0)));
+  EXPECT_FALSE(cp.offer(nl, p, bad, row(1, 64, 0.4, 200.0, 1.0, 5.0)));
   EXPECT_FALSE(cp.valid());
 }
 
@@ -334,7 +355,7 @@ TEST_F(HealthPlacer, PersistentFaultExhaustsRetriesButReturnsBestSoFar) {
   EXPECT_EQ(r.stop, StopReason::Diverged);
   EXPECT_EQ(r.recovered, kMaxRecoveryRetries);
   EXPECT_FALSE(r.failure.empty());
-  EXPECT_GE(r.best_iteration, 0);
+  EXPECT_GE(r.returned.iteration, 0);
   // Despite every post-2 iterate being poisoned, the result is usable.
   expect_usable(r);
 }
@@ -394,16 +415,59 @@ TEST_F(HealthPlacer, RepeatedRecoveryFromOneCheckpointStopsTheRun) {
   const IterationStats* expected = nullptr;
   for (const IterationStats& st : r.trace)
     if (st.iteration < kFirstFault &&
-        (!expected ||
-         !Checkpoint::ranks_better(expected->grid_bins,
-                                   expected->overflow_ratio,
-                                   expected->phi_upper, st.grid_bins,
-                                   st.overflow_ratio, st.phi_upper)))
+        (!expected || !Checkpoint::ranks_better(*expected, st)))
       expected = &st;
   ASSERT_NE(expected, nullptr);
-  EXPECT_EQ(r.best_iteration, expected->iteration);
-  EXPECT_EQ(r.final_overflow, expected->overflow_ratio);
+  EXPECT_EQ(r.returned.iteration, expected->iteration);
+  EXPECT_EQ(r.returned.overflow_ratio, expected->overflow_ratio);
   expect_usable(r);
+}
+
+// A fault in the last allowed iteration rolls back, and then the budget
+// ends the run. The λ, overflow and iteration it reports are those of the
+// row whose placements it returns, not the backed-off λ the rollback set.
+TEST_F(HealthPlacer, RollbackInTheLastIterationReportsTheReturnedRow) {
+  // Below min_iterations, so the run never converges, and early enough
+  // that the grid still refines: each row is on a finer grid than every
+  // row before it, so the last accepted row is the checkpoint.
+  cfg_.max_iterations = 4;
+  ComplxPlacer placer(nl_, cfg_);
+  FaultInjection faults;
+  faults.corrupt_iterate = [&](int iteration, Placement& p) {
+    if (iteration == cfg_.max_iterations) p.x[nl_.movable_cells()[0]] = kNan;
+  };
+  placer.set_fault_injection(faults);
+  const PlaceResult r = placer.place();
+  ASSERT_EQ(r.stop, StopReason::MaxIterations);
+  EXPECT_EQ(r.recovered, 1);
+  EXPECT_EQ(r.iterations, cfg_.max_iterations);
+  // The rollback restored the last row's placements, and no fallback
+  // replaces them: that row is what the run reports.
+  const IterationStats& last = r.trace.back();
+  EXPECT_GT(last.grid_bins, r.trace[last.iteration - 1].grid_bins);
+  EXPECT_EQ(last.iteration, cfg_.max_iterations - 1);
+  EXPECT_EQ(r.returned.iteration, last.iteration);
+  EXPECT_EQ(r.returned.lambda, last.lambda);
+  EXPECT_EQ(r.returned.overflow_ratio, last.overflow_ratio);
+  EXPECT_EQ(weighted_hpwl(nl_, r.lower_bound), last.phi_lower);
+  EXPECT_EQ(weighted_hpwl(nl_, r.anchors), last.phi_upper);
+  expect_usable(r);
+}
+
+// A non-finite initial iterate is unrecoverable (no checkpoint exists yet):
+// the run stops before its first iteration and returns row 0.
+TEST_F(HealthPlacer, NonFiniteInitialStateDivergesBeforeTheFirstIteration) {
+  Placement initial = nl_.snapshot();
+  initial.x[nl_.movable_cells()[0]] = kNan;
+  const PlaceResult r = ComplxPlacer(nl_, cfg_).place_from(initial);
+  EXPECT_EQ(r.stop, StopReason::Diverged);
+  EXPECT_EQ(r.failure.rfind("initial state: ", 0), 0u) << r.failure;
+  EXPECT_EQ(r.iterations, 0);
+  ASSERT_EQ(r.trace.size(), 1u);
+  EXPECT_EQ(r.returned.iteration, 0);
+  EXPECT_EQ(r.recovered, 0);
+  EXPECT_EQ(r.health[HealthFault::NonFiniteIterate], 1u);
+  EXPECT_EQ(r.health.faults, 1u);
 }
 
 TEST_F(HealthPlacer, TimeLimitStopsEarlyWithUsablePlacement) {
@@ -438,30 +502,6 @@ TEST_F(HealthPlacer, HealthyRunConvergesWithZeroFaults) {
   EXPECT_GT(r.solver.solves, 0u);
   EXPECT_GT(r.solver.total_cg_iterations, 0u);
   expect_usable(r);
-}
-
-// The acceptance criterion for the whole subsystem: on a healthy run the
-// watchdog performs read-only checks only, so enabling it changes nothing —
-// bitwise. (This test carries the `determinism` ctest label.)
-TEST_F(HealthPlacer, WatchdogAddsZeroPerturbationToHealthyRuns) {
-  // Let the run converge: a MaxIterations exit is allowed to prefer the
-  // best-so-far checkpoint, which would make this comparison ill-posed.
-  cfg_.max_iterations = 120;
-  ComplxConfig off = cfg_;
-  off.watchdog = false;
-  const PlaceResult with = ComplxPlacer(nl_, cfg_).place();
-  const PlaceResult without = ComplxPlacer(nl_, off).place();
-  ASSERT_EQ(with.stop, StopReason::Converged);
-  ASSERT_EQ(without.stop, StopReason::Converged);
-  ASSERT_EQ(with.trace.size(), without.trace.size());
-  for (size_t i = 0; i < with.trace.size(); ++i) {
-    EXPECT_EQ(with.trace[i].lambda, without.trace[i].lambda) << i;
-    EXPECT_EQ(with.trace[i].phi_lower, without.trace[i].phi_lower) << i;
-    EXPECT_EQ(with.trace[i].pi, without.trace[i].pi) << i;
-  }
-  testing::expect_placements_bitwise_equal(with.lower_bound,
-                                           without.lower_bound);
-  testing::expect_placements_bitwise_equal(with.anchors, without.anchors);
 }
 
 // A certified PEKO design from the smoke fleet. Its λ = 0 collapse has a
